@@ -12,13 +12,13 @@ go vet ./...
 go build ./...
 go build ./cmd/...
 
-# Differential cold-path cache lane. The four cache layers (device-eval
-# memo, incremental extraction, shape-function cache, MC batching) are
-# only shippable while they are bit-invisible: the harness reruns every
-# topology with caches off vs on and demands hex-exact identity, and the
-# golden suites pin the absolute results (a cache that shifted a single
-# ULP fails here — never re-bless with -update to make this lane pass).
-go test -race -count=1 -run 'TestDifferential' ./internal/core
+# Fingerprint lane. The fingerprint golden pins every topology's full
+# synthesis output (one-shot slicing, refined, one-shot rows) shape by
+# shape and a Monte-Carlo offset run sample by sample, hex-exact, under
+# the race detector; the other golden suites pin the paper's figures. A
+# change that shifts a single ULP fails here — never re-bless with
+# -update to make this lane pass.
+go test -race -count=1 -run 'TestFingerprintGolden' ./internal/core
 go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
