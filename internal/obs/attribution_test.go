@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,26 +23,39 @@ func goroutineLabels(t *testing.T) string {
 	return buf.String()
 }
 
+// phaseCount reads loas_phase_seconds_count{phase=name} from the
+// Prometheus exposition; 0 before the phase's first observation.
+func phaseCount(t *testing.T, name string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `loas_phase_seconds_count{phase="` + name + `"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("bad count line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestPhaseAppliesPprofLabel: while Phase(fn) runs, the goroutine
 // carries phase=<name> layered over the ctx labels, visible in the
 // goroutine profile; phase wall time lands in loas_phase_seconds.
 func TestPhaseAppliesPprofLabel(t *testing.T) {
 	ctx := LabelCtx(context.Background(), "topology", "test_topo_xyz", "run_id", "run-000777")
+	before := phaseCount(t, "test-phase-abc")
 
-	inPhase := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		Phase(ctx, "test-phase-abc", func() {
-			close(inPhase)
-			<-release
-		})
-	}()
-	<-inPhase
-	prof := goroutineLabels(t)
-	close(release)
-	<-done
+	// The profile is taken inside fn, on the labelled goroutine itself:
+	// the goroutine that writes a goroutine profile is always in it,
+	// while another goroutine parked in Phase can be left out.
+	var prof string
+	Phase(ctx, "test-phase-abc", func() { prof = goroutineLabels(t) })
 
 	for _, want := range []string{`"phase":"test-phase-abc"`, `"topology":"test_topo_xyz"`, `"run_id":"run-000777"`} {
 		if !strings.Contains(prof, want) {
@@ -50,12 +64,8 @@ func TestPhaseAppliesPprofLabel(t *testing.T) {
 	}
 
 	// The phase duration must have been observed into the histogram vec.
-	var buf bytes.Buffer
-	if err := Default.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `loas_phase_seconds_count{phase="test-phase-abc"} 1`) {
-		t.Errorf("loas_phase_seconds missing the phase observation:\n%s", buf.String())
+	if after := phaseCount(t, "test-phase-abc"); after != before+1 {
+		t.Errorf("loas_phase_seconds_count{phase=\"test-phase-abc\"} = %d, want %d", after, before+1)
 	}
 }
 
