@@ -497,12 +497,11 @@ func BenchmarkBatchSynthesize50Warm(b *testing.B) {
 	b.ReportMetric(runs, "backend_runs")
 }
 
-// --- Cold-path caching stage benchmarks ---
+// --- Stage benchmarks ---
 //
-// One benchmark per cache layer, in cold/warm pairs where a cache is
-// involved; the pair ratio is the layer's contribution to the cold-path
-// speedup recorded in BENCH_8.json. Results are bit-identical either
-// way (see internal/core/differential_test.go).
+// One benchmark per stage of the synthesis cold path: device
+// evaluation, sizing bisection, layout plan, shape function and one
+// Monte-Carlo sample.
 
 // BenchmarkModelCardEval: one full device-model evaluation — the drain
 // current plus six extra core solves for the numerical conductances.
@@ -529,33 +528,13 @@ func BenchmarkModelCardEvalID(b *testing.B) {
 }
 
 // BenchmarkSizeBisectionCold: one 80-iteration width bisection on the
-// exact model — the unit of work the evaluation memo short-circuits.
+// exact model — the unit of work of every sizing pass's width solve.
 func BenchmarkSizeBisectionCold(b *testing.B) {
 	tech := techno.Default060()
 	var w float64
 	var err error
 	for i := 0; i < b.N; i++ {
 		w, err = device.SizeForCurrent(&tech.N, 1e-6, 0.2, 0, 1e-4, tech.Temp, 1e-6, 2e-2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(w*1e6, "w_um")
-}
-
-// BenchmarkSizeBisectionMemoHit: the same bisection served from the
-// evaluation memo (exact-key lookup, no model evaluation at all).
-func BenchmarkSizeBisectionMemoHit(b *testing.B) {
-	tech := techno.Default060()
-	memo := device.NewMemo(0)
-	if _, err := memo.SizeForCurrent(&tech.N, 1e-6, 0.2, 0, 1e-4, tech.Temp, 1e-6, 2e-2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var w float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		w, err = memo.SizeForCurrent(&tech.N, 1e-6, 0.2, 0, 1e-4, tech.Temp, 1e-6, 2e-2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -593,38 +572,11 @@ func BenchmarkLayoutPlanCold(b *testing.B) {
 	b.ReportMetric(p.Parasitics.AreaUM2, "area_um2")
 }
 
-// BenchmarkLayoutPlanSessionWarm: the same layout call against a warm
-// session — unchanged modules replay their builds, the floorplan reuses
-// cached shape functions and the router replays its recorded shapes, so
-// the call re-extracts only what changed (here: nothing). The ratio to
-// BenchmarkLayoutPlanCold is the incremental-extraction win on the
-// converged iterations of the synthesis loop.
-func BenchmarkLayoutPlanSessionWarm(b *testing.B) {
-	tech := techno.Default060()
-	d := benchFCDesign(b)
-	s := cairo.NewSession(true, true)
-	if _, err := d.Layout().PlanSession(tech, cairo.Constraint{}, s); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var p *cairo.Plan
-	var err error
-	for i := 0; i < b.N; i++ {
-		p, err = d.Layout().PlanSession(tech, cairo.Constraint{}, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(p.Parasitics.AreaUM2, "area_um2")
-}
-
 // benchLayoutBackend runs one registered layout backend over one sized
-// topology — the registry-level rows-vs-slicing comparison. Cold plans
-// with no session; warm plans against a session primed by one prior
-// call, so the ratio is each backend's incremental-extraction win.
-// area_um2 and cap_fF are deterministic and land in the benchsnap
-// record as the per-backend quality A/B.
-func benchLayoutBackend(b *testing.B, topology, backendName string, warm bool) {
+// topology — the registry-level rows-vs-slicing comparison. area_um2
+// and cap_fF are deterministic and land in the benchsnap record as the
+// per-backend quality A/B.
+func benchLayoutBackend(b *testing.B, topology, backendName string) {
 	b.Helper()
 	tech := techno.Default060()
 	sp, err := sizing.Lookup(topology)
@@ -641,17 +593,10 @@ func benchLayoutBackend(b *testing.B, topology, backendName string, warm bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var s *cairo.Session
-	if warm {
-		s = cairo.NewSession(true, true)
-		if _, err := be.Plan(tech, d, cairo.Constraint{}, s); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ResetTimer()
 	var p *cairo.Plan
 	for i := 0; i < b.N; i++ {
-		p, err = be.Plan(tech, d, cairo.Constraint{}, s)
+		p, err = be.Plan(tech, d, cairo.Constraint{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -660,32 +605,18 @@ func benchLayoutBackend(b *testing.B, topology, backendName string, warm bool) {
 	b.ReportMetric(p.Parasitics.TotalCap()*1e15, "cap_fF")
 }
 
-func BenchmarkLayoutSlicingColdFiveT(b *testing.B) { benchLayoutBackend(b, "five-t", "slicing", false) }
-func BenchmarkLayoutSlicingWarmFiveT(b *testing.B) { benchLayoutBackend(b, "five-t", "slicing", true) }
-func BenchmarkLayoutRowsColdFiveT(b *testing.B)    { benchLayoutBackend(b, "five-t", "rows", false) }
-func BenchmarkLayoutRowsWarmFiveT(b *testing.B)    { benchLayoutBackend(b, "five-t", "rows", true) }
+func BenchmarkLayoutSlicingColdFiveT(b *testing.B) { benchLayoutBackend(b, "five-t", "slicing") }
+func BenchmarkLayoutRowsColdFiveT(b *testing.B)    { benchLayoutBackend(b, "five-t", "rows") }
 
 func BenchmarkLayoutSlicingColdFoldedCascode(b *testing.B) {
-	benchLayoutBackend(b, "folded-cascode", "slicing", false)
-}
-func BenchmarkLayoutSlicingWarmFoldedCascode(b *testing.B) {
-	benchLayoutBackend(b, "folded-cascode", "slicing", true)
+	benchLayoutBackend(b, "folded-cascode", "slicing")
 }
 func BenchmarkLayoutRowsColdFoldedCascode(b *testing.B) {
-	benchLayoutBackend(b, "folded-cascode", "rows", false)
-}
-func BenchmarkLayoutRowsWarmFoldedCascode(b *testing.B) {
-	benchLayoutBackend(b, "folded-cascode", "rows", true)
+	benchLayoutBackend(b, "folded-cascode", "rows")
 }
 
-func BenchmarkLayoutSlicingColdTwoStage(b *testing.B) {
-	benchLayoutBackend(b, "two-stage", "slicing", false)
-}
-func BenchmarkLayoutSlicingWarmTwoStage(b *testing.B) {
-	benchLayoutBackend(b, "two-stage", "slicing", true)
-}
-func BenchmarkLayoutRowsColdTwoStage(b *testing.B) { benchLayoutBackend(b, "two-stage", "rows", false) }
-func BenchmarkLayoutRowsWarmTwoStage(b *testing.B) { benchLayoutBackend(b, "two-stage", "rows", true) }
+func BenchmarkLayoutSlicingColdTwoStage(b *testing.B) { benchLayoutBackend(b, "two-stage", "slicing") }
+func BenchmarkLayoutRowsColdTwoStage(b *testing.B)    { benchLayoutBackend(b, "two-stage", "rows") }
 
 // benchSlicingTree builds a synthetic 3-level slicing tree wide enough
 // that Stockmeyer combination dominates (8 leaves x 8 options).
@@ -721,29 +652,10 @@ func BenchmarkShapeFunctionCold(b *testing.B) {
 	b.ReportMetric(fp.Area(), "area_um2")
 }
 
-// BenchmarkShapeFunctionCached: the same optimization with every
-// subtree's shape function served from a warm cache.
-func BenchmarkShapeFunctionCached(b *testing.B) {
-	root := benchSlicingTree()
-	sc := slicing.NewShapeCache()
-	if _, err := slicing.OptimizeCached(root, slicing.Constraint{}, sc); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var fp *slicing.Floorplan
-	var err error
-	for i := 0; i < b.N; i++ {
-		fp, err = slicing.OptimizeCached(root, slicing.Constraint{}, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(fp.Area(), "area_um2")
-}
-
-// benchMCOffsetSample times one Monte-Carlo sample (bracket + 18
-// bisection solves) on either evaluation path.
-func benchMCOffsetSample(b *testing.B, perSolveRebuild bool) {
+// BenchmarkMCSampleBatched times one Monte-Carlo sample (bracket + 18
+// bisection solves): one netlist and engine per sample, only the input
+// sources swept.
+func BenchmarkMCSampleBatched(b *testing.B) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
 	ps, _ := sizing.Case(1)
@@ -752,16 +664,15 @@ func benchMCOffsetSample(b *testing.B, perSolveRebuild bool) {
 		b.Fatal(err)
 	}
 	cfg := mc.OffsetConfig{
-		Build:           func() *circuit.Circuit { return d.Netlist("mcs") },
-		InP:             sizing.NetInP,
-		InN:             sizing.NetInN,
-		Out:             sizing.NetOut,
-		VicmDC:          0.645,
-		VoutMid:         1.41,
-		Temp:            tech.Temp,
-		NodeSet:         d.NodeSet(),
-		Workers:         1,
-		PerSolveRebuild: perSolveRebuild,
+		Build:   func() *circuit.Circuit { return d.Netlist("mcs") },
+		InP:     sizing.NetInP,
+		InN:     sizing.NetInN,
+		Out:     sizing.NetOut,
+		VicmDC:  0.645,
+		VoutMid: 1.41,
+		Temp:    tech.Temp,
+		NodeSet: d.NodeSet(),
+		Workers: 1,
 	}
 	var samples []mc.OffsetSample
 	b.ResetTimer()
@@ -773,11 +684,3 @@ func benchMCOffsetSample(b *testing.B, perSolveRebuild bool) {
 	}
 	b.ReportMetric(samples[0].OffsetV*1e3, "offset_mV")
 }
-
-// BenchmarkMCSamplePerSolveRebuild: the legacy path — a fresh netlist
-// and engine for each of the ~21 solves of the sample.
-func BenchmarkMCSamplePerSolveRebuild(b *testing.B) { benchMCOffsetSample(b, true) }
-
-// BenchmarkMCSampleBatched: the batched path — one netlist and engine
-// per sample, only the input sources swept. Identical offsets.
-func BenchmarkMCSampleBatched(b *testing.B) { benchMCOffsetSample(b, false) }

@@ -19,7 +19,6 @@ go build ./cmd/...
 # change that shifts a single ULP fails here — never re-bless with
 # -update to make this lane pass.
 go test -race -count=1 -run 'TestFingerprintGolden' ./internal/core
-go test -race -count=1 -run 'TestSessionIncremental' ./internal/layout/cairo
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
 # Race lane doubles as the coverage gate: total statement coverage must

@@ -28,12 +28,10 @@ import (
 // defaultBenchSet names the deterministic figure/table benchmarks plus
 // the batch cold/warm pair (its backend_runs metric is the dedup
 // contract; its ns/op is trajectory), the end-to-end cold-path pair
-// (Table1AllCases, ServeSynthesizeCold) and the per-stage cache
-// benchmarks whose cold/warm ratios attribute the cold-path speedup to
-// its four cache layers. The Layout(Rows|Slicing)(Cold|Warm)* pairs are
-// the per-backend A/B: their area_um2/cap_fF metrics record which
-// layout style wins each topology, their cold/warm ratios each
-// backend's session reuse. The remaining serve and Monte-Carlo benches
+// (Table1AllCases, ServeSynthesizeCold) and the per-stage benchmarks of
+// the cold path. The Layout(Rows|Slicing)Cold* benches are the
+// per-backend A/B: their area_um2/cap_fF metrics record which layout
+// style wins each topology. The remaining serve and Monte-Carlo benches
 // are excluded by default: their value is the serial/parallel and
 // cold/hot *ratios*, which a single -benchtime 1x pass cannot measure
 // meaningfully.
@@ -42,10 +40,9 @@ const defaultBenchSet = "Fig2CapReduction|Fig3CurrentMirror|Table1Case[1-4]$" +
 	"|AblationFoldStyle|AblationEvalMethod|AblationShapeConstraint" +
 	"|BatchSynthesize50Cold|BatchSynthesize50Warm" +
 	"|Table1AllCases$|ServeSynthesizeCold$" +
-	"|ModelCardEval$|ModelCardEvalID$|SizeBisectionCold|SizeBisectionMemoHit" +
-	"|LayoutPlanCold|LayoutPlanSessionWarm|ShapeFunctionCold|ShapeFunctionCached" +
-	"|MCSamplePerSolveRebuild|MCSampleBatched" +
-	"|Layout(Rows|Slicing)(Cold|Warm)(FiveT|FoldedCascode|TwoStage)"
+	"|ModelCardEval$|ModelCardEvalID$|SizeBisectionCold" +
+	"|LayoutPlanCold|ShapeFunctionCold|MCSampleBatched" +
+	"|Layout(Rows|Slicing)Cold(FiveT|FoldedCascode|TwoStage)"
 
 // metric is one reported benchmark quantity.
 type metric struct {

@@ -559,12 +559,8 @@ func runLayouts(out io.Writer) error {
 		if info.Name == layout.DefaultBackend {
 			mark = "*"
 		}
-		session := "no session cache"
-		if info.CacheSession {
-			session = "session cache"
-		}
 		fmt.Fprintf(out, "%s %-10s %s\n", mark, info.Name, info.Description)
-		fmt.Fprintf(out, "  constraints: %s; %s\n", strings.Join(info.Constraints, ", "), session)
+		fmt.Fprintf(out, "  constraints: %s\n", strings.Join(info.Constraints, ", "))
 	}
 	fmt.Fprintln(out, "(* = default)")
 	return nil

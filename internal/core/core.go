@@ -71,41 +71,10 @@ type Options struct {
 	// until the original spec is met at every corner (see refine.go).
 	// The zero value keeps the one-shot flow bit-identical.
 	Refine RefineOptions
-	// Caches disables individual cold-path cache layers. The zero value
-	// (everything enabled) is the fast path; every layer is bit-invisible,
-	// so flipping a flag changes run time, never results — the invariant
-	// the differential harness in differential_test.go pins.
-	Caches CacheOptions
 
-	// memo and session carry the per-run caches; Synthesize creates them
-	// according to Caches, and refinement rounds share them through the
-	// options copy. backend is the resolved layout backend.
-	memo    *device.Memo
-	session *cairo.Session
+	// backend is the resolved layout backend; Synthesize sets it and
+	// refinement rounds share it through the options copy.
 	backend layout.Backend
-}
-
-// CacheOptions turns cold-path cache layers off, one by one. All layers
-// key on exact bit patterns of their inputs, so results are identical
-// either way; the flags exist for the differential harness, for
-// benchmarking each layer's contribution, and as an escape hatch.
-type CacheOptions struct {
-	// DisableEvalMemo turns off memoized device-model evaluation
-	// (width/bias bisections and design-point operating points) across
-	// sizing passes.
-	DisableEvalMemo bool
-	// DisableIncrementalExtract turns off incremental layout extraction:
-	// module realizations and routing outcomes are rebuilt from scratch
-	// on every layout call instead of reusing unchanged geometry.
-	DisableIncrementalExtract bool
-	// DisableShapeCache turns off slicing-tree shape-function reuse
-	// across layout calls.
-	DisableShapeCache bool
-	// DisableMCBatch selects the legacy Monte-Carlo evaluation that
-	// rebuilds the netlist and engine per bisection probe. Synthesize
-	// itself runs no Monte-Carlo; callers of the MC verification
-	// interface forward this flag to mc.OffsetConfig.PerSolveRebuild.
-	DisableMCBatch bool
 }
 
 func (o *Options) defaults() {
@@ -175,12 +144,6 @@ func metricName(topology string) string {
 // the one-shot flow, bit-identical to the pre-refinement engine.
 func Synthesize(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*Result, error) {
 	opts.defaults()
-	if !opts.Caches.DisableEvalMemo {
-		opts.memo = device.NewMemo(0)
-	}
-	opts.session = cairo.NewSession(
-		!opts.Caches.DisableIncrementalExtract,
-		!opts.Caches.DisableShapeCache)
 	var err error
 	opts.backend, err = layout.Lookup(opts.Layout)
 	if err != nil {
@@ -205,7 +168,6 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	if err != nil {
 		return nil, err
 	}
-	ps.Memo = opts.memo
 	if opts.backend == nil {
 		if opts.backend, err = layout.Lookup(opts.Layout); err != nil {
 			return nil, err
@@ -245,7 +207,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		layoutStart := time.Now()
 		var lay *cairo.Plan
 		obs.Phase(ctx, "layout-extract", func() {
-			lay, err = opts.backend.Plan(tech, design.Layout(), opts.Shape, opts.session)
+			lay, err = opts.backend.Plan(tech, design.Layout(), opts.Shape, nil)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: layout call %d: %w", call, err)

@@ -49,11 +49,6 @@ type Plan struct {
 	ChoiceOf map[string]int
 }
 
-// buildCache builds every alternative of every module once.
-type buildCache struct {
-	byModule map[string]map[int]*Built
-}
-
 func (d *Design) module(name string) Module {
 	for _, m := range d.Modules {
 		if m.Name() == name {
@@ -64,9 +59,9 @@ func (d *Design) module(name string) Module {
 }
 
 // slicingNode converts the tree spec into slicing nodes backed by real
-// module builds, so the shape function reflects exact geometry. Module
-// realizations go through the session's build cache when one is given.
-func (d *Design) slicingNode(tech *techno.Tech, t *Tree, cache *buildCache, s *Session) (slicing.Node, error) {
+// module builds, so the shape function reflects exact geometry. Every
+// alternative of every module is built once and recorded in builds.
+func (d *Design) slicingNode(tech *techno.Tech, t *Tree, builds map[string]map[int]*Built) (slicing.Node, error) {
 	var children []slicing.Node
 	for _, name := range t.Leaves {
 		m := d.module(name)
@@ -76,7 +71,7 @@ func (d *Design) slicingNode(tech *techno.Tech, t *Tree, cache *buildCache, s *S
 		var alts []slicing.Option
 		built := map[int]*Built{}
 		for _, choice := range m.Choices() {
-			b, err := s.build(tech, m, choice)
+			b, err := m.Build(tech, choice)
 			if err != nil {
 				return nil, fmt.Errorf("cairo: module %s choice %d: %w", name, choice, err)
 			}
@@ -84,11 +79,11 @@ func (d *Design) slicingNode(tech *techno.Tech, t *Tree, cache *buildCache, s *S
 			alts = append(alts, slicing.Option{W: bb.W(), H: bb.H(), Choice: choice})
 			built[choice] = b
 		}
-		cache.byModule[name] = built
+		builds[name] = built
 		children = append(children, slicing.NewLeaf(name, alts))
 	}
 	for _, sub := range t.Children {
-		n, err := d.slicingNode(tech, sub, cache, s)
+		n, err := d.slicingNode(tech, sub, builds)
 		if err != nil {
 			return nil, err
 		}
@@ -135,22 +130,14 @@ var layoutPlans = obs.Default.Counter("loas_layout_plans_total",
 // Plan runs the flow: area optimization under the shape constraint,
 // module realization, routing, extraction.
 func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
-	return d.PlanSession(tech, c, nil)
-}
-
-// PlanSession is Plan with cross-call caching: a non-nil Session reuses
-// module builds, slicing shape functions and routing outcomes recorded
-// by earlier Plan calls of the same synthesis run, re-extracting only
-// what actually changed. The result is bit-identical to Plan.
-func (d *Design) PlanSession(tech *techno.Tech, c Constraint, s *Session) (*Plan, error) {
 	layoutPlans.Inc()
-	cache := &buildCache{byModule: map[string]map[int]*Built{}}
+	builds := map[string]map[int]*Built{}
 	need := d.ChannelNeedNM(tech)
-	root, err := d.slicingNode(tech, widenGaps(d.Tree, need), cache, s)
+	root, err := d.slicingNode(tech, widenGaps(d.Tree, need), builds)
 	if err != nil {
 		return nil, err
 	}
-	fp, err := slicing.OptimizeCached(root, c, s.shapeCache(tech))
+	fp, err := slicing.Optimize(root, c)
 	if err != nil {
 		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
 	}
@@ -167,7 +154,7 @@ func (d *Design) PlanSession(tech *techno.Tech, c Constraint, s *Session) (*Plan
 	sort.Strings(names)
 	for _, name := range names {
 		pl := fp.Placed[name]
-		b := cache.byModule[name][pl.Choice]
+		b := builds[name][pl.Choice]
 		if b == nil {
 			return nil, fmt.Errorf("cairo: missing build for %s choice %d", name, pl.Choice)
 		}
@@ -195,7 +182,7 @@ func (d *Design) PlanSession(tech *techno.Tech, c Constraint, s *Session) (*Plan
 		obstacles = append(obstacles, fp.Placed[name].Rect)
 	}
 	channels := route.Channels(obstacles, need)
-	rres, err := s.routeCached(tech, top, d.Nets, channels)
+	rres, err := route.Route(tech, top, d.Nets, channels)
 	if err != nil {
 		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
 	}

@@ -23,14 +23,18 @@ import (
 	"loas/internal/techno"
 )
 
-// Plan, Constraint and Session re-export the cairo types so backend
-// callers (core, benchmarks) need no extra imports and the default path
-// keeps its exact types.
+// Plan and Constraint re-export the cairo types so backend callers
+// (core, benchmarks) need no extra imports and the default path keeps
+// its exact types.
 type (
 	Plan       = cairo.Plan
 	Constraint = cairo.Constraint
-	Session    = cairo.Session
 )
+
+// Session is unused: it holds nothing, and callers pass nil. It stays
+// only as the type of Backend.Plan's last parameter, so that existing
+// Backend implementations keep compiling.
+type Session struct{}
 
 // Info is a backend's capability descriptor, served verbatim by
 // GET /v1/layouts and `loas layouts`.
@@ -41,22 +45,17 @@ type Info struct {
 	// (subset of "max_w", "max_h", "aspect"). An unlisted field is
 	// accepted but ignored.
 	Constraints []string `json:"constraints"`
-	// CacheSession reports whether the backend reuses a cairo.Session's
-	// incremental caches (module builds, route replay, shape functions)
-	// across the Plan calls of one synthesis run.
-	CacheSession bool `json:"cache_session"`
 }
 
 // Backend generates layout plans for sized designs. Implementations
 // must be deterministic — two Plan calls with bit-identical inputs must
-// return bit-identical plans, with or without a session — and safe for
-// concurrent use.
+// return bit-identical plans — and safe for concurrent use.
 type Backend interface {
 	// Info describes the backend.
 	Info() Info
 	// Plan places and routes the design under the shape constraint and
-	// returns its geometry plus the extracted parasitic report. A nil
-	// session disables cross-call caching.
+	// returns its geometry plus the extracted parasitic report. The
+	// session is unused; callers pass nil.
 	Plan(tech *techno.Tech, d *cairo.Design, c Constraint, s *Session) (*Plan, error)
 }
 
@@ -154,13 +153,12 @@ func (slicingBackend) Info() Info {
 		Name: DefaultBackend,
 		Description: "slicing-tree floorplan: Stockmeyer area optimization over " +
 			"module shape functions, then channel routing (the paper's CAIRO flow)",
-		Constraints:  []string{"max_w", "max_h", "aspect"},
-		CacheSession: true,
+		Constraints: []string{"max_w", "max_h", "aspect"},
 	}
 }
 
-func (slicingBackend) Plan(tech *techno.Tech, d *cairo.Design, c Constraint, s *Session) (*Plan, error) {
-	return d.PlanSession(tech, c, s)
+func (slicingBackend) Plan(tech *techno.Tech, d *cairo.Design, c Constraint, _ *Session) (*Plan, error) {
+	return d.Plan(tech, c)
 }
 
 func init() { Register(slicingBackend{}) }

@@ -73,8 +73,7 @@ func (backend) Info() layout.Info {
 		Description: "row-based placement: NFET/passive/PFET rows with routing " +
 			"channels between them; candidate placements scored by extracted " +
 			"parasitics, then area",
-		Constraints:  []string{"max_w", "max_h"},
-		CacheSession: true,
+		Constraints: []string{"max_w", "max_h"},
 	}
 }
 
@@ -83,9 +82,9 @@ func init() { layout.Register(backend{}) }
 // Plan realizes every candidate placement, drops the ones that fail to
 // route or violate the shape constraint, and returns the winner:
 // minimal total extracted capacitance, ties broken by area, then by
-// candidate order. Deterministic with or without a session.
-func (backend) Plan(tech *techno.Tech, d *cairo.Design, c layout.Constraint, s *layout.Session) (*layout.Plan, error) {
-	cands := Candidates(tech, d, s)
+// candidate order. Deterministic.
+func (backend) Plan(tech *techno.Tech, d *cairo.Design, c layout.Constraint, _ *layout.Session) (*layout.Plan, error) {
+	cands := Candidates(tech, d)
 	var best *Candidate
 	var reasons []string
 	for i := range cands {
@@ -157,25 +156,24 @@ func rowOf(m cairo.Module) (row int, isStack bool) {
 // Candidates realizes every placement style for the design, routing and
 // extracting each one. Failed styles (typically unroutable placements)
 // carry their error; tests DRC-check every successful candidate.
-func Candidates(tech *techno.Tech, d *cairo.Design, s *layout.Session) []Candidate {
-	slots, err := buildSlots(tech, d, s)
+func Candidates(tech *techno.Tech, d *cairo.Design) []Candidate {
+	slots, err := buildSlots(tech, d)
 	out := make([]Candidate, 0, len(styles))
 	for _, st := range styles {
 		cand := Candidate{Style: st.name}
 		if err != nil {
 			cand.Err = err
 		} else {
-			cand.Plan, cand.Err = realize(tech, d, s, slots, st.order, st.policy)
+			cand.Plan, cand.Err = realize(tech, d, slots, st.order, st.policy)
 		}
 		out = append(out, cand)
 	}
 	return out
 }
 
-// buildSlots realizes every alternative of every module once (through
-// the session's build cache when one is given) and classifies modules
-// into rows.
-func buildSlots(tech *techno.Tech, d *cairo.Design, s *layout.Session) ([]moduleSlot, error) {
+// buildSlots realizes every alternative of every module once and
+// classifies modules into rows.
+func buildSlots(tech *techno.Tech, d *cairo.Design) ([]moduleSlot, error) {
 	slots := make([]moduleSlot, 0, len(d.Modules))
 	for _, m := range d.Modules {
 		row, isStack := rowOf(m)
@@ -187,7 +185,7 @@ func buildSlots(tech *techno.Tech, d *cairo.Design, s *layout.Session) ([]module
 			return nil, fmt.Errorf("rows: module %s offers no shape choices", slot.name)
 		}
 		for _, choice := range slot.choices {
-			b, err := s.Build(tech, m, choice)
+			b, err := m.Build(tech, choice)
 			if err != nil {
 				return nil, fmt.Errorf("rows: module %s choice %d: %w", slot.name, choice, err)
 			}
@@ -321,7 +319,7 @@ func max64(a, b int64) int64 {
 // channel-height gaps between them, each row centered on the common
 // vertical axis, then routes and extracts exactly like the slicing
 // backend.
-func realize(tech *techno.Tech, d *cairo.Design, s *layout.Session, slots []moduleSlot, order, policy string) (*cairo.Plan, error) {
+func realize(tech *techno.Tech, d *cairo.Design, slots []moduleSlot, order, policy string) (*cairo.Plan, error) {
 	byRow := make([][]moduleSlot, rowCount)
 	for _, slot := range slots {
 		byRow[slot.row] = append(byRow[slot.row], slot)
@@ -404,7 +402,7 @@ func realize(tech *techno.Tech, d *cairo.Design, s *layout.Session, slots []modu
 	}
 
 	channels := route.Channels(obstacles, need)
-	rres, err := s.RouteCached(tech, top, d.Nets, channels)
+	rres, err := route.Route(tech, top, d.Nets, channels)
 	if err != nil {
 		return nil, fmt.Errorf("rows: design %s (%s-%s): %w", d.Name, order, policy, err)
 	}

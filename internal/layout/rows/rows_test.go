@@ -38,7 +38,7 @@ func TestRowsRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := b.Info()
-	if info.Name != "rows" || !info.CacheSession {
+	if info.Name != "rows" {
 		t.Fatalf("unexpected descriptor %+v", info)
 	}
 }
@@ -53,7 +53,7 @@ func TestRowsCandidatesDRC(t *testing.T) {
 		topology := topology
 		t.Run(topology, func(t *testing.T) {
 			d := sizedDesign(t, topology)
-			cands := Candidates(tech, d, nil)
+			cands := Candidates(tech, d)
 			if len(cands) != len(styles) {
 				t.Fatalf("got %d candidates, want %d", len(cands), len(styles))
 			}
@@ -81,9 +81,8 @@ func TestRowsCandidatesDRC(t *testing.T) {
 	}
 }
 
-// TestRowsPlanDeterministic: Plan with a nil session and Plan against a
-// fresh warm session must agree bit-for-bit on the extracted report —
-// the session is a cache, not a heuristic.
+// TestRowsPlanDeterministic: two Plan calls on the same design must agree
+// bit-for-bit on total capacitance and area, and on the shape count.
 func TestRowsPlanDeterministic(t *testing.T) {
 	tech := techno.Default060()
 	b, err := layout.Lookup("rows")
@@ -94,29 +93,25 @@ func TestRowsPlanDeterministic(t *testing.T) {
 		topology := topology
 		t.Run(topology, func(t *testing.T) {
 			d := sizedDesign(t, topology)
-			cold, err := b.Plan(tech, d, layout.Constraint{}, nil)
+			first, err := b.Plan(tech, d, layout.Constraint{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := cairo.NewSession(true, true)
-			if _, err := b.Plan(tech, d, layout.Constraint{}, s); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := b.Plan(tech, d, layout.Constraint{}, s)
+			second, err := b.Plan(tech, d, layout.Constraint{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hx(cold.Parasitics.TotalCap()) != hx(warm.Parasitics.TotalCap()) {
+			if hx(first.Parasitics.TotalCap()) != hx(second.Parasitics.TotalCap()) {
 				t.Fatalf("total cap differs: %v vs %v",
-					cold.Parasitics.TotalCap(), warm.Parasitics.TotalCap())
+					first.Parasitics.TotalCap(), second.Parasitics.TotalCap())
 			}
-			if hx(cold.Parasitics.AreaUM2) != hx(warm.Parasitics.AreaUM2) {
+			if hx(first.Parasitics.AreaUM2) != hx(second.Parasitics.AreaUM2) {
 				t.Fatalf("area differs: %v vs %v",
-					cold.Parasitics.AreaUM2, warm.Parasitics.AreaUM2)
+					first.Parasitics.AreaUM2, second.Parasitics.AreaUM2)
 			}
-			if len(cold.Cell.Shapes) != len(warm.Cell.Shapes) {
+			if len(first.Cell.Shapes) != len(second.Cell.Shapes) {
 				t.Fatalf("shape count differs: %d vs %d",
-					len(cold.Cell.Shapes), len(warm.Cell.Shapes))
+					len(first.Cell.Shapes), len(second.Cell.Shapes))
 			}
 		})
 	}

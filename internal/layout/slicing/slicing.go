@@ -176,12 +176,7 @@ func (f *Floorplan) Area() float64 { return float64(f.W) * float64(f.H) * 1e-6 }
 // the aspect preference as tie-breaker; if nothing fits, the option with
 // the smallest constraint violation.
 func Optimize(root Node, c Constraint) (*Floorplan, error) {
-	return realizeBest(root.Shapes(), c)
-}
-
-// realizeBest picks and realizes the best option of a computed shape
-// function (the selection half of Optimize, shared with the cached path).
-func realizeBest(sf ShapeFn, c Constraint) (*Floorplan, error) {
+	sf := root.Shapes()
 	if len(sf) == 0 {
 		return nil, fmt.Errorf("slicing: empty shape function")
 	}

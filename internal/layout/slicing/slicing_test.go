@@ -191,3 +191,13 @@ func TestMinAreaOption(t *testing.T) {
 		t.Fatal("empty shape function accepted")
 	}
 }
+
+func TestFloorplanArea(t *testing.T) {
+	fp, err := Optimize(leaf("m", [2]int64{2000, 3000}), Constraint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fp.Area(); got != 6 {
+		t.Fatalf("area = %v um2, want 6", got)
+	}
+}

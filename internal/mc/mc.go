@@ -92,13 +92,6 @@ type OffsetConfig struct {
 	// carries (the daemon's phase/topology/run_id) reach the per-sample
 	// phase instrumentation. Nil means Background.
 	Ctx context.Context
-	// PerSolveRebuild selects the legacy evaluation that rebuilds the
-	// netlist and engine for every bisection probe instead of batching
-	// the ~21 solves of a sample onto one engine. The two paths are
-	// bit-identical (the engine is structural, source values are read at
-	// solve time, and every OP starts fresh from the node set); the flag
-	// exists for the differential harness and the batching benchmark.
-	PerSolveRebuild bool
 }
 
 // SimulateOffset nulls the output by bisection on the differential input
@@ -108,52 +101,29 @@ func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
 	if search <= 0 {
 		search = 25
 	}
-	var solve func(vid float64) (float64, error)
-	if cfg.PerSolveRebuild {
-		// Legacy path: a fresh netlist and engine per bisection probe.
-		solve = func(vid float64) (float64, error) {
-			ckt := cfg.Build()
-			s.Apply(ckt)
-			ckt.Add(
-				&circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground, DC: cfg.VicmDC + vid/2},
-				&circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground, DC: cfg.VicmDC - vid/2},
-			)
-			eng := sim.NewEngine(ckt, cfg.Temp)
-			ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
-			for k, v := range cfg.NodeSet {
-				ns[k] = v
-			}
-			op, err := eng.OP(sim.OPOptions{NodeSet: ns})
-			if err != nil {
-				return 0, err
-			}
-			return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
+	// Build the sample's netlist and engine once and sweep only the
+	// input sources across the bisection. The engine holds structure,
+	// source DC values are read when stamping, and OP restarts from the
+	// node set every call, so each probe solves the system a freshly
+	// built netlist would.
+	ckt := cfg.Build()
+	s.Apply(ckt)
+	vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
+	vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
+	ckt.Add(vp, vn)
+	eng := sim.NewEngine(ckt, cfg.Temp)
+	ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
+	for k, v := range cfg.NodeSet {
+		ns[k] = v
+	}
+	solve := func(vid float64) (float64, error) {
+		vp.DC = cfg.VicmDC + vid/2
+		vn.DC = cfg.VicmDC - vid/2
+		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
+		if err != nil {
+			return 0, err
 		}
-	} else {
-		// Batched path: build the sample's netlist and engine once and
-		// sweep only the input sources across the bisection. The engine
-		// holds structure, source DC values are read when stamping, and
-		// OP restarts from the node set every call, so each probe solves
-		// the very system the legacy path would.
-		ckt := cfg.Build()
-		s.Apply(ckt)
-		vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
-		vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
-		ckt.Add(vp, vn)
-		eng := sim.NewEngine(ckt, cfg.Temp)
-		ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
-		for k, v := range cfg.NodeSet {
-			ns[k] = v
-		}
-		solve = func(vid float64) (float64, error) {
-			vp.DC = cfg.VicmDC + vid/2
-			vn.DC = cfg.VicmDC - vid/2
-			op, err := eng.OP(sim.OPOptions{NodeSet: ns})
-			if err != nil {
-				return 0, err
-			}
-			return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
-		}
+		return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
 	}
 	lo, hi := -search*1e-3, search*1e-3
 	fLo, err := solve(lo)

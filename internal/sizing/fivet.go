@@ -79,18 +79,18 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 
 	build := func() error {
 		gm1 := 2 * math.Pi * spec.GBW * spec.CL * boost
-		w1, err := ps.Memo.SizeForGm(&tech.P, l, veff1, 0, gm1, tech.Temp, wmin, wmax)
+		w1, err := device.SizeForGm(&tech.P, l, veff1, 0, gm1, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: 5T input pair: %w", err)
 		}
 		m1 := device.MOS{Card: &tech.P, W: w1, L: l}
 		id1 := m1.IDSat(veff1, 0, tech.Temp)
 		itail := 2 * id1
-		w3, err := ps.Memo.SizeForCurrent(&tech.N, l, veff3, 0, id1, tech.Temp, wmin, wmax)
+		w3, err := device.SizeForCurrent(&tech.N, l, veff3, 0, id1, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MF3: %w", err)
 		}
-		w5, err := ps.Memo.SizeForCurrent(&tech.P, l, vtl, 0, itail, tech.Temp, wmin, wmax)
+		w5, err := device.SizeForCurrent(&tech.P, l, vtl, 0, itail, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MF5: %w", err)
 		}
@@ -115,7 +115,7 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 
 		vcm := clamp(0.5*(spec.ICMLow+spec.ICMHigh), 0.3, spec.VDD)
 		mn3 := device.MOS{Card: &tech.N, W: w3, L: l}
-		vx, err := ps.Memo.VGSForCurrent(&mn3, id1, 0.9, 0, tech.Temp)
+		vx, err := mn3.VGSForCurrent(id1, 0.9, 0, tech.Temp)
 		if err != nil {
 			return err
 		}
@@ -126,7 +126,7 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 		d.NodeEst[NetOut] = vx
 
 		mp5 := device.MOS{Card: &tech.P, W: w5, L: l}
-		vgs5, err := ps.Memo.VGSForCurrent(&mp5, itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+		vgs5, err := mp5.VGSForCurrent(itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
 		if err != nil {
 			return err
 		}

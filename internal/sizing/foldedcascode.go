@@ -262,7 +262,7 @@ func (p *plan) size() error {
 	for iter := 0; iter < 20; iter++ {
 		p.iters++
 		gm1 := 2 * math.Pi * spec.GBW * cout * p.gbwBoost
-		w1, err := p.ps.Memo.SizeForGm(&tech.P, p.l1, p.veff1, 0, gm1,
+		w1, err := device.SizeForGm(&tech.P, p.l1, p.veff1, 0, gm1,
 			tech.Temp, techno.NMToMeters(tech.Rules.ActiveWidth), 20000*techno.Micron)
 		if err != nil {
 			return fmt.Errorf("sizing: input pair: %w", err)
@@ -277,7 +277,7 @@ func (p *plan) size() error {
 		vn3 := p.veffP + 0.10 // below VDD
 
 		szFor := func(card *techno.MOSCard, l, veff, vsb, id float64) (float64, error) {
-			return p.ps.Memo.SizeForCurrent(card, l, veff, vsb, id, tech.Temp,
+			return device.SizeForCurrent(card, l, veff, vsb, id, tech.Temp,
 				techno.NMToMeters(tech.Rules.ActiveWidth), 20000*techno.Micron)
 		}
 		wn5, err := szFor(&tech.N, p.lc, p.veffN, 0, in5)
@@ -379,7 +379,7 @@ func (p *plan) biasVoltages() error {
 	// vbn: gate of MN5/MN6 sinking In5 with source at ground.
 	n5 := d.Devices[MN5]
 	mn5 := device.MOS{Card: &tech.N, W: n5.W, L: n5.L}
-	vgs, err := p.ps.Memo.VGSForCurrent(&mn5, n5.ID, d.NodeEst[NetFN1], 0, tech.Temp)
+	vgs, err := mn5.VGSForCurrent(n5.ID, d.NodeEst[NetFN1], 0, tech.Temp)
 	if err != nil {
 		return fmt.Errorf("sizing: vbn: %w", err)
 	}
@@ -388,7 +388,7 @@ func (p *plan) biasVoltages() error {
 	// vc1: gate of the NMOS cascodes (source at the fold node).
 	c := d.Devices[MN1C]
 	mn1c := device.MOS{Card: &tech.N, W: c.W, L: c.L}
-	vgsC, err := p.ps.Memo.VGSForCurrent(&mn1c, c.ID, d.NodeEst[NetMO1]-d.NodeEst[NetFN1], c.VSB, tech.Temp)
+	vgsC, err := mn1c.VGSForCurrent(c.ID, d.NodeEst[NetMO1]-d.NodeEst[NetFN1], c.VSB, tech.Temp)
 	if err != nil {
 		return fmt.Errorf("sizing: vc1: %w", err)
 	}
@@ -397,7 +397,7 @@ func (p *plan) biasVoltages() error {
 	// vbp: gate of the tail source (PMOS, mirrored).
 	t := d.Devices[MP5]
 	mp5 := device.MOS{Card: &tech.P, W: t.W, L: t.L}
-	vgsT, err := p.ps.Memo.VGSForCurrent(&mp5, t.ID, vdd-d.NodeEst[NetTail], 0, tech.Temp)
+	vgsT, err := mp5.VGSForCurrent(t.ID, vdd-d.NodeEst[NetTail], 0, tech.Temp)
 	if err != nil {
 		return fmt.Errorf("sizing: vbp: %w", err)
 	}
@@ -406,7 +406,7 @@ func (p *plan) biasVoltages() error {
 	// vc3: gate of the PMOS cascodes (source at n3/n4 below VDD).
 	pc := d.Devices[MP3C]
 	mp3c := device.MOS{Card: &tech.P, W: pc.W, L: pc.L}
-	vgsPC, err := p.ps.Memo.VGSForCurrent(&mp3c, pc.ID, d.NodeEst[NetN3]-d.NodeEst[NetMO1], pc.VSB, tech.Temp)
+	vgsPC, err := mp3c.VGSForCurrent(pc.ID, d.NodeEst[NetN3]-d.NodeEst[NetMO1], pc.VSB, tech.Temp)
 	if err != nil {
 		return fmt.Errorf("sizing: vc3: %w", err)
 	}
@@ -422,28 +422,23 @@ func (p *plan) evalDev(name string) (device.OP, device.CapSet) {
 	if ds.Type == techno.PMOS {
 		card = &p.tech.P
 	}
-	key := p.ps.Memo.Key("fc-evaldev", card,
-		ds.W, ds.L, ds.Geom.AD, ds.Geom.PD, ds.Geom.AS, ds.Geom.PS,
-		ds.ID, ds.Veff, ds.VSB, p.tech.Temp)
-	return p.ps.Memo.OPCaps(key, func() (device.OP, device.CapSet) {
-		m := device.MOS{Card: card, W: ds.W, L: ds.L, Geom: ds.Geom}
-		// Synthetic saturated bias consistent with the estimates: VDS one
-		// overdrive plus margin, VSB per the table.
-		sign := card.VTSign()
-		vs := 0.0
-		vb := 0.0
-		if ds.VSB > 0 {
-			vs = sign * ds.VSB
-		}
-		vgs, err := m.VGSForCurrent(ds.ID, ds.Veff+0.2, ds.VSB, p.tech.Temp)
-		if err != nil {
-			vgs = card.VT0 + ds.Veff
-		}
-		vg := vs + sign*vgs
-		vd := vs + sign*(ds.Veff+0.2)
-		op := m.Eval(vg, vd, vs, vb, p.tech.Temp)
-		return op, m.Caps(op, p.tech.Temp)
-	})
+	m := device.MOS{Card: card, W: ds.W, L: ds.L, Geom: ds.Geom}
+	// Synthetic saturated bias consistent with the estimates: VDS one
+	// overdrive plus margin, VSB per the table.
+	sign := card.VTSign()
+	vs := 0.0
+	vb := 0.0
+	if ds.VSB > 0 {
+		vs = sign * ds.VSB
+	}
+	vgs, err := m.VGSForCurrent(ds.ID, ds.Veff+0.2, ds.VSB, p.tech.Temp)
+	if err != nil {
+		vgs = card.VT0 + ds.Veff
+	}
+	vg := vs + sign*vgs
+	vd := vs + sign*(ds.Veff+0.2)
+	op := m.Eval(vg, vd, vs, vb, p.tech.Temp)
+	return op, m.Caps(op, p.tech.Temp)
 }
 
 // nodeCap estimates the total small-signal capacitance on a net under the

@@ -110,12 +110,6 @@ type ParasiticState struct {
 	// Report is the last layout parasitic report (nil before the first
 	// layout call).
 	Report *extract.Parasitics
-	// Memo, when non-nil, memoizes exact-repeat device-model evaluations
-	// (width/bias bisections, design-point operating points) across the
-	// sizing iterations of one synthesis run. Keys are exact float bit
-	// patterns, so results are byte-identical with the memo on or off;
-	// nil disables caching (the differential harness's reference path).
-	Memo *device.Memo
 }
 
 // Case returns the ParasiticState of the paper's Table-1 case n (1–4).

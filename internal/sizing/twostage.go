@@ -101,7 +101,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 
 	build := func() error {
 		gm1 := 2 * math.Pi * spec.GBW * cc * boost
-		w1, err := ps.Memo.SizeForGm(&tech.P, l, veff1, 0, gm1, tech.Temp, wmin, wmax)
+		w1, err := device.SizeForGm(&tech.P, l, veff1, 0, gm1, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: two-stage input pair: %w", err)
 		}
@@ -110,22 +110,22 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 		itail := 2 * id1
 
 		gm6 := k6 * 2 * math.Pi * spec.GBW * spec.CL
-		w6, err := ps.Memo.SizeForGm(&tech.N, l, veff6, 0, gm6, tech.Temp, wmin, wmax)
+		w6, err := device.SizeForGm(&tech.N, l, veff6, 0, gm6, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MT6: %w", err)
 		}
 		m6 := device.MOS{Card: &tech.N, W: w6, L: l}
 		i6 := m6.IDSat(veff6, 0, tech.Temp)
 
-		w3, err := ps.Memo.SizeForCurrent(&tech.N, l, veff3, 0, id1, tech.Temp, wmin, wmax)
+		w3, err := device.SizeForCurrent(&tech.N, l, veff3, 0, id1, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MT3: %w", err)
 		}
-		w5, err := ps.Memo.SizeForCurrent(&tech.P, l, vtl, 0, itail, tech.Temp, wmin, wmax)
+		w5, err := device.SizeForCurrent(&tech.P, l, vtl, 0, itail, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MT5: %w", err)
 		}
-		w7, err := ps.Memo.SizeForCurrent(&tech.P, l, veff7, 0, i6, tech.Temp, wmin, wmax)
+		w7, err := device.SizeForCurrent(&tech.P, l, veff7, 0, i6, tech.Temp, wmin, wmax)
 		if err != nil {
 			return fmt.Errorf("sizing: MT7: %w", err)
 		}
@@ -158,7 +158,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 			vcm = 0.3
 		}
 		mn3 := device.MOS{Card: &tech.N, W: w3, L: l}
-		vgs3, err := ps.Memo.VGSForCurrent(&mn3, id1, 0.9, 0, tech.Temp)
+		vgs3, err := mn3.VGSForCurrent(id1, 0.9, 0, tech.Temp)
 		if err != nil {
 			return fmt.Errorf("sizing: x1 estimate: %w", err)
 		}
@@ -171,7 +171,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 		d.NodeEst[NetCZ] = d.NodeEst[NetOut]
 
 		mp5 := device.MOS{Card: &tech.P, W: w5, L: l}
-		vgs5, err := ps.Memo.VGSForCurrent(&mp5, itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+		vgs5, err := mp5.VGSForCurrent(itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
 		if err != nil {
 			return fmt.Errorf("sizing: vbp: %w", err)
 		}
