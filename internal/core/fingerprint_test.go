@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,7 +132,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 	t.Run("mc", func(t *testing.T) {
 		got.MC = mcFingerprint(t, tech)
-		if !*updateFingerprints && !mcPrintEqual(got.MC, want.MC) {
+		if !*updateFingerprints && !reflect.DeepEqual(got.MC, want.MC) {
 			t.Errorf("Monte-Carlo run diverges from %s:\n  got  %+v\n  want %+v",
 				fingerprintGoldenPath, got.MC, want.MC)
 		}
@@ -140,6 +142,9 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 
 	if *updateFingerprints {
+		if got.MC.N == 0 || slices.ContainsFunc(got.Synth, func(p synthPrint) bool { return p.SHA256 == "" }) {
+			t.Fatal("-update needs every case to run; drop the subtest filter")
+		}
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -200,19 +205,6 @@ func mcFingerprint(t *testing.T, tech *techno.Tech) mcPrint {
 	st := mc.ReduceOffsets(samples)
 	p.N, p.Failures, p.Mean, p.Sigma, p.Worst = st.N, st.Failures, hx(st.MeanV), hx(st.SigmaV), hx(st.WorstAbsV)
 	return p
-}
-
-func mcPrintEqual(a, b mcPrint) bool {
-	if a.N != b.N || a.Seed != b.Seed || a.Failures != b.Failures ||
-		a.Mean != b.Mean || a.Sigma != b.Sigma || a.Worst != b.Worst || len(a.Samples) != len(b.Samples) {
-		return false
-	}
-	for i := range a.Samples {
-		if a.Samples[i] != b.Samples[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func hx(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
