@@ -11,6 +11,10 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go build ./cmd/...
+# The benchmark is its own module (loasbench/, `replace loas => ../`), so
+# the root build never sees it: type-check it and its tests against the
+# engine here, offline, so an engine API change cannot silently break it.
+(cd loasbench && go vet .)
 
 # Fingerprint lane. The fingerprint golden pins every topology's full
 # synthesis output (one-shot slicing, refined, one-shot rows) shape by

@@ -200,12 +200,13 @@ func runMC(tech *techno.Tech, args []string, out io.Writer) error {
 // case and prints (or emits as JSON) the per-iteration convergence
 // events the engine recorded — the paper's "three calls of the layout
 // tool were needed" narrative as structured output, with per-phase wall
-// time. The same events back the loasd GET /v1/trace/{key} endpoint.
+// time. The same events are the iterations of a loasd run record
+// (GET /v1/runs/{id}).
 func runTrace(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	caseN := fs.Int("case", 4, "Table-1 case to trace (1-4)")
 	maxCalls := fs.Int("maxcalls", 8, "layout-call bound of the convergence loop")
-	asJSON := fs.Bool("json", false, "emit the iterations as JSON (same events as GET /v1/trace/{key})")
+	asJSON := fs.Bool("json", false, "emit the iterations as JSON (same events as the iterations of GET /v1/runs/{id})")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -217,7 +218,7 @@ func runTrace(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Writ
 	if err != nil {
 		return err
 	}
-	converged := obs.Converged(res.Trace, 1e-15)
+	converged := obs.Converged(res.Trace, core.ConvergeTolF)
 	if *asJSON {
 		return writeJSON(out, struct {
 			Case       int             `json:"case"`
@@ -455,7 +456,7 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 		Layout:         layName,
 		MaxLayoutCalls: *maxCalls,
 		SkipVerify:     *skipVerify,
-		Span:           root,
+		Ctx:            obs.ContextWithSpan(context.Background(), root),
 		Refine: core.RefineOptions{
 			Enabled:    *refine,
 			MaxRounds:  *refineRounds,
@@ -482,7 +483,7 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 			rec.Outcome = "error"
 			rec.Error = err.Error()
 		} else {
-			rec.Converged = obs.Converged(res.Trace, 1e-15)
+			rec.Converged = obs.Converged(res.Trace, core.ConvergeTolF)
 			rec.LayoutCalls = res.LayoutCalls
 			rec.Iterations = res.Trace
 		}

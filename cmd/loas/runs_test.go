@@ -27,17 +27,12 @@ type cannedBackend struct {
 	calls atomic.Int64
 }
 
-func (b *cannedBackend) Synthesize(ctx context.Context, _ sizing.OTASpec, req *serve.SynthesizeRequest) ([]byte, []obs.Iteration, error) {
-	iters := []obs.Iteration{
-		{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8},
-		{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8},
-	}
+func (b *cannedBackend) Synthesize(ctx context.Context, _ sizing.OTASpec, req *serve.SynthesizeRequest) ([]byte, error) {
 	tr := obs.TraceFromContext(ctx)
-	for _, it := range iters {
-		tr.Record(it)
-	}
+	tr.Record(obs.Iteration{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8})
+	tr.Record(obs.Iteration{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8})
 	n := b.calls.Add(1)
-	return []byte(fmt.Sprintf("{\"call\":%d}\n", n)), iters, nil
+	return []byte(fmt.Sprintf("{\"call\":%d}\n", n)), nil
 }
 func (b *cannedBackend) Table1(context.Context, sizing.OTASpec) ([]byte, error) {
 	return []byte("{}\n"), nil

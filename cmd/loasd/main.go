@@ -2,10 +2,10 @@
 // a content-addressed result cache, in-flight deduplication of
 // identical requests, and a bounded synthesis job queue in front of the
 // core loop. Observability rides along: Prometheus-format metrics at
-// /metrics, per-request convergence traces at /v1/trace/{key} (the key
-// is echoed in the X-Loas-Key response header), and pprof under
-// /debug/pprof when started with -pprof. See internal/serve for the
-// endpoint list and `loasd -h` for the flags.
+// /metrics, per-request run records at /v1/runs (the X-Loas-Key
+// response header finds a result's run: /v1/runs?key=<key>&outcome=ok),
+// and pprof under /debug/pprof when started with -pprof. See
+// internal/serve for the endpoint list and `loasd -h` for the flags.
 //
 // Quickstart:
 //
@@ -18,6 +18,7 @@
 //	curl -s http://127.0.0.1:8086/v1/batch -d '{"items":[{"case":1},{"case":2},{"case":1}]}'
 //	curl -s http://127.0.0.1:8086/v1/explore -d '{"axes":{"gbw":[4e7,6.5e7]},"case":1}'
 //	curl -s 'http://127.0.0.1:8086/v1/runs?kind=batch'
+//	curl -s "http://127.0.0.1:8086/v1/runs?outcome=ok&key=$KEY"   # KEY from X-Loas-Key
 //	curl -s http://127.0.0.1:8086/stats
 //	curl -s http://127.0.0.1:8086/metrics | grep loas_
 package main

@@ -28,6 +28,13 @@ import (
 	"loas/internal/techno"
 )
 
+// ConvergeTolF is the parasitic fixpoint tolerance in farads: the loop
+// stops once no net's parasitic capacitance moves by this much between
+// two layout calls (1 fF — 0.03% of the 3 pF load, far below any
+// performance-relevant delta). obs.Converged judges recorded traces
+// against the same value.
+const ConvergeTolF = 1e-15
+
 // Options configures a synthesis run.
 type Options struct {
 	// Topology names the registered design plan to run ("" means the
@@ -38,10 +45,6 @@ type Options struct {
 	Case int
 	// MaxLayoutCalls bounds the parasitic-convergence loop (default 8).
 	MaxLayoutCalls int
-	// ConvergeTolF is the parasitic fixpoint tolerance in farads
-	// (default 1 fF — 0.03% of the 3 pF load, far below any
-	// performance-relevant delta).
-	ConvergeTolF float64
 	// Shape is the global layout shape constraint handed to the layout
 	// backend.
 	Shape cairo.Constraint
@@ -52,19 +55,18 @@ type Options struct {
 	// SkipVerify skips the extracted-netlist measurement (used by
 	// benchmarks that only exercise the loop).
 	SkipVerify bool
-	// Trace, when non-nil, receives each sizing↔layout iteration as it
-	// happens (live telemetry). The finished Result always carries the
-	// same events in Result.Trace regardless.
-	Trace *obs.Trace
-	// Span, when non-nil, is the parent under which the run records its
-	// request-lifecycle spans: one "iteration" span per layout call
-	// (with "sizing" and "layout-extract" children) plus the two
-	// verification phases. A nil Span records nothing.
-	Span *obs.Span
-	// Ctx, when non-nil, carries the caller's pprof labels (the daemon
-	// sets phase/topology/layout/run_id) under which the engine layers
-	// its per-phase labels, so CPU/heap profiles slice by pipeline
-	// stage. Observation only — results are identical with or without.
+	// Ctx, when non-nil, carries the caller's observers, all optional
+	// and observation only — results are identical with or without:
+	//   - pprof labels (the daemon sets phase/topology/layout/run_id),
+	//     under which the engine layers its per-phase labels, so
+	//     CPU/heap profiles slice by pipeline stage;
+	//   - a parent span (obs.ContextWithSpan), under which the run
+	//     records one "iteration" span per layout call (with "sizing"
+	//     and "layout-extract" children) plus the two verification
+	//     phases;
+	//   - a live trace (obs.ContextWithTrace), which receives each
+	//     sizing↔layout iteration as it happens. The finished Result
+	//     carries the same events in Result.Trace regardless.
 	Ctx context.Context
 	// Refine configures the closed-loop post-layout refinement: when
 	// enabled, extracted corner performance drives re-sizing rounds
@@ -84,9 +86,14 @@ func (o *Options) defaults() {
 	if o.MaxLayoutCalls <= 0 {
 		o.MaxLayoutCalls = 8
 	}
-	if o.ConvergeTolF <= 0 {
-		o.ConvergeTolF = 1e-15
+}
+
+// ctx returns the caller's context, or Background when Ctx is unset.
+func (o *Options) ctx() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
 	}
+	return o.Ctx
 }
 
 // Result is a finished synthesis.
@@ -176,17 +183,15 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	obs.Default.Counter("loas_synth_runs_"+metricName(plan.Name)+"_total",
 		"Synthesis runs for topology "+plan.Name+".").Inc()
 
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := opts.ctx()
+	span, trace := obs.SpanFromContext(ctx), obs.TraceFromContext(ctx)
 	res := &Result{Topology: plan.Name, LayoutBackend: opts.backend.Info().Name, Spec: spec}
 	var par *extract.Parasitics
 	var design sizing.Design
 	usesLayoutInfo := ps.Junction == extract.JunctionExact || ps.Routing
 
 	for call := 1; call <= opts.MaxLayoutCalls; call++ {
-		itSpan := opts.Span.Child("iteration")
+		itSpan := span.Child("iteration")
 		itSpan.SetAttr("call", strconv.Itoa(call))
 		ps.Report = par
 		sizeSpan := itSpan.Child("sizing")
@@ -242,14 +247,14 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 			LayoutNS:  layoutNS,
 		}
 		res.Trace = append(res.Trace, it)
-		opts.Trace.Record(it)
+		trace.Record(it)
 		itSpan.End()
 
 		if !usesLayoutInfo {
 			par = newPar
 			break
 		}
-		if par != nil && delta < opts.ConvergeTolF {
+		if par != nil && delta < ConvergeTolF {
 			par = newPar
 			break
 		}
@@ -269,7 +274,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		// assumed netlist (its parasitic view of the world) measured with
 		// the same suite, so any Table-1 mismatch is purely the
 		// parasitics each case ignores.
-		vsSpan := opts.Span.Child("verify-synthesized")
+		vsSpan := span.Child("verify-synthesized")
 		vsSpan.BeginResources()
 		var synth *meas.Report
 		obs.Phase(ctx, "verify-synthesized", func() {
@@ -284,7 +289,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		res.Synthesized = synth.Perf
 		res.Synthesized.Offset = 0 // by construction of a symmetric schematic
 
-		veSpan := opts.Span.Child("verify-extracted")
+		veSpan := span.Child("verify-extracted")
 		veSpan.BeginResources()
 		var perf *sizing.Performance
 		var ckt *circuit.Circuit

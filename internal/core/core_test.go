@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -291,12 +292,12 @@ func TestConvergenceBudgetAndShrinkingDeltas(t *testing.T) {
 	}
 }
 
-// TestOptionsTraceMirrorsResult: the live recorder passed via Options
-// sees exactly the events the Result carries.
+// TestOptionsTraceMirrorsResult: the live recorder passed via
+// Options.Ctx sees exactly the events the Result carries.
 func TestOptionsTraceMirrorsResult(t *testing.T) {
 	tr := &obs.Trace{}
 	res, err := Synthesize(techno.Default060(), sizing.Default65MHz(),
-		Options{Case: 4, SkipVerify: true, Trace: tr})
+		Options{Case: 4, SkipVerify: true, Ctx: obs.ContextWithTrace(context.Background(), tr)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +309,49 @@ func TestOptionsTraceMirrorsResult(t *testing.T) {
 		if live[i] != res.Trace[i] {
 			t.Fatalf("event %d diverged:\n  live   %+v\n  result %+v", i, live[i], res.Trace[i])
 		}
+	}
+}
+
+// TestSynthesizeAllCaseSpans: a parent span passed only through
+// Options.Ctx gets one "case" child per Table-1 case, and each case's
+// iterations hang under its own case span.
+func TestSynthesizeAllCaseSpans(t *testing.T) {
+	rec := obs.NewRecorder()
+	root := rec.Root("request")
+	plan, err := sizing.Lookup("five-t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = SynthesizeAll(techno.Default060(), plan.DefaultSpec(), Options{
+		Topology: plan.Name, SkipVerify: true,
+		Ctx: obs.ContextWithSpan(context.Background(), root),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	cases := map[int]string{} // case span ID -> its "case" attr
+	iterations := 0
+	for _, s := range rec.Snapshot() { // start order: a case precedes its iterations
+		switch s.Name {
+		case "case":
+			if s.Parent != 1 {
+				t.Fatalf("case span %d has parent %d, want the root", s.ID, s.Parent)
+			}
+			cases[s.ID] = s.Attrs["case"]
+		case "iteration":
+			iterations++
+			if _, ok := cases[s.Parent]; !ok {
+				t.Fatalf("iteration span %d hangs under span %d, not a case span", s.ID, s.Parent)
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, c := range cases {
+		seen[c] = true
+	}
+	if len(cases) != NumTable1Cases || len(seen) != NumTable1Cases || iterations < NumTable1Cases {
+		t.Fatalf("case spans %v (%d iteration spans), want one per case 1..%d", cases, iterations, NumTable1Cases)
 	}
 }
 

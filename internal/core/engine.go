@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"loas/internal/layout/cairo"
+	"loas/internal/obs"
 	"loas/internal/parallel"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -32,20 +33,20 @@ const NumTable1Cases = 4
 // case 1 … res[3] is case 4). The cases are fully independent synthesis
 // runs that share only the immutable technology, so each result is
 // identical to a serial Synthesize call with the same options; opts.Case
-// is overridden per slot. When opts.Span is set, each case records its
-// lifecycle under its own "case" child span — one span per worker item,
-// which is how the trees show where parallel time goes.
+// is overridden per slot. When opts.Ctx carries a span, each case
+// records its lifecycle under its own "case" child span — one span per
+// worker item, which is how the trees show where parallel time goes.
 func SynthesizeAll(tech *techno.Tech, spec sizing.OTASpec, opts Options) ([]*Result, error) {
+	ctx := opts.ctx()
+	parent := obs.SpanFromContext(ctx)
 	return parallel.MapN(context.Background(), 0, NumTable1Cases,
 		func(_ context.Context, i int) (*Result, error) {
 			o := opts
 			o.Case = i + 1
-			if opts.Span != nil {
-				cs := opts.Span.Child("case")
-				cs.SetAttr("case", strconv.Itoa(o.Case))
-				defer cs.End()
-				o.Span = cs
-			}
+			cs := parent.Child("case")
+			cs.SetAttr("case", strconv.Itoa(o.Case))
+			defer cs.End()
+			o.Ctx = obs.ContextWithSpan(ctx, cs)
 			res, err := Synthesize(tech, spec, o)
 			if err != nil {
 				return nil, fmt.Errorf("core: case %d: %w", i+1, err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -147,29 +146,27 @@ func synthesizeRefined(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*R
 		"Closed-loop refined synthesis runs.").Inc()
 
 	rep := &RefineReport{MaxRounds: ro.MaxRounds, MarginStep: ro.MarginStep}
+	// Child spans chain from opts.Ctx so the daemon's pprof labels
+	// (topology, run_id) reach the rounds and the per-corner workers.
+	ctx := opts.ctx()
+	parent := obs.SpanFromContext(ctx)
 	target := spec
 	var best *Result
 	bestMargin := math.Inf(-1)
 	var allIters []obs.Iteration
 
 	for round := 1; round <= ro.MaxRounds; round++ {
-		rSpan := opts.Span.Child("refine-round")
+		rSpan := parent.Child("refine-round")
 		rSpan.SetAttr("round", strconv.Itoa(round))
 		io := opts
 		io.Refine = RefineOptions{}
 		io.SkipVerify = false // the loop is driven by extracted performance
-		io.Span = rSpan
+		io.Ctx = obs.ContextWithSpan(ctx, rSpan)
 		res, err := synthesizeOnce(tech, target, io, round)
 		if err == nil {
 			var corners map[techno.Corner]sizing.Performance
 			sweep := rSpan.Child("corner-sweep")
-			// The sweep context chains from opts.Ctx so the daemon's pprof
-			// labels (topology, run_id) reach the per-corner workers.
-			cctx := opts.Ctx
-			if cctx == nil {
-				cctx = context.Background()
-			}
-			corners, err = CornerSweepCtx(obs.ContextWithSpan(cctx, sweep), tech, res)
+			corners, err = CornerSweepCtx(obs.ContextWithSpan(ctx, sweep), tech, res)
 			sweep.End()
 			if err == nil {
 				rr := scoreRound(round, target, spec, res, corners)

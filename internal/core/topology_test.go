@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestSynthesizeEveryTopology(t *testing.T) {
 			spec := plan.DefaultSpec()
 			live := &obs.Trace{}
 			res, err := Synthesize(tech, spec, Options{
-				Topology: name, Case: 4, Trace: live,
+				Topology: name, Case: 4, Ctx: obs.ContextWithTrace(context.Background(), live),
 			})
 			if err != nil {
 				t.Fatal(err)

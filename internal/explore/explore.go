@@ -123,9 +123,10 @@ type Config struct {
 	Budget   int     // total probe bound in guided mode (default 64)
 	Step     float64 // guided perturbation fraction (default 0.15)
 	Workers  int     // concurrent probes (<= 0: GOMAXPROCS)
-	Rounds   int     // guided round bound (default 6)
-	Span     *obs.Span
 }
+
+// maxRounds bounds the probe waves of a guided exploration.
+const maxRounds = 6
 
 // Result is one topology's exploration outcome.
 type Result struct {
@@ -148,7 +149,8 @@ var (
 // front-biased expansion rounds until the budget, the round bound or
 // the candidate pool is exhausted. Probes within a wave fan across
 // workers index-ordered; waves are barriers, so the result is
-// bit-identical at any worker count.
+// bit-identical at any worker count. A span carried by ctx
+// (obs.ContextWithSpan) gets one "explore-round" child per wave.
 func Run(ctx context.Context, p Prober, cfg Config) (*Result, error) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 64
@@ -156,9 +158,7 @@ func Run(ctx context.Context, p Prober, cfg Config) (*Result, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = 0.15
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 6
-	}
+	parent := obs.SpanFromContext(ctx)
 	seed := Grid(cfg.Base, cfg.Axes)
 	if cfg.Guided && len(seed) > cfg.Budget {
 		seed = seed[:cfg.Budget]
@@ -169,7 +169,7 @@ func Run(ctx context.Context, p Prober, cfg Config) (*Result, error) {
 	for len(wave) > 0 {
 		res.Rounds++
 		exploreRounds.Inc()
-		span := cfg.Span.Child("explore-round")
+		span := parent.Child("explore-round")
 		points, err := probeWave(ctx, p, cfg, wave, len(res.Probes))
 		span.End()
 		if err != nil {
@@ -180,7 +180,7 @@ func Run(ctx context.Context, p Prober, cfg Config) (*Result, error) {
 		}
 		res.Probes = append(res.Probes, points...)
 		res.Front = Front(res.Probes)
-		if !cfg.Guided || res.Rounds >= cfg.Rounds || len(res.Probes) >= cfg.Budget {
+		if !cfg.Guided || res.Rounds >= maxRounds || len(res.Probes) >= cfg.Budget {
 			break
 		}
 		wave = Neighbors(res.Front, cfg.Step, probed)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"loas/internal/obs"
 	"loas/internal/sizing"
 )
 
@@ -262,6 +263,35 @@ func TestRunBudgetAndDedup(t *testing.T) {
 	}
 	if res.Rounds < 2 {
 		t.Fatalf("guided run should expand past the seed wave, rounds=%d", res.Rounds)
+	}
+}
+
+// TestRunRoundSpans: a parent span passed only through ctx gets one
+// "explore-round" child per probe wave.
+func TestRunRoundSpans(t *testing.T) {
+	rec := obs.NewRecorder()
+	root := rec.Root("explore")
+	res, err := Run(obs.ContextWithSpan(context.Background(), root), &stubProber{}, Config{
+		Topology: "stub", Base: testSpec(),
+		Axes:   Axes{GBW: []float64{40e6, 65e6}},
+		Guided: true, Budget: 64, Step: 0.15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	rounds := 0
+	for _, s := range rec.Snapshot() {
+		if s.Name != "explore-round" {
+			continue
+		}
+		rounds++
+		if s.Parent != 1 {
+			t.Fatalf("explore-round span %d has parent %d, want the root", s.ID, s.Parent)
+		}
+	}
+	if res.Rounds < 2 || rounds != res.Rounds {
+		t.Fatalf("%d explore-round spans for %d rounds (want >= 2 rounds)", rounds, res.Rounds)
 	}
 }
 

@@ -74,33 +74,29 @@ type OffsetConfig struct {
 	InP, InN, Out string
 	VicmDC        float64
 	VoutMid       float64
-	CLName        string // ignored; load is not needed for DC offset
 	Temp          float64
 	NodeSet       map[string]float64
-	// SearchMV bounds the offset search (default ±25 mV).
-	SearchMV float64
 	// Workers bounds the Monte-Carlo parallelism: samples are fanned out
 	// across this many goroutines (0 = GOMAXPROCS, 1 = serial). The
 	// statistics are identical for any value — see RunOffset.
 	Workers int
-	// Span, when non-nil, parents one "mc-sample" span per draw — the
-	// per-worker-item view of where the fan-out's wall time goes. Spans
-	// observe only; the sample statistics are unchanged.
-	Span *obs.Span
 	// Ctx, when non-nil, is the context the sample fan-out derives its
-	// worker contexts from: cancellation propagates, and pprof labels it
+	// worker contexts from: cancellation propagates, pprof labels it
 	// carries (the daemon's phase/topology/run_id) reach the per-sample
-	// phase instrumentation. Nil means Background.
+	// phase instrumentation, and a span it carries (obs.ContextWithSpan)
+	// parents one "mc-sample" span per draw — the per-worker-item view of
+	// where the fan-out's wall time goes. Observation only; the sample
+	// statistics are unchanged. Nil means Background.
 	Ctx context.Context
 }
+
+// searchMV bounds the offset search: the bisection brackets the
+// differential input to ±searchMV millivolts.
+const searchMV = 25.0
 
 // SimulateOffset nulls the output by bisection on the differential input
 // for one mismatch sample and returns the input-referred offset.
 func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
-	search := cfg.SearchMV
-	if search <= 0 {
-		search = 25
-	}
 	// Build the sample's netlist and engine once and sweep only the
 	// input sources across the bisection. The engine holds structure,
 	// source DC values are read when stamping, and OP restarts from the
@@ -125,7 +121,7 @@ func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
 		}
 		return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
 	}
-	lo, hi := -search*1e-3, search*1e-3
+	lo, hi := -searchMV*1e-3, searchMV*1e-3
 	fLo, err := solve(lo)
 	if err != nil {
 		return 0, err
@@ -135,7 +131,7 @@ func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
 		return 0, err
 	}
 	if math.Signbit(fLo) == math.Signbit(fHi) {
-		return 0, fmt.Errorf("mc: offset outside ±%.0f mV search window", search)
+		return 0, fmt.Errorf("mc: offset outside ±%.0f mV search window", searchMV)
 	}
 	var vid float64
 	for i := 0; i < 18; i++ {
@@ -202,13 +198,14 @@ func OffsetSamples(cfg OffsetConfig, start, n int, seed int64) ([]OffsetSample, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	parent := obs.SpanFromContext(ctx)
 	// A failed offset search (outside the window, no DC convergence) is a
 	// per-sample outcome counted by the reducer, never a pool error — so
 	// the only errors MapN can surface here are worker panics.
 	return parallel.MapN(ctx, cfg.Workers, n,
 		func(sctx context.Context, i int) (OffsetSample, error) {
 			idx := start + i
-			span := cfg.Span.Child("mc-sample")
+			span := parent.Child("mc-sample")
 			span.SetAttr("index", strconv.Itoa(idx))
 			defer span.End()
 			var out OffsetSample

@@ -1,14 +1,17 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"loas/internal/circuit"
 	"loas/internal/device"
 	"loas/internal/layout/stack"
+	"loas/internal/obs"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -87,6 +90,39 @@ func fcConfig(t *testing.T) OffsetConfig {
 		VoutMid: 1.41,
 		Temp:    tech.Temp,
 		NodeSet: d.NodeSet(),
+	}
+}
+
+// TestOffsetSamplesSpans: a parent span passed only through cfg.Ctx
+// gets one "mc-sample" child per draw, labelled with the sample's
+// global index.
+func TestOffsetSamplesSpans(t *testing.T) {
+	cfg := fcConfig(t)
+	rec := obs.NewRecorder()
+	root := rec.Root("mc")
+	cfg.Ctx = obs.ContextWithSpan(context.Background(), root)
+	const start, n = 5, 3
+	if _, err := OffsetSamples(cfg, start, n, 7); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	indices := map[string]bool{}
+	for _, s := range rec.Snapshot() {
+		if s.Name != "mc-sample" {
+			continue
+		}
+		if s.Parent != 1 {
+			t.Fatalf("mc-sample span %d has parent %d, want the root", s.ID, s.Parent)
+		}
+		indices[s.Attrs["index"]] = true
+	}
+	if len(indices) != n {
+		t.Fatalf("got mc-sample spans for indices %v, want %d", indices, n)
+	}
+	for i := start; i < start+n; i++ {
+		if !indices[strconv.Itoa(i)] {
+			t.Fatalf("no mc-sample span for index %d: %v", i, indices)
+		}
 	}
 }
 

@@ -2,12 +2,13 @@ package obs
 
 import "context"
 
-// Context propagation for the serving stack: the daemon opens the
-// request-level spans and a live trace, then hands both to the backend
-// through the job context so the Backend interface stays byte-oriented.
+// Context propagation is the only way spans and the live trace reach
+// the engine: the daemon (or `loas synth -ledger`) opens the run's spans
+// and trace and hands both down through the context core, mc and
+// explore already take, so no options struct carries an observer.
 // Every accessor is nil-safe — a context without a span or trace yields
-// the no-op nil recorder, so the core engine never branches on whether
-// it is being observed.
+// the no-op nil recorder, so the engine never branches on whether it
+// is being observed.
 
 type ctxKey int
 

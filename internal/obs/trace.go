@@ -7,8 +7,8 @@
 // The package sits at the bottom of the dependency graph — it imports
 // nothing from the rest of the module — so every layer (sizing, layout,
 // mc, serve, the CLIs) can record into it without cycles. Trace events
-// flow upward attached to results (core.Result.Trace, the loasd
-// /v1/trace/{key} endpoint, `loas trace`); metrics flow outward through
+// flow upward attached to results (core.Result.Trace, the iterations of
+// a loasd run record, `loas trace`); metrics flow outward through
 // Registry.WritePrometheus (the loasd /metrics endpoint).
 package obs
 
@@ -21,7 +21,7 @@ import (
 // Iteration is one sizing↔layout call of the convergence loop — the
 // structured form of one row of the paper's §5 story ("three calls of
 // the layout tool were needed"). The JSON tags are the wire format of
-// GET /v1/trace/{key} and `loas trace -json`.
+// RunRecord.Iterations (GET /v1/runs/{id}) and `loas trace -json`.
 type Iteration struct {
 	// Topology labels the design plan that produced the iteration
 	// (omitted on the wire when unset, so traces recorded before the

@@ -11,7 +11,7 @@ import (
 
 // ConvergencePoint is one sizing↔layout iteration of the case-4 loop —
 // now the shared obs.Iteration event the whole stack records (core
-// results, the loasd /v1/trace endpoint, `loas trace`).
+// results, loasd run records, `loas trace`).
 type ConvergencePoint = obs.Iteration
 
 // ConvergenceTrace replays the paper's "repeated till the calculated

@@ -33,7 +33,8 @@ func Table1(tech *techno.Tech, spec sizing.OTASpec) ([]Table1Case, error) {
 
 // Table1Opts is Table1 under caller-chosen options — the daemon uses it
 // to hang one "case" span per concurrent synthesis under the request's
-// span tree (opts.Span). opts.Case is overridden per slot.
+// span tree (the span opts.Ctx carries). opts.Case is overridden per
+// slot.
 func Table1Opts(tech *techno.Tech, spec sizing.OTASpec, opts core.Options) ([]Table1Case, error) {
 	results, err := core.SynthesizeAll(tech, spec, opts)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"loas/internal/core"
 	"loas/internal/layout"
 	"loas/internal/mc"
-	"loas/internal/obs"
 	"loas/internal/repro"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -181,12 +180,14 @@ func layoutCacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
 
 // Backend produces response bodies for the server. Implementations
 // must be safe for concurrent use; the returned bytes are cached and
-// replayed verbatim. Synthesize additionally returns the per-iteration
-// convergence events of the run (nil is fine), which the server retains
-// for GET /v1/trace/{key}. Tests substitute a counting stub to pin down
-// the cache and dedup behaviour without paying for real synthesis.
+// replayed verbatim. The server hands each call a context carrying the
+// run's span (obs.SpanFromContext) and live iteration trace
+// (obs.TraceFromContext); a backend that records into them fills the
+// run record behind /v1/runs/{id}. Tests substitute a counting stub to
+// pin down the cache and dedup behaviour without paying for real
+// synthesis.
 type Backend interface {
-	Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error)
+	Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error)
 	Table1(ctx context.Context, spec sizing.OTASpec) ([]byte, error)
 	MC(ctx context.Context, spec sizing.OTASpec, req *MCRequest) ([]byte, error)
 	LayoutSVG(ctx context.Context, spec sizing.OTASpec) ([]byte, error)
@@ -197,11 +198,11 @@ type StdBackend struct {
 	Tech *techno.Tech
 }
 
-// Synthesize runs one Table-1 case and returns its JSON summary plus
-// the convergence trace of the run. A span or live trace carried by ctx
-// (the daemon's per-run recorder) is handed to the engine, so the run's
-// span tree covers every sizing/layout/verify phase.
-func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+// Synthesize runs one Table-1 case and returns its JSON summary. The
+// engine reads the span and live trace carried by ctx (the daemon's
+// per-run recorder), so the run's span tree covers every
+// sizing/layout/verify phase.
+func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	res, err := core.Synthesize(b.Tech, spec, core.Options{
 		Topology:       req.Topology,
 		Case:           req.Case,
@@ -209,8 +210,6 @@ func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *S
 		MaxLayoutCalls: req.MaxLayoutCalls,
 		SkipVerify:     req.SkipVerify,
 		Ctx:            ctx,
-		Span:           obs.SpanFromContext(ctx),
-		Trace:          obs.TraceFromContext(ctx),
 		Refine: core.RefineOptions{
 			Enabled:    req.Refine,
 			MaxRounds:  req.RefineMaxRounds,
@@ -218,26 +217,18 @@ func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *S
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s := res.Summary()
 	s.Case = req.Case
-	body, err := marshalJSON(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return body, res.Trace, nil
+	return marshalJSON(s)
 }
 
 // Table1 runs all four cases (concurrently, via core.SynthesizeAll) and
 // returns the full report. The context's span, if any, parents one
 // "case" span per concurrent synthesis.
 func (b *StdBackend) Table1(ctx context.Context, spec sizing.OTASpec) ([]byte, error) {
-	cases, err := repro.Table1Opts(b.Tech, spec, core.Options{
-		Ctx:   ctx,
-		Span:  obs.SpanFromContext(ctx),
-		Trace: obs.TraceFromContext(ctx),
-	})
+	cases, err := repro.Table1Opts(b.Tech, spec, core.Options{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +289,6 @@ func RunMC(ctx context.Context, tech *techno.Tech, spec sizing.OTASpec, topology
 		NodeSet: d.NodeSet(),
 		Workers: workers,
 		Ctx:     ctx,
-		Span:    obs.SpanFromContext(ctx),
 	}
 	stats, err := mc.RunOffset(cfg, n, seed)
 	if err != nil {

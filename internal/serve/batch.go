@@ -144,7 +144,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	s.requests.Add(1)
-	evRequests.Add(1)
 	s.batchRequests.Inc()
 	s.batchItems.Add(int64(len(items)))
 	s.batchSize.Observe(float64(len(items)))
@@ -237,11 +236,7 @@ func (s *Server) runBatchItem(parentID string, i int, it batchItem) BatchItemRes
 	req := it.req
 	v, outcome, err := s.executeKeyed(child, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			body, iters, err := s.backend.Synthesize(ctx, it.spec, &req)
-			if err == nil {
-				s.traces.put(it.key, iters)
-			}
-			return body, err
+			return s.backend.Synthesize(ctx, it.spec, &req)
 		})
 	res := BatchItemResult{
 		Index: i, Topology: it.req.Topology, Layout: it.req.Layout, Case: it.req.Case,

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"loas/internal/obs"
 	"loas/internal/sizing"
 )
 
@@ -285,10 +284,10 @@ type caseFailingBackend struct {
 	failCase int
 }
 
-func (b *caseFailingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *caseFailingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	if req.Case == b.failCase {
 		b.calls.Add(1)
-		return nil, nil, fmt.Errorf("sizing: case %d is out of reach", req.Case)
+		return nil, fmt.Errorf("sizing: case %d is out of reach", req.Case)
 	}
 	return b.stubBackend.Synthesize(ctx, spec, req)
 }

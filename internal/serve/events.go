@@ -175,13 +175,16 @@ func (b *eventBus) subscribers() int {
 // behind.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.errorBody(w, http.StatusInternalServerError,
 			fmt.Errorf("response writer does not support streaming"))
 		return
 	}
+	// Subscribe before the headers go out: a client that sees the
+	// response has started must not miss a frame published right after.
+	sub := s.events.subscribe()
+	defer s.events.unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -189,8 +192,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, ": loasd run events\n\n")
 	fl.Flush()
 
-	sub := s.events.subscribe()
-	defer s.events.unsubscribe(sub)
 	for {
 		select {
 		case <-r.Context().Done():

@@ -13,6 +13,7 @@ import (
 	"loas/internal/core"
 	"loas/internal/explore"
 	"loas/internal/layout"
+	"loas/internal/obs"
 	"loas/internal/parallel"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -206,7 +207,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	s.requests.Add(1)
-	evRequests.Add(1)
 	s.exploreRequests.Inc()
 	info := runInfo{kind: "explore", layout: req.Layout, key: req.cacheKey(s.tech, bases),
 		request: recordRequest(&req)}
@@ -219,12 +219,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	v, ok := s.cache.Get(info.key)
 	lookup.End()
 	if ok {
-		evCacheHits.Add(1)
 		s.finishRun(ar, outcomeCacheHit, nil, v.Body)
 		s.write(w, v, info.key, "hit", start)
 		return
 	}
-	evCacheMisses.Add(1)
 
 	// The leader closure runs on THIS goroutine (Flight.Do calls it
 	// inline) — never inside the pool, which only sees the individual
@@ -240,9 +238,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.cache.Put(info.key, out)
 		return out, nil
 	})
-	if shared {
-		evDedupJoined.Add(1)
-	}
 	if err != nil {
 		s.finishRun(ar, outcomeError, err, nil)
 		s.fail(w, err)
@@ -268,7 +263,7 @@ func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequ
 	workers := s.pool.Stats().Workers
 	for i, topo := range req.Topologies {
 		span := ar.root.Child("explore-" + topo)
-		res, err := explore.Run(ctx, p, explore.Config{
+		res, err := explore.Run(obs.ContextWithSpan(ctx, span), p, explore.Config{
 			Topology: topo,
 			Base:     bases[i],
 			Axes:     req.Axes,
@@ -276,7 +271,6 @@ func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequ
 			Budget:   req.Budget,
 			Step:     req.Step,
 			Workers:  workers,
-			Span:     span,
 		})
 		span.End()
 		if err != nil {
@@ -337,11 +331,7 @@ func (p *poolProber) Probe(_ context.Context, topology string, spec sizing.OTASp
 	child := s.beginRun(info, time.Now())
 	v, outcome, err := s.executeKeyed(child, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			body, iters, err := s.backend.Synthesize(ctx, spec, &req)
-			if err == nil {
-				s.traces.put(key, iters)
-			}
-			return body, err
+			return s.backend.Synthesize(ctx, spec, &req)
 		})
 	idx := int(p.done.Add(1)) - 1
 	ev := batchItemEvent{Parent: p.parent.id, Index: idx, Topology: topology, Case: req.Case}

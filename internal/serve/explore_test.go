@@ -11,7 +11,6 @@ import (
 
 	"loas/internal/core"
 	"loas/internal/explore"
-	"loas/internal/obs"
 	"loas/internal/sizing"
 )
 
@@ -23,10 +22,10 @@ type summaryBackend struct {
 	stubBackend
 }
 
-func (b *summaryBackend) Synthesize(_ context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *summaryBackend) Synthesize(_ context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	b.calls.Add(1)
 	if spec.GBW > 3e8 {
-		return nil, nil, fmt.Errorf("sizing: gbw target %g Hz is out of reach", spec.GBW)
+		return nil, fmt.Errorf("sizing: gbw target %g Hz is out of reach", spec.GBW)
 	}
 	sum := core.Summary{
 		Topology: req.Topology,
@@ -39,8 +38,7 @@ func (b *summaryBackend) Synthesize(_ context.Context, spec sizing.OTASpec, req 
 		},
 		AreaUM2: 1500 + spec.PM*20 + spec.GBW/1e5,
 	}
-	body, err := marshalJSON(sum)
-	return body, stubIterations, err
+	return marshalJSON(sum)
 }
 
 // TestExploreGridDeterministicAcrossWorkers is the determinism

@@ -96,11 +96,6 @@ func (s *Server) initMetrics() {
 			return 0
 		})
 
-	r.GaugeFunc("loas_traces_stored", "convergence traces retained for /v1/trace",
-		func() float64 { return float64(s.traces.len()) })
-	r.GaugeFunc("loas_trace_evictions", "convergence traces dropped by the store's FIFO bound",
-		func() float64 { return float64(s.traces.evictions.Load()) })
-
 	r.GaugeFunc("loas_runs_stored", "run records retained for /v1/runs",
 		func() float64 { return float64(s.runs.len()) })
 	r.GaugeFunc("loas_ledger_errors", "run records that failed to append to the ledger",

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"loas/internal/core"
 	"loas/internal/obs"
 )
 
@@ -122,7 +123,7 @@ func (s *Server) finishRun(ar *activeRun, outcome string, err error, body []byte
 		SpecDigest:  ar.info.specDigest,
 		Outcome:     outcome,
 		DurationNS:  ar.root.Duration().Nanoseconds(),
-		Converged:   obs.Converged(iters, 1e-15),
+		Converged:   obs.Converged(iters, core.ConvergeTolF),
 		LayoutCalls: len(iters),
 		Bytes:       len(body),
 		Spans:       ar.rec.Snapshot(),
@@ -148,8 +149,8 @@ func (s *Server) finishRun(ar *activeRun, outcome string, err error, body []byte
 	})
 }
 
-// runStore retains recent run records in memory, bounded FIFO like the
-// trace store. Records are immutable once added.
+// runStore retains recent run records in memory, bounded FIFO. Records
+// are immutable once added.
 type runStore struct {
 	mu    sync.Mutex
 	max   int
@@ -158,9 +159,6 @@ type runStore struct {
 }
 
 func newRunStore(max int) *runStore {
-	if max <= 0 {
-		max = 1024
-	}
 	return &runStore{max: max, m: map[string]*obs.RunRecord{}}
 }
 
@@ -197,6 +195,7 @@ type runFilter struct {
 	kind      string
 	outcome   string
 	parent    string
+	key       string
 	converged *bool
 	minDur    time.Duration
 	limit     int
@@ -227,6 +226,9 @@ func (rs *runStore) list(f runFilter) []*obs.RunRecord {
 			continue
 		}
 		if f.parent != "" && r.Parent != f.parent {
+			continue
+		}
+		if f.key != "" && r.CacheKey != f.key {
 			continue
 		}
 		if f.converged != nil && r.Converged != *f.converged {
@@ -282,12 +284,12 @@ type RunsReport struct {
 // handleRuns lists recent runs. Query parameters: topology, layout
 // (non-default layout backend name), kind
 // (synthesize|table1|mc|layout.svg|batch|explore), outcome, parent
-// (batch/explore run ID whose children to list), converged
-// (true|false), min_duration (Go duration, e.g. 150ms), limit
-// (default 50).
+// (batch/explore run ID whose children to list), key (content-addressed
+// key from X-Loas-Key; with outcome=ok it finds the run that computed a
+// cached body), converged (true|false), min_duration (Go duration, e.g.
+// 150ms), limit (default 50).
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	q := r.URL.Query()
 	f := runFilter{
 		topology: q.Get("topology"),
@@ -295,6 +297,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		kind:     q.Get("kind"),
 		outcome:  q.Get("outcome"),
 		parent:   q.Get("parent"),
+		key:      q.Get("key"),
 		limit:    50,
 	}
 	if v := q.Get("converged"); v != "" {
@@ -339,7 +342,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // handleRunByID serves one full run record: span tree + iterations.
 func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	id := r.PathValue("id")
 	rec, ok := s.runs.get(id)
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,12 +16,12 @@ import (
 
 // tracingStub is a stubBackend that also records its canned iterations
 // into the live trace the server hands down via ctx — the behaviour the
-// real StdBackend has through core.Options.Trace.
+// real engine has through core.Options.Ctx.
 type tracingStub struct {
 	stubBackend
 }
 
-func (b *tracingStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *tracingStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	tr := obs.TraceFromContext(ctx)
 	for _, it := range stubIterations {
 		tr.Record(it)
@@ -227,10 +228,102 @@ func TestQueueWaitHistogram(t *testing.T) {
 		"# TYPE loas_queue_wait_seconds histogram",
 		"loas_queue_wait_seconds_count 1",
 		"loas_runs_stored 2",
-		"loas_trace_evictions 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunsKeyFilter: X-Loas-Key resolves through /v1/runs?key=. Both the
+// cold run and its cache-hit replay carry the key, outcome=ok narrows
+// the list to the run that computed the body, and that run's record
+// holds the iterations the backend recorded.
+func TestRunsKeyFilter(t *testing.T) {
+	stub := &tracingStub{}
+	_, ts := newStubServer(t, Config{}, stub)
+
+	resp, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
+	key := resp.Header.Get("X-Loas-Key")
+	if key == "" {
+		t.Fatal("response missing X-Loas-Key")
+	}
+	resp2, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
+	if resp2.Header.Get("X-Loas-Cache") != "hit" {
+		t.Fatal("second request should hit")
+	}
+	if resp2.Header.Get("X-Loas-Key") != key {
+		t.Fatal("key must be stable across hit and miss")
+	}
+	post(t, ts.URL+"/v1/synthesize", `{"case":1}`) // another key
+	if stub.calls.Load() != 2 {
+		t.Fatalf("backend calls = %d, want 2", stub.calls.Load())
+	}
+
+	fetch := func(query string) RunsReport {
+		t.Helper()
+		var rep RunsReport
+		getJSON(t, ts.URL+"/v1/runs"+query, &rep)
+		return rep
+	}
+	if rep := fetch("?key=" + key); len(rep.Runs) != 2 ||
+		rep.Runs[0].Outcome != "cache-hit" || rep.Runs[1].Outcome != "ok" {
+		t.Fatalf("key filter: %+v", rep.Runs)
+	}
+	rep := fetch("?key=" + key + "&outcome=ok")
+	if len(rep.Runs) != 1 {
+		t.Fatalf("key+outcome filter: %+v", rep.Runs)
+	}
+	var rec obs.RunRecord
+	getJSON(t, ts.URL+"/v1/runs/"+rep.Runs[0].ID, &rec)
+	if rec.CacheKey != key || !rec.Converged || len(rec.Iterations) != len(stubIterations) {
+		t.Fatalf("run record = key %q converged %v, %d iterations", rec.CacheKey, rec.Converged, len(rec.Iterations))
+	}
+	for i, it := range rec.Iterations {
+		if it != stubIterations[i] {
+			t.Fatalf("iteration %d = %+v, want %+v", i, it, stubIterations[i])
+		}
+	}
+	if rep := fetch("?key=deadbeef"); len(rep.Runs) != 0 {
+		t.Fatalf("unknown key listed runs: %+v", rep.Runs)
+	}
+}
+
+// TestLedgerAppendFailureKeepsRequest: a ledger that refuses the record
+// (here: already closed, as after a disk error) is counted on /metrics
+// and never fails the request; the run is still listed in memory.
+func TestLedgerAppendFailureKeepsRequest(t *testing.T) {
+	ledger, err := obs.OpenLedger(filepath.Join(t.TempDir(), "runs.jsonl"), obs.LedgerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ledger.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newStubServer(t, Config{Ledger: ledger}, &stubBackend{})
+
+	resp, body := post(t, ts.URL+"/v1/synthesize", `{}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if want := "{\"kind\":\"synthesize-4\",\"call\":1}\n"; string(body) != want {
+		t.Fatalf("body %q, want %q", body, want)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	metrics, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\nloas_ledger_errors 1\n") {
+		t.Fatalf("metrics missing loas_ledger_errors 1:\n%s", metrics)
+	}
+	var rep RunsReport
+	getJSON(t, ts.URL+"/v1/runs", &rep)
+	if len(rep.Runs) != 1 || rep.Runs[0].Kind != "synthesize" || rep.Runs[0].Outcome != "ok" {
+		t.Fatalf("runs = %+v, want the one synthesize run", rep.Runs)
 	}
 }

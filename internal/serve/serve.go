@@ -16,26 +16,26 @@
 //	GET  /v1/topologies   registered design plans     → TopologiesReport JSON
 //	GET  /v1/layouts      registered layout backends  → LayoutsReport JSON
 //	GET  /v1/layout.svg   case-4 generate-mode layout → SVG
-//	GET  /v1/trace/{key}  convergence trace of a synthesis → TraceReport JSON
 //	GET  /v1/runs         recent run history (filterable)  → RunsReport JSON
 //	GET  /v1/runs/{id}    one run: span tree + iterations  → obs.RunRecord JSON
 //	GET  /v1/events       live run lifecycle stream        → Server-Sent Events
 //	GET  /healthz         liveness
-//	GET  /stats           cache + queue + latency counters (also expvar)
+//	GET  /stats           cache + queue + latency counters
 //	GET  /metrics         Prometheus text exposition (latency histogram,
 //	                      cache/queue gauges, domain counters)
 //	GET  /debug/pprof/*   net/http/pprof, only with Config.EnablePprof
 //
 // Cached responses are replayed verbatim, so a hit is byte-identical to
 // the response that populated it; the X-Loas-Cache header reports
-// hit | miss | dedup.
+// hit | miss | dedup, and X-Loas-Key carries the content-addressed key:
+// GET /v1/runs?key=<key>&outcome=ok lists the run that computed the body,
+// and /v1/runs/{id} returns its convergence iterations and span tree.
 package serve
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -50,35 +50,23 @@ import (
 	"loas/internal/techno"
 )
 
-// expvar mirrors of the per-server counters, aggregated across every
-// Server in the process (expvar registration is global and permanent,
-// so these live at package level).
-var (
-	evRequests    = expvar.NewInt("loasd.requests")
-	evErrors      = expvar.NewInt("loasd.errors")
-	evCacheHits   = expvar.NewInt("loasd.cache_hits")
-	evCacheMisses = expvar.NewInt("loasd.cache_misses")
-	evDedupJoined = expvar.NewInt("loasd.dedup_joined")
-	evBackendRuns = expvar.NewInt("loasd.backend_runs")
-)
+// maxRuns bounds the in-memory run store behind /v1/runs.
+const maxRuns = 1024
 
 // Config sizes the server. Zero values mean defaults; CacheBytes < 0
-// disables the cache, TTL <= 0 disables expiry.
+// disables the cache, TTL <= 0 disables expiry. The server runs the
+// techno.Default060 technology, and a request that omits its spec gets
+// its topology's default spec (the paper's 65 MHz target for the
+// folded cascode).
 type Config struct {
-	Tech       *techno.Tech    // default techno.Default060()
-	Spec       *sizing.OTASpec // default spec for requests that omit one (paper's 65 MHz)
-	CacheBytes int64           // default 64 MiB
-	TTL        time.Duration   // default: entries never expire
-	Workers    int             // synthesis workers, default GOMAXPROCS
-	QueueDepth int             // queued jobs beyond the workers; default 64, < 0 = none
-	Timeout    time.Duration   // per-job wall-clock bound, default 5 min
-	Backend    Backend         // default StdBackend over Tech
-	// MaxTraces bounds the convergence-trace store (default 256).
-	MaxTraces int
+	CacheBytes int64         // default 64 MiB
+	TTL        time.Duration // default: entries never expire
+	Workers    int           // synthesis workers, default GOMAXPROCS
+	QueueDepth int           // queued jobs beyond the workers; default 64, < 0 = none
+	Timeout    time.Duration // per-job wall-clock bound, default 5 min
+	Backend    Backend       // default StdBackend over the server's technology
 	// BatchMaxItems bounds one POST /v1/batch request (default 4096).
 	BatchMaxItems int
-	// MaxRuns bounds the in-memory run store behind /v1/runs (default 1024).
-	MaxRuns int
 	// Ledger, when non-nil, receives one obs.RunRecord per completed run
 	// and seeds the run store + sequence numbering from its replayed
 	// history, so /v1/runs survives daemon restarts (loasd -ledger). A
@@ -92,8 +80,6 @@ type Config struct {
 // Handler() behind an http.Server, and Close() to drain.
 type Server struct {
 	tech     *techno.Tech
-	spec     sizing.OTASpec
-	specSet  bool // Config.Spec was explicit — wins over topology defaults
 	timeout  time.Duration
 	backend  Backend
 	batchMax int
@@ -102,7 +88,6 @@ type Server struct {
 	flight *Flight
 	pool   *parallel.Pool
 	mux    *http.ServeMux
-	traces *traceStore
 	runs   *runStore
 	events *eventBus
 	ledger *obs.Ledger
@@ -122,7 +107,6 @@ type Server struct {
 	requests    atomic.Int64
 	errs        atomic.Int64
 	backendRuns atomic.Int64
-	latencyNS   atomic.Int64
 	served      atomic.Int64
 	runSeq      atomic.Int64
 	ledgerErrs  atomic.Int64
@@ -130,13 +114,7 @@ type Server struct {
 
 // New builds a server from the config and starts its worker pool.
 func New(cfg Config) *Server {
-	if cfg.Tech == nil {
-		cfg.Tech = techno.Default060()
-	}
-	spec := sizing.Default65MHz()
-	if cfg.Spec != nil {
-		spec = *cfg.Spec
-	}
+	tech := techno.Default060()
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
@@ -147,15 +125,13 @@ func New(cfg Config) *Server {
 		cfg.Timeout = 5 * time.Minute
 	}
 	if cfg.Backend == nil {
-		cfg.Backend = &StdBackend{Tech: cfg.Tech}
+		cfg.Backend = &StdBackend{Tech: tech}
 	}
 	if cfg.BatchMaxItems <= 0 {
 		cfg.BatchMaxItems = 4096
 	}
 	s := &Server{
-		tech:     cfg.Tech,
-		spec:     spec,
-		specSet:  cfg.Spec != nil,
+		tech:     tech,
 		timeout:  cfg.Timeout,
 		backend:  cfg.Backend,
 		batchMax: cfg.BatchMaxItems,
@@ -163,8 +139,7 @@ func New(cfg Config) *Server {
 		flight:   NewFlight(),
 		pool:     parallel.NewPool(cfg.Workers, cfg.QueueDepth),
 		mux:      http.NewServeMux(),
-		traces:   newTraceStore(cfg.MaxTraces),
-		runs:     newRunStore(cfg.MaxRuns),
+		runs:     newRunStore(maxRuns),
 		events:   newEventBus(),
 		ledger:   cfg.Ledger,
 	}
@@ -184,7 +159,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/topologies", s.handleTopologies)
 	s.mux.HandleFunc("GET /v1/layouts", s.handleLayouts)
 	s.mux.HandleFunc("GET /v1/layout.svg", s.handleLayoutSVG)
-	s.mux.HandleFunc("GET /v1/trace/{key}", s.handleTraceKey)
 	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRunByID)
 	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
@@ -228,8 +202,10 @@ func (s *Server) Stats() Stats {
 		Cache:       s.cache.Stats(),
 		Queue:       s.pool.Stats(),
 	}
-	if st.Served > 0 {
-		st.AvgLatencyMS = float64(s.latencyNS.Load()) / float64(st.Served) / 1e6
+	// The average covers exactly the responses the latency histogram
+	// observed (result endpoints), not every request counted as served.
+	if n := s.latency.Count(); n > 0 {
+		st.AvgLatencyMS = s.latency.Sum() / float64(n) * 1e3
 	}
 	return st
 }
@@ -294,39 +270,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		request: recordRequest(recReq)}
 	s.respond(w, info, "application/json",
 		func(ctx context.Context) ([]byte, error) {
-			body, iters, err := s.backend.Synthesize(ctx, spec, &req)
-			if err == nil {
-				s.traces.put(key, iters)
-			}
-			return body, err
+			return s.backend.Synthesize(ctx, spec, &req)
 		})
-}
-
-// handleTraceKey serves the convergence trace recorded when the
-// synthesis under {key} ran. 404 until that synthesis has executed (a
-// cache hit replays bytes without re-recording, so the trace persists
-// beside the cached result until evicted).
-func (s *Server) handleTraceKey(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	evRequests.Add(1)
-	key := r.PathValue("key")
-	iters, ok := s.traces.get(key)
-	if !ok {
-		s.errorBody(w, http.StatusNotFound, fmt.Errorf("no trace recorded for key %q", key))
-		return
-	}
-	body, err := marshalJSON(TraceReport{
-		Key:        key,
-		Converged:  obs.Converged(iters, 1e-15),
-		Iterations: iters,
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
 }
 
 func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +328,6 @@ type TopologiesReport struct {
 
 func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	body, err := marshalJSON(TopologiesReport{
 		Default:    sizing.DefaultTopology,
 		Topologies: sizing.Topologies(),
@@ -406,7 +350,6 @@ type LayoutsReport struct {
 
 func (s *Server) handleLayouts(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	body, err := marshalJSON(LayoutsReport{
 		Default: layout.DefaultBackend,
 		Layouts: layout.Backends(),
@@ -421,7 +364,7 @@ func (s *Server) handleLayouts(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleLayoutSVG(w http.ResponseWriter, _ *http.Request) {
-	spec := s.spec
+	spec := sizing.Default65MHz()
 	info := runInfo{kind: "layout.svg", key: layoutCacheKey(s.tech, spec),
 		specDigest: specDigest(s.tech, spec)}
 	s.respond(w, info, "image/svg+xml",
@@ -444,7 +387,6 @@ func (s *Server) respond(w http.ResponseWriter, info runInfo, contentType string
 	compute func(context.Context) ([]byte, error)) {
 	start := time.Now()
 	s.requests.Add(1)
-	evRequests.Add(1)
 	ar := s.beginRun(info, start)
 
 	v, outcome, err := s.executeKeyed(ar, contentType, compute)
@@ -481,10 +423,8 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	v, ok := s.cache.Get(info.key)
 	lookup.End()
 	if ok {
-		evCacheHits.Add(1)
 		return v, outcomeCacheHit, nil
 	}
-	evCacheMisses.Add(1)
 
 	// Opened before Submit, ended at job start: the span (and the
 	// loas_queue_wait_seconds histogram) measure the real time this
@@ -514,7 +454,6 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 			queueWait.End()
 			s.queueWait.Observe(queueWait.Duration().Seconds())
 			s.backendRuns.Add(1)
-			evBackendRuns.Add(1)
 			work := ar.root.Child(info.kind)
 			defer work.End()
 			ctx = obs.ContextWithSpan(ctx, work)
@@ -537,9 +476,6 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	// someone else's execution, not this request's queue admission, so
 	// only the in-job End above feeds the histogram.
 	queueWait.End()
-	if shared {
-		evDedupJoined.Add(1)
-	}
 	if err != nil {
 		return Value{}, outcomeError, err
 	}
@@ -553,19 +489,16 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 func (s *Server) write(w http.ResponseWriter, v Value, key, src string, start time.Time) {
 	w.Header().Set("Content-Type", v.ContentType)
 	w.Header().Set("X-Loas-Cache", src)
-	// The content-addressed key lets the client fetch the convergence
-	// trace of the synthesis that produced this body (GET /v1/trace/{key}).
+	// The content-addressed key finds the run that computed this body
+	// (GET /v1/runs?key=<key>&outcome=ok).
 	w.Header().Set("X-Loas-Key", key)
 	w.Write(v.Body)
-	elapsed := time.Since(start)
-	s.latencyNS.Add(elapsed.Nanoseconds())
-	s.latency.Observe(elapsed.Seconds())
+	s.latency.Observe(time.Since(start).Seconds())
 	s.served.Add(1)
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.requests.Add(1)
-	evRequests.Add(1)
 	s.errorBody(w, http.StatusBadRequest, err)
 }
 
@@ -585,7 +518,6 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 
 func (s *Server) errorBody(w http.ResponseWriter, code int, err error) {
 	s.errs.Add(1)
-	evErrors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
@@ -594,11 +526,10 @@ func (s *Server) errorBody(w http.ResponseWriter, code int, err error) {
 // specFor resolves a request's optional spec override against the
 // server default and validates it. A request naming a non-default
 // topology without a spec gets that topology's own default spec (the
-// paper's 65 MHz target is out of reach for the smaller OTAs) — unless
-// the operator pinned an explicit server-wide spec, which wins.
+// paper's 65 MHz target is out of reach for the smaller OTAs).
 func (s *Server) specFor(o *sizing.OTASpec, topology string) (sizing.OTASpec, error) {
-	spec := s.spec
-	if o == nil && !s.specSet && topology != "" && topology != sizing.DefaultTopology {
+	spec := sizing.Default65MHz()
+	if o == nil && topology != "" && topology != sizing.DefaultTopology {
 		if plan, err := sizing.Lookup(topology); err == nil {
 			spec = plan.DefaultSpec()
 		}

@@ -42,17 +42,16 @@ func (b *stubBackend) do(kind string) ([]byte, error) {
 	return []byte(fmt.Sprintf("{\"kind\":%q,\"call\":%d}\n", kind, n)), nil
 }
 
-// stubIterations is the canned convergence trace every stub synthesis
-// reports — three layout calls shrinking to a fixpoint, like the paper.
+// stubIterations is the canned convergence trace tracingStub records —
+// three layout calls shrinking to a fixpoint, like the paper.
 var stubIterations = []obs.Iteration{
 	{Call: 1, DeltaF: -1, OutCapF: 100e-15},
 	{Call: 2, DeltaF: 10e-15, OutCapF: 110e-15},
 	{Call: 3, DeltaF: 0.5e-15, OutCapF: 110.5e-15},
 }
 
-func (b *stubBackend) Synthesize(_ context.Context, _ sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
-	body, err := b.do(fmt.Sprintf("synthesize-%d", req.Case))
-	return body, stubIterations, err
+func (b *stubBackend) Synthesize(_ context.Context, _ sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
+	return b.do(fmt.Sprintf("synthesize-%d", req.Case))
 }
 func (b *stubBackend) Table1(context.Context, sizing.OTASpec) ([]byte, error) {
 	return b.do("table1")
@@ -253,92 +252,29 @@ func TestStatsAndHealthz(t *testing.T) {
 	}
 }
 
-// TestTraceEndpoint: a synthesis stores its convergence trace under its
-// content-addressed key (echoed in X-Loas-Key), and /v1/trace/{key}
-// replays it — including after the result itself becomes a cache hit.
-func TestTraceEndpoint(t *testing.T) {
-	stub := &stubBackend{}
-	_, ts := newStubServer(t, Config{}, stub)
-
-	resp, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
-	key := resp.Header.Get("X-Loas-Key")
-	if key == "" {
-		t.Fatal("response missing X-Loas-Key")
-	}
-
-	fetch := func() TraceReport {
-		t.Helper()
-		r, err := http.Get(ts.URL + "/v1/trace/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("trace status %d", r.StatusCode)
-		}
-		var rep TraceReport
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	rep := fetch()
-	if rep.Key != key || len(rep.Iterations) != len(stubIterations) {
-		t.Fatalf("trace report = %+v", rep)
-	}
-	if !rep.Converged {
-		t.Fatal("stub trace ends below tolerance, should report converged")
-	}
-	if rep.Iterations[2].DeltaF != stubIterations[2].DeltaF {
-		t.Fatalf("iteration replay corrupted: %+v", rep.Iterations[2])
-	}
-
-	// A cache hit replays bytes without re-running the backend; the
-	// trace must still be there.
-	resp2, _ := post(t, ts.URL+"/v1/synthesize", `{"case":2}`)
-	if resp2.Header.Get("X-Loas-Cache") != "hit" {
-		t.Fatal("second request should hit")
-	}
-	if resp2.Header.Get("X-Loas-Key") != key {
-		t.Fatal("key must be stable across hit and miss")
-	}
-	fetch()
-	if stub.calls.Load() != 1 {
-		t.Fatalf("backend calls = %d, want 1", stub.calls.Load())
-	}
-
-	// Unknown keys are 404.
-	r, err := http.Get(ts.URL + "/v1/trace/deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown key status %d, want 404", r.StatusCode)
-	}
-}
-
-func TestTraceStoreBoundedFIFO(t *testing.T) {
-	ts := newTraceStore(2)
-	it := []obs.Iteration{{Call: 1}}
-	ts.put("a", it)
-	ts.put("b", it)
-	ts.put("a", it) // refresh must not double-count a
-	ts.put("c", it) // evicts a (oldest)
-	if _, ok := ts.get("a"); ok {
-		t.Fatal("a should have been evicted")
-	}
-	for _, k := range []string{"b", "c"} {
-		if _, ok := ts.get(k); !ok {
-			t.Fatalf("%s missing", k)
+// TestStatsAvgLatencyCoversResultResponses: avg_latency_ms averages the
+// result responses the latency histogram observed. Listing endpoints
+// count as served but carry no latency sample, so they must not dilute
+// the average.
+func TestStatsAvgLatencyCoversResultResponses(t *testing.T) {
+	stub := &stubBackend{delay: 40 * time.Millisecond}
+	s, ts := newStubServer(t, Config{}, stub)
+	post(t, ts.URL+"/v1/synthesize", `{}`)
+	for i := 0; i < 3; i++ {
+		if resp := getJSON(t, ts.URL+"/v1/topologies", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("topologies status %d", resp.StatusCode)
 		}
 	}
-	if ts.len() != 2 {
-		t.Fatalf("len = %d, want 2", ts.len())
+	var st Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Served != 4 {
+		t.Fatalf("served = %d, want 4", st.Served)
 	}
-	ts.put("d", nil) // empty traces are not stored
-	if _, ok := ts.get("d"); ok {
-		t.Fatal("empty trace should be ignored")
+	if n := s.latency.Count(); n != 1 {
+		t.Fatalf("latency histogram holds %d samples, want 1", n)
+	}
+	if want := s.latency.Sum() * 1e3; st.AvgLatencyMS != want || want < 40 {
+		t.Fatalf("avg_latency_ms = %.2f, want the one synthesis' %.2f ms (>= 40)", st.AvgLatencyMS, want)
 	}
 }
 
@@ -373,7 +309,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"loas_backend_runs 1",
 		"# TYPE loas_queue_depth gauge",
 		"loas_queue_depth 0",
-		"loas_traces_stored 1",
 		// Domain counters from obs.Default (values vary across the test
 		// binary's lifetime; presence is the contract here).
 		"loas_sizing_passes_total",
@@ -548,8 +483,7 @@ func TestTopologyKeyCanonicalization(t *testing.T) {
 
 // TestTopologyDefaultSpecSubstitution: naming a non-default topology
 // without a spec must hand the backend that topology's own default
-// specification, not the paper's 65 MHz folded-cascode target — unless
-// the operator pinned a server-wide spec.
+// specification, not the paper's 65 MHz folded-cascode target.
 func TestTopologyDefaultSpecSubstitution(t *testing.T) {
 	var got atomic.Value
 	b := &specRecordingBackend{seen: &got}
@@ -562,14 +496,6 @@ func TestTopologyDefaultSpecSubstitution(t *testing.T) {
 	if spec := got.Load().(sizing.OTASpec); spec != plan.DefaultSpec() {
 		t.Fatalf("backend saw spec %+v, want two-stage default %+v", spec, plan.DefaultSpec())
 	}
-
-	// An explicit server-wide spec wins over the topology default.
-	pinned := sizing.Default65MHz()
-	_, ts2 := newStubServer(t, Config{Spec: &pinned}, b)
-	post(t, ts2.URL+"/v1/synthesize", `{"topology":"two-stage"}`)
-	if spec := got.Load().(sizing.OTASpec); spec != pinned {
-		t.Fatalf("backend saw spec %+v, want pinned server spec %+v", spec, pinned)
-	}
 }
 
 // specRecordingBackend captures the spec the server resolved.
@@ -578,7 +504,7 @@ type specRecordingBackend struct {
 	seen *atomic.Value
 }
 
-func (b *specRecordingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, []obs.Iteration, error) {
+func (b *specRecordingBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	b.seen.Store(spec)
 	return b.stubBackend.Synthesize(ctx, spec, req)
 }
