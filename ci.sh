@@ -47,6 +47,11 @@ go test -race -run '^$' -fuzz 'FuzzCanonicalKey$' -fuzztime 5s ./internal/serve
 # sensitivity, and per-item ulp sensitivity.
 go test -race -run '^$' -fuzz FuzzBatchCanonicalKey -fuzztime 5s ./internal/serve
 
+# Fuzz the shared MOS stencil: at any terminal voltages, EvalIDStencil
+# must match nine EvalID calls and CapsAt must match Caps(Eval(…)), bit
+# for bit, on both device polarities.
+go test -race -run '^$' -fuzz FuzzEvalIDStencil -fuzztime 5s ./internal/device
+
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.
 go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs

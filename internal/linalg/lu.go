@@ -4,6 +4,10 @@
 // right-hand sides, with partial pivoting for numerical robustness on the
 // poorly scaled matrices MOS stamps produce (conductances spanning 1e-12
 // to 1e-1 S).
+//
+// The factorizations are workspaces: Factor overwrites the receiver's
+// storage and SolveInto writes into a caller's slice, so a Newton loop or
+// a frequency sweep that keeps one LU allocates nothing per solve.
 package linalg
 
 import (
@@ -43,25 +47,22 @@ func (m *Real) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Real) Clone() *Real {
-	c := NewReal(m.N)
-	copy(c.A, m.A)
-	return c
-}
-
-// LUReal is an in-place LU factorization with partial pivoting.
+// LUReal is an LU factorization with partial pivoting. The zero value is
+// ready to use; each Factor reuses the storage of the previous one.
 type LUReal struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
-// FactorReal computes the LU factorization of m (m is not modified).
-func FactorReal(m *Real) (*LUReal, error) {
+// Factor computes the LU factorization of m into f (m is not modified).
+// On ErrSingular f holds no usable factorization until the next
+// successful Factor.
+func (f *LUReal) Factor(m *Real) error {
 	n := m.N
-	f := &LUReal{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f.n = n
+	f.lu = grow(f.lu, n*n)
+	f.piv = grow(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
@@ -76,7 +77,7 @@ func FactorReal(m *Real) (*LUReal, error) {
 			}
 		}
 		if maxAbs < pivotTiny {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : k*n+n]
@@ -85,7 +86,6 @@ func FactorReal(m *Real) (*LUReal, error) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -101,13 +101,13 @@ func FactorReal(m *Real) (*LUReal, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Solve solves A·x = b, returning x as a new slice.
-func (f *LUReal) Solve(b []float64) []float64 {
+// SolveInto solves A·x = b for the last factored A, writing x. Both
+// slices have the matrix dimension and must not overlap.
+func (f *LUReal) SolveInto(x, b []float64) {
 	n := f.n
-	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -129,7 +129,6 @@ func (f *LUReal) Solve(b []float64) []float64 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
 }
 
 // Complex is a dense complex matrix stored row-major.
@@ -164,10 +163,13 @@ type LUComplex struct {
 	piv []int
 }
 
-// FactorComplex computes the LU factorization of m (m is not modified).
-func FactorComplex(m *Complex) (*LUComplex, error) {
+// Factor computes the LU factorization of m into f (m is not modified),
+// with the same storage reuse and failure contract as LUReal.Factor.
+func (f *LUComplex) Factor(m *Complex) error {
 	n := m.N
-	f := &LUComplex{n: n, lu: make([]complex128, n*n), piv: make([]int, n)}
+	f.n = n
+	f.lu = grow(f.lu, n*n)
+	f.piv = grow(f.piv, n)
 	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
@@ -181,7 +183,7 @@ func FactorComplex(m *Complex) (*LUComplex, error) {
 			}
 		}
 		if maxAbs < pivotTiny {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : k*n+n]
@@ -205,13 +207,13 @@ func FactorComplex(m *Complex) (*LUComplex, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// Solve solves A·x = b, returning x as a new slice.
-func (f *LUComplex) Solve(b []complex128) []complex128 {
+// SolveInto solves A·x = b for the last factored A, writing x. Both
+// slices have the matrix dimension and must not overlap.
+func (f *LUComplex) SolveInto(x, b []complex128) {
 	n := f.n
-	x := make([]complex128, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -231,20 +233,13 @@ func (f *LUComplex) Solve(b []complex128) []complex128 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
 }
 
-// MulVecReal computes y = A·x for a real matrix (used by residual checks
-// in tests and the Newton convergence monitor).
-func MulVecReal(m *Real, x []float64) []float64 {
-	y := make([]float64, m.N)
-	for i := 0; i < m.N; i++ {
-		row := m.A[i*m.N : i*m.N+m.N]
-		var s float64
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
+// grow returns s resliced to length n, reallocating only when its
+// capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return y
+	return s[:n]
 }

@@ -33,11 +33,9 @@ type Bench struct {
 	NodeSet       map[string]float64
 }
 
-// Report is the measured Performance plus bookkeeping.
+// Report is the measured Performance.
 type Report struct {
 	Perf sizing.Performance
-	// OffsetIterations counts DC solves spent nulling the output.
-	OffsetIterations int
 }
 
 // Measure runs the full suite.
@@ -126,8 +124,7 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 		op, err := eng.OP(sim.OPOptions{NodeSet: b.nodeSet()})
 		return op, eng, ckt, err
 	}
-	f := func(vid int, op *sim.OPResult, ckt *circuit.Circuit) float64 {
-		_ = vid
+	f := func(op *sim.OPResult, ckt *circuit.Circuit) float64 {
 		return op.Volt(ckt, b.Out) - b.VoutMid
 	}
 	lo, hi := -20e-3, 20e-3
@@ -139,7 +136,7 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
-	fLo, fHi := f(0, opLo, cktLo), f(0, opHi, cktHi)
+	fLo, fHi := f(opLo, cktLo), f(opHi, cktHi)
 	if math.Signbit(fLo) == math.Signbit(fHi) {
 		// Gain polarity or extreme offset: report the midpoint result
 		// rather than failing (the numbers will say what is wrong).
@@ -151,7 +148,6 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 	var eng *sim.Engine
 	var ckt *circuit.Circuit
 	vid := 0.0
-	iters := 0
 	for i := 0; i < 40; i++ {
 		vid = 0.5 * (lo + hi)
 		var err error
@@ -159,8 +155,7 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 		if err != nil {
 			return 0, nil, nil, nil, err
 		}
-		iters++
-		fm := f(0, op, ckt)
+		fm := f(op, ckt)
 		if math.Abs(fm) < 1e-4 || hi-lo < 1e-9 {
 			break
 		}
@@ -170,7 +165,6 @@ func (b *Bench) findOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circ
 			hi = vid
 		}
 	}
-	_ = iters
 	return vid, op, eng, ckt, nil
 }
 

@@ -75,29 +75,31 @@ func (s *acStamps) addEntry(i, j int, v float64) {
 // compileAC linearizes the circuit at op.
 func (e *Engine) compileAC(op *OPResult) *acStamps {
 	s := &acStamps{e: e, rhs: make([]complex128, e.size)}
-	ckt := e.Ckt
-	for _, el := range ckt.Elements {
-		switch t := el.(type) {
+	// op.V is indexed by node, i.e. by unknown+1 (ground = 0).
+	volt := func(u int) float64 { return op.V[u+1] }
+	for k := range e.elems {
+		ei := &e.elems[k]
+		switch t := ei.el.(type) {
 		case *circuit.Resistor:
-			s.addG(e.unknownOf(t.A), e.unknownOf(t.B), 1/t.R)
+			s.addG(ei.u[0], ei.u[1], 1/t.R)
 
 		case *circuit.Capacitor:
-			s.addC(e.unknownOf(t.A), e.unknownOf(t.B), t.C)
+			s.addC(ei.u[0], ei.u[1], t.C)
 
 		case *circuit.ISource:
 			if t.ACMag != 0 {
 				ph := cmplx.Rect(t.ACMag, t.ACPhase*math.Pi/180)
-				if a := e.unknownOf(t.Pos); a >= 0 {
+				if a := ei.u[0]; a >= 0 {
 					s.rhs[a] -= ph // current leaves Pos through the source
 				}
-				if b := e.unknownOf(t.Neg); b >= 0 {
+				if b := ei.u[1]; b >= 0 {
 					s.rhs[b] += ph
 				}
 			}
 
 		case *circuit.VSource:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			br := ei.br
+			a, b := ei.u[0], ei.u[1]
 			s.addEntry(a, br, 1)
 			s.addEntry(b, br, -1)
 			s.addEntry(br, a, 1)
@@ -107,9 +109,8 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			}
 
 		case *circuit.VCVS:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
-			ca, cb := e.unknownOf(t.CPos), e.unknownOf(t.CNeg)
+			br := ei.br
+			a, b, ca, cb := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			s.addEntry(a, br, 1)
 			s.addEntry(b, br, -1)
 			s.addEntry(br, a, 1)
@@ -118,15 +119,11 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			s.addEntry(br, cb, t.Gain)
 
 		case *circuit.MOSFET:
-			d, g, srcU, bk := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
-			vd := voltAtNode(op, ckt, t.D)
-			vg := voltAtNode(op, ckt, t.G)
-			vs := voltAtNode(op, ckt, t.S)
-			vb := voltAtNode(op, ckt, t.B)
-			_, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
+			d, g, srcU, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
+			_, dd, dg, ds, db := mosPartials(t, volt(d), volt(g), volt(srcU), volt(bk), e.Temp)
 			// Drain current linearization: i_d = dd·vd + dg·vg + ds·vs + db·vb,
 			// entering the drain and leaving the source.
-			for _, tm := range []struct {
+			for _, tm := range [4]struct {
 				u int
 				p float64
 			}{{d, dd}, {g, dg}, {srcU, ds}, {bk, db}} {
@@ -148,30 +145,34 @@ func (e *Engine) compileAC(op *OPResult) *acStamps {
 			s.addC(srcU, bk, cs.CSB)
 
 		default:
-			panic(fmt.Sprintf("sim: unsupported element %T", el))
+			panic(fmt.Sprintf("sim: unsupported element %T", t))
 		}
 	}
 	return s
 }
 
-func voltAtNode(op *OPResult, ckt *circuit.Circuit, node string) float64 {
-	i, _ := ckt.NodeIndex(node)
-	return op.V[i]
-}
-
-// assemble builds the complex MNA matrix at angular frequency w.
-func (s *acStamps) assemble(w float64) *linalg.Complex {
-	y := linalg.NewComplex(s.e.size)
+// assemble restamps y with the complex MNA matrix at angular frequency
+// w, or with its transpose (the adjoint system noise analysis solves).
+// Every element receives the same sequence of additions either way.
+func (s *acStamps) assemble(y *linalg.Complex, w float64, transpose bool) {
+	gRow, gCol := s.gRow, s.gCol
+	uRow, uCol := s.uRow, s.uCol
+	cRow, cCol := s.cRow, s.cCol
+	if transpose {
+		gRow, gCol = gCol, gRow
+		uRow, uCol = uCol, uRow
+		cRow, cCol = cCol, cRow
+	}
+	y.Zero()
 	for k, v := range s.gVal {
-		y.Add(s.gRow[k], s.gCol[k], complex(v, 0))
+		y.Add(gRow[k], gCol[k], complex(v, 0))
 	}
 	for k, v := range s.uVal {
-		y.Add(s.uRow[k], s.uCol[k], complex(v, 0))
+		y.Add(uRow[k], uCol[k], complex(v, 0))
 	}
 	for k, v := range s.cVal {
-		y.Add(s.cRow[k], s.cCol[k], complex(0, w*v))
+		y.Add(cRow[k], cCol[k], complex(0, w*v))
 	}
-	return y
 }
 
 // ACResult holds one frequency point.
@@ -199,14 +200,34 @@ func (r *ACResult) Volt(ckt *circuit.Circuit, node string) complex128 {
 // and capacitances) that AC pays on each invocation; the per-frequency
 // assembly and factorization are unchanged, so the phasors are
 // bit-identical to a fresh AC call at the same operating point.
+//
+// The solver owns its MNA matrix, LU and solution vector and reuses them
+// at every frequency, so, like its Engine, it is a single-goroutine
+// object.
 type ACSolver struct {
 	e  *Engine
 	st *acStamps
+	y  *linalg.Complex
+	lu linalg.LUComplex
+	x  []complex128
 }
 
 // PrepareAC linearizes the circuit at op once, for repeated Solve calls.
 func (e *Engine) PrepareAC(op *OPResult) *ACSolver {
-	return &ACSolver{e: e, st: e.compileAC(op)}
+	return &ACSolver{e: e, st: e.compileAC(op), y: linalg.NewComplex(e.size), x: make([]complex128, e.size)}
+}
+
+// solveAt assembles, factors and solves the system at frequency f (Hz)
+// — with transpose, its adjoint for the right-hand side rhs — in the
+// solver's workspace. The returned unknown vector is overwritten by the
+// next call.
+func (s *ACSolver) solveAt(f float64, transpose bool, rhs []complex128) ([]complex128, error) {
+	s.st.assemble(s.y, 2*math.Pi*f, transpose)
+	if err := s.lu.Factor(s.y); err != nil {
+		return nil, err
+	}
+	s.lu.SolveInto(s.x, rhs)
+	return s.x, nil
 }
 
 // Solve runs the compiled linearization over the given frequencies (Hz).
@@ -214,12 +235,10 @@ func (s *ACSolver) Solve(freqs []float64) ([]*ACResult, error) {
 	e := s.e
 	out := make([]*ACResult, 0, len(freqs))
 	for _, f := range freqs {
-		y := s.st.assemble(2 * math.Pi * f)
-		lu, err := linalg.FactorComplex(y)
+		x, err := s.solveAt(f, false, s.st.rhs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: AC matrix singular at %g Hz: %w", f, err)
 		}
-		x := lu.Solve(s.st.rhs)
 		r := &ACResult{Freq: f, V: make([]complex128, e.Ckt.NumNodes())}
 		for i := 1; i < e.Ckt.NumNodes(); i++ {
 			r.V[i] = x[e.nodeUnknown(i)]

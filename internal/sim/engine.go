@@ -13,40 +13,72 @@ import (
 	"fmt"
 
 	"loas/internal/circuit"
+	"loas/internal/linalg"
 )
 
 // Engine binds a circuit to an unknown ordering: node voltages first
 // (ground excluded), then one branch current per voltage source and per
 // VCVS, in insertion order.
+//
+// An Engine owns scratch state (the Newton workspace below), so it is a
+// single-goroutine object: concurrent analyses need separate engines.
+// The circuit's structure is fixed at NewEngine; element values (source
+// levels, device cards) may change between analyses.
 type Engine struct {
 	Ckt  *circuit.Circuit
 	Temp float64 // K
 
-	nNodes   int // unknown node voltages = NumNodes-1
-	branch   map[string]int
-	nBranch  int
-	size     int
-	branches []branchElem
+	nNodes  int // unknown node voltages = NumNodes-1
+	branch  map[string]int
+	nBranch int
+	size    int
+	// elems is every circuit element in insertion order with its unknown
+	// indices resolved once, so stamping does no name lookups.
+	elems []elemIdx
+
+	// Newton workspace, reused by every iteration, gmin rung, polish,
+	// source-stepping step, transient step and OP call on the engine.
+	jac    *linalg.Real
+	res    []float64 // residual f(x), negated in place for the solve
+	dx     []float64 // Newton step
+	backup []float64 // polish's fallback point
+	x      []float64 // OP's solution vector
+	lu     linalg.LUReal
 }
 
-type branchElem struct {
-	name string
-	elem circuit.Element
+// elemIdx is one element with its unknowns: u holds its terminals in
+// ElemNodes order (−1 = ground), br the branch unknown of a voltage
+// source or VCVS (−1 otherwise).
+type elemIdx struct {
+	el circuit.Element
+	u  [4]int
+	br int
 }
 
 // NewEngine prepares an engine for the circuit at temperature temp (K).
 func NewEngine(ckt *circuit.Circuit, temp float64) *Engine {
 	e := &Engine{Ckt: ckt, Temp: temp, branch: map[string]int{}}
 	e.nNodes = ckt.NumNodes() - 1
-	for _, el := range ckt.Elements {
+	e.elems = make([]elemIdx, len(ckt.Elements))
+	for k, el := range ckt.Elements {
+		ei := elemIdx{el: el, br: -1}
+		for i, node := range el.ElemNodes() {
+			ei.u[i] = e.unknownOf(node)
+		}
 		switch el.(type) {
 		case *circuit.VSource, *circuit.VCVS:
-			e.branch[el.ElemName()] = e.nNodes + e.nBranch
-			e.branches = append(e.branches, branchElem{el.ElemName(), el})
+			ei.br = e.nNodes + e.nBranch
+			e.branch[el.ElemName()] = ei.br
 			e.nBranch++
 		}
+		e.elems[k] = ei
 	}
 	e.size = e.nNodes + e.nBranch
+	e.jac = linalg.NewReal(e.size)
+	e.res = make([]float64, e.size)
+	e.dx = make([]float64, e.size)
+	e.backup = make([]float64, e.size)
+	e.x = make([]float64, e.size)
 	return e
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"loas/internal/circuit"
 	"loas/internal/device"
-	"loas/internal/linalg"
 )
 
 // NoiseSource is one physical noise generator in the circuit.
@@ -34,19 +33,20 @@ type NoisePoint struct {
 // noiseSources enumerates every generator with its attachment nodes.
 func (e *Engine) noiseSources(op *OPResult) []NoiseSource {
 	var out []NoiseSource
-	for _, el := range e.Ckt.Elements {
-		switch t := el.(type) {
+	for k := range e.elems {
+		ei := &e.elems[k]
+		switch t := ei.el.(type) {
 		case *circuit.Resistor:
 			r := t.R
 			out = append(out, NoiseSource{
 				Elem: t.Name, Kind: "thermal",
-				a: e.unknownOf(t.A), b: e.unknownOf(t.B),
+				a: ei.u[0], b: ei.u[1],
 				psd: func(float64) float64 { return device.ResistorNoisePSD(r, e.Temp) },
 			})
 		case *circuit.MOSFET:
 			mop := op.MOSOPs[t.Name]
 			dev := &t.Dev
-			a, b := e.unknownOf(t.D), e.unknownOf(t.S)
+			a, b := ei.u[0], ei.u[2] // drain, source
 			out = append(out, NoiseSource{
 				Elem: t.Name, Kind: "thermal", a: a, b: b,
 				psd: func(float64) float64 {
@@ -69,35 +69,32 @@ func (e *Engine) noiseSources(op *OPResult) []NoiseSource {
 // Noise computes the output noise voltage PSD at node out for each
 // frequency, using the adjoint (transposed-system) method: one extra solve
 // per frequency yields the transimpedance from every internal node to the
-// output simultaneously.
+// output simultaneously. The adjoint matrix, its LU, the right-hand side
+// and the per-source report keys are built once and reused at every
+// frequency.
 func (e *Engine) Noise(op *OPResult, out string, freqs []float64) ([]NoisePoint, error) {
 	outIdx := e.unknownOf(out)
 	if outIdx < 0 {
 		return nil, fmt.Errorf("sim: noise output node %q is ground", out)
 	}
-	st := e.compileAC(op)
+	solver := e.PrepareAC(op)
 	sources := e.noiseSources(op)
+	keys := make([]string, len(sources))
+	for i, s := range sources {
+		keys[i] = s.Elem + "/" + s.Kind
+	}
+	rhs := make([]complex128, e.size)
+	rhs[outIdx] = 1
 
 	points := make([]NoisePoint, 0, len(freqs))
 	for _, f := range freqs {
-		y := st.assemble(2 * math.Pi * f)
-		// Transpose in place into a new matrix.
-		yt := linalg.NewComplex(y.N)
-		for i := 0; i < y.N; i++ {
-			for j := 0; j < y.N; j++ {
-				yt.Set(i, j, y.At(j, i))
-			}
-		}
-		lu, err := linalg.FactorComplex(yt)
+		z, err := solver.solveAt(f, true, rhs)
 		if err != nil {
 			return nil, fmt.Errorf("sim: noise adjoint singular at %g Hz: %w", f, err)
 		}
-		rhs := make([]complex128, y.N)
-		rhs[outIdx] = 1
-		z := lu.Solve(rhs)
 
-		pt := NoisePoint{Freq: f, BySource: map[string]float64{}}
-		for _, s := range sources {
+		pt := NoisePoint{Freq: f, BySource: make(map[string]float64, len(keys))}
+		for i, s := range sources {
 			var tz complex128
 			if s.a >= 0 {
 				tz += z[s.a]
@@ -107,7 +104,7 @@ func (e *Engine) Noise(op *OPResult, out string, freqs []float64) ([]NoisePoint,
 			}
 			mag2 := real(tz)*real(tz) + imag(tz)*imag(tz)
 			contrib := s.psd(f) * mag2
-			pt.BySource[s.Elem+"/"+s.Kind] += contrib
+			pt.BySource[keys[i]] += contrib
 			pt.OutPSD += contrib
 		}
 		points = append(points, pt)

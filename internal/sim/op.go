@@ -51,7 +51,8 @@ type OPResult struct {
 	BranchI map[string]float64
 	// MOSOPs holds per-transistor bias data by instance name.
 	MOSOPs map[string]device.OP
-	// Iterations is the total Newton iteration count across gmin steps.
+	// Iterations is the total Newton iteration count: every gmin rung,
+	// the source-stepping fallback when the ladder fails, and the polish.
 	Iterations int
 }
 
@@ -74,17 +75,16 @@ func (r *OPResult) SupplyCurrent(name string) float64 {
 // its partial derivatives with respect to the four terminal voltages,
 // using central differences on the full device model. This sidesteps all
 // polarity/swap bookkeeping: whatever the model does, the Jacobian matches
-// it exactly.
+// it exactly. The nine model values come from one EvalIDStencil call,
+// bit-identical to nine EvalID calls but sharing their sub-expressions.
 func mosPartials(m *circuit.MOSFET, vd, vg, vs, vb, temp float64) (id, dd, dg, ds, db float64) {
 	const h = 1e-6
-	f := func(vd, vg, vs, vb float64) float64 {
-		return m.Dev.EvalID(vg, vd, vs, vb, temp)
-	}
-	id = f(vd, vg, vs, vb)
-	dd = (f(vd+h, vg, vs, vb) - f(vd-h, vg, vs, vb)) / (2 * h)
-	dg = (f(vd, vg+h, vs, vb) - f(vd, vg-h, vs, vb)) / (2 * h)
-	ds = (f(vd, vg, vs+h, vb) - f(vd, vg, vs-h, vb)) / (2 * h)
-	db = (f(vd, vg, vs, vb+h) - f(vd, vg, vs, vb-h)) / (2 * h)
+	st := m.Dev.EvalIDStencil(vg, vd, vs, vb, h, temp)
+	id = st.Base
+	dd = (st.DUp - st.DDn) / (2 * h)
+	dg = (st.GUp - st.GDn) / (2 * h)
+	ds = (st.SUp - st.SDn) / (2 * h)
+	db = (st.BUp - st.BDn) / (2 * h)
 	return id, dd, dg, ds, db
 }
 
@@ -105,10 +105,11 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 		f[i] += gmin * x[i]
 	}
 
-	for _, el := range e.Ckt.Elements {
-		switch t := el.(type) {
+	for k := range e.elems {
+		ei := &e.elems[k]
+		switch t := ei.el.(type) {
 		case *circuit.Resistor:
-			a, b := e.unknownOf(t.A), e.unknownOf(t.B)
+			a, b := ei.u[0], ei.u[1]
 			g := 1 / t.R
 			va, vb := voltsAt(x, a), voltsAt(x, b)
 			i := g * (va - vb)
@@ -131,7 +132,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			// Open at DC.
 
 		case *circuit.ISource:
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			a, b := ei.u[0], ei.u[1]
 			val := t.DC
 			if tNow >= 0 {
 				val = t.Value(tNow)
@@ -145,8 +146,8 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			}
 
 		case *circuit.VSource:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
+			br := ei.br
+			a, b := ei.u[0], ei.u[1]
 			// KCL: branch current leaves Pos, enters Neg.
 			if a >= 0 {
 				j.Add(a, br, 1)
@@ -170,9 +171,8 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			f[br] += voltsAt(x, a) - voltsAt(x, b) - srcScale*val
 
 		case *circuit.VCVS:
-			br := e.branch[t.Name]
-			a, b := e.unknownOf(t.Pos), e.unknownOf(t.Neg)
-			ca, cb := e.unknownOf(t.CPos), e.unknownOf(t.CNeg)
+			br := ei.br
+			a, b, ca, cb := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			if a >= 0 {
 				j.Add(a, br, 1)
 				f[a] += x[br]
@@ -196,7 +196,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			f[br] += voltsAt(x, a) - voltsAt(x, b) - t.Gain*(voltsAt(x, ca)-voltsAt(x, cb))
 
 		case *circuit.MOSFET:
-			d, g, s, bk := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
+			d, g, s, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			vd, vg, vs, vb := voltsAt(x, d), voltsAt(x, g), voltsAt(x, s), voltsAt(x, bk)
 			id, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
 			// Current id enters the drain node and leaves the source node.
@@ -222,7 +222,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 			}
 
 		default:
-			panic(fmt.Sprintf("sim: unsupported element %T", el))
+			panic(fmt.Sprintf("sim: unsupported element %T", t))
 		}
 	}
 }
@@ -233,23 +233,22 @@ func (e *Engine) newtonSolve(x []float64, gmin, srcScale float64, opts *OPOption
 }
 
 // newtonSolveAt optionally adds extra linear stamps (transient companions)
-// through the extra callback.
+// through the extra callback. It works in the engine's Newton workspace,
+// so a warm solve allocates nothing.
 func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), opts *OPOptions) (int, error) {
-	j := linalg.NewReal(e.size)
-	f := make([]float64, e.size)
+	j, f, dx := e.jac, e.res, e.dx
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		e.stampDC(x, gmin, srcScale, tNow, j, f)
 		if extra != nil {
 			extra(x, j, f)
 		}
-		lu, err := linalg.FactorReal(j)
-		if err != nil {
+		if err := e.lu.Factor(j); err != nil {
 			return iter, fmt.Errorf("sim: singular Jacobian at gmin=%.3g iter=%d: %w", gmin, iter, err)
 		}
 		for i := range f {
 			f[i] = -f[i]
 		}
-		dx := lu.Solve(f)
+		e.lu.SolveInto(dx, f)
 		var maxDx float64
 		for i := range dx {
 			d := dx[i]
@@ -273,7 +272,8 @@ func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra 
 // OP computes the DC operating point.
 func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 	opts.defaults()
-	x := make([]float64, e.size)
+	x := e.x
+	clear(x)
 	for name, v := range opts.NodeSet {
 		if i, ok := e.Ckt.NodeIndex(name); ok && i > 0 {
 			x[e.nodeUnknown(i)] = v
@@ -283,7 +283,6 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 	totalIter := 0
 	// Gmin continuation: sweep gmin down in decades, warm-starting each
 	// solve from the previous one.
-	converged := false
 	for gmin := opts.GminStart; ; gmin /= 10 {
 		if gmin < opts.GminEnd {
 			gmin = opts.GminEnd
@@ -291,21 +290,13 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 		it, err := e.newtonSolve(x, gmin, 1.0, &opts)
 		totalIter += it
 		if err != nil {
-			if gmin == opts.GminEnd {
-				// Fall back to source stepping from scratch.
-				return e.opSourceStepping(opts)
-			}
-			// Retry the failed rung after re-seeding below is pointless;
-			// tighten by moving to source stepping immediately.
-			return e.opSourceStepping(opts)
+			// Retrying a failed rung from where it stopped is pointless:
+			// fall back to source stepping from scratch.
+			return e.opSourceStepping(opts, totalIter)
 		}
 		if gmin == opts.GminEnd {
-			converged = true
 			break
 		}
-	}
-	if !converged {
-		return nil, fmt.Errorf("sim: DC analysis failed")
 	}
 	e.polish(x, &opts, &totalIter)
 	return e.finishOP(x, totalIter), nil
@@ -315,19 +306,21 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 // reported solution carries no continuation bias. Failure (a circuit that
 // genuinely needs gmin, e.g. a floating node) keeps the last good point.
 func (e *Engine) polish(x []float64, opts *OPOptions, totalIter *int) {
-	backup := make([]float64, len(x))
-	copy(backup, x)
+	copy(e.backup, x)
 	it, err := e.newtonSolve(x, 0, 1.0, opts)
 	*totalIter += it
 	if err != nil {
-		copy(x, backup)
+		copy(x, e.backup)
 	}
 }
 
-// opSourceStepping ramps all independent sources from 0 to full value.
-func (e *Engine) opSourceStepping(opts OPOptions) (*OPResult, error) {
-	x := make([]float64, e.size)
-	total := 0
+// opSourceStepping ramps all independent sources from 0 to full value,
+// starting from zero. spent is the Newton iteration count the gmin
+// ladder already used; the result's Iterations includes it.
+func (e *Engine) opSourceStepping(opts OPOptions, spent int) (*OPResult, error) {
+	x := e.x
+	clear(x)
+	total := spent
 	for _, scale := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0} {
 		it, err := e.newtonSolve(x, 1e-9, scale, &opts)
 		total += it
@@ -353,39 +346,22 @@ func (e *Engine) finishOP(x []float64, iters int) *OPResult {
 	for name, idx := range e.branch {
 		r.BranchI[name] = x[idx]
 	}
-	for _, m := range e.Ckt.MOSFETs() {
-		vd := r.V[mustIdx(e.Ckt, m.D)]
-		vg := r.V[mustIdx(e.Ckt, m.G)]
-		vs := r.V[mustIdx(e.Ckt, m.S)]
-		vb := r.V[mustIdx(e.Ckt, m.B)]
-		r.MOSOPs[m.Name] = m.Dev.Eval(vg, vd, vs, vb, e.Temp)
+	for k := range e.elems {
+		if m, ok := e.elems[k].el.(*circuit.MOSFET); ok {
+			u := &e.elems[k].u // D, G, S, B; V is indexed by unknown+1
+			r.MOSOPs[m.Name] = m.Dev.Eval(r.V[u[1]+1], r.V[u[0]+1], r.V[u[2]+1], r.V[u[3]+1], e.Temp)
+		}
 	}
 	return r
-}
-
-func mustIdx(c *circuit.Circuit, node string) int {
-	i, ok := c.NodeIndex(node)
-	if !ok {
-		panic(fmt.Sprintf("sim: node %q vanished", node))
-	}
-	return i
 }
 
 // KCLResidual recomputes the DC residual vector norm at a solution — used
 // by tests to assert physical consistency of converged points.
 func (e *Engine) KCLResidual(r *OPResult) float64 {
-	x := make([]float64, e.size)
-	for i := 1; i < e.Ckt.NumNodes(); i++ {
-		x[e.nodeUnknown(i)] = r.V[i]
-	}
-	for name, idx := range e.branch {
-		x[idx] = r.BranchI[name]
-	}
-	j := linalg.NewReal(e.size)
-	f := make([]float64, e.size)
-	e.stampDC(x, 0, 1.0, -1, j, f)
+	x := e.packSolution(r)
+	e.stampDC(x, 0, 1.0, -1, e.jac, e.res)
 	var norm float64
-	for _, v := range f[:e.nNodes] { // node KCL rows only
+	for _, v := range e.res[:e.nNodes] { // node KCL rows only
 		norm = math.Max(norm, math.Abs(v))
 	}
 	return norm

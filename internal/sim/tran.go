@@ -93,10 +93,16 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 		}
 	}
 
-	res := &TranResult{}
+	// The waveform lives in one backing array: row k of V is the node
+	// voltages at T[k].
+	nSteps := int(math.Ceil(tstop / h))
+	nv := e.Ckt.NumNodes()
+	wave := make([]float64, (nSteps+1)*nv)
+	res := &TranResult{T: make([]float64, 0, nSteps+1), V: make([][]float64, 0, nSteps+1)}
 	record := func(t float64) {
-		v := make([]float64, e.Ckt.NumNodes())
-		for i := 1; i < e.Ckt.NumNodes(); i++ {
+		k := len(res.T)
+		v := wave[k*nv : (k+1)*nv : (k+1)*nv]
+		for i := 1; i < nv; i++ {
 			v[i] = x[e.nodeUnknown(i)]
 		}
 		res.T = append(res.T, t)
@@ -106,8 +112,30 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 
 	// Companion capacitor states, refreshed per step for MOS caps.
 	caps := e.collectCaps(x)
+	extra := func(xc []float64, j *linalg.Real, f []float64) {
+		for i := range caps {
+			cs := &caps[i]
+			geq := 2 * cs.c / h
+			ieq := geq*cs.vPrev + cs.iPrev
+			v := capVolt(xc, cs)
+			icap := geq*v - ieq
+			if cs.a >= 0 {
+				f[cs.a] += icap
+				j.Add(cs.a, cs.a, geq)
+				if cs.b >= 0 {
+					j.Add(cs.a, cs.b, -geq)
+				}
+			}
+			if cs.b >= 0 {
+				f[cs.b] -= icap
+				j.Add(cs.b, cs.b, geq)
+				if cs.a >= 0 {
+					j.Add(cs.b, cs.a, -geq)
+				}
+			}
+		}
+	}
 
-	nSteps := int(math.Ceil(tstop / h))
 	for k := 1; k <= nSteps; k++ {
 		t := float64(k) * h
 		// Refresh MOS capacitance values at the previous solution while
@@ -115,30 +143,6 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions) (*TranResult, error) {
 		e.refreshMOSCaps(caps, x)
 		for i := range caps {
 			caps[i].vPrev = capVolt(x, &caps[i])
-		}
-
-		extra := func(xc []float64, j *linalg.Real, f []float64) {
-			for i := range caps {
-				cs := &caps[i]
-				geq := 2 * cs.c / h
-				ieq := geq*cs.vPrev + cs.iPrev
-				v := capVolt(xc, cs)
-				icap := geq*v - ieq
-				if cs.a >= 0 {
-					f[cs.a] += icap
-					j.Add(cs.a, cs.a, geq)
-					if cs.b >= 0 {
-						j.Add(cs.a, cs.b, -geq)
-					}
-				}
-				if cs.b >= 0 {
-					f[cs.b] -= icap
-					j.Add(cs.b, cs.b, geq)
-					if cs.a >= 0 {
-						j.Add(cs.b, cs.a, -geq)
-					}
-				}
-			}
 		}
 		if _, err := e.newtonSolveAt(x, opts.GminEnd, 1.0, t, extra, &opts); err != nil {
 			return nil, fmt.Errorf("sim: transient step %d (t=%.4g s): %w", k, t, err)
@@ -164,14 +168,15 @@ func capVolt(x []float64, cs *capState) float64 {
 // refreshed every step.
 func (e *Engine) collectCaps(x []float64) []capState {
 	var out []capState
-	for _, el := range e.Ckt.Elements {
-		switch t := el.(type) {
+	for k := range e.elems {
+		ei := &e.elems[k]
+		switch t := ei.el.(type) {
 		case *circuit.Capacitor:
-			cs := capState{a: e.unknownOf(t.A), b: e.unknownOf(t.B), c: t.C}
+			cs := capState{a: ei.u[0], b: ei.u[1], c: t.C}
 			cs.vPrev = capVolt(x, &cs)
 			out = append(out, cs)
 		case *circuit.MOSFET:
-			d, g, s, b := e.unknownOf(t.D), e.unknownOf(t.G), e.unknownOf(t.S), e.unknownOf(t.B)
+			d, g, s, b := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			pairs := [5][2]int{{g, s}, {g, d}, {g, b}, {d, b}, {s, b}}
 			for _, p := range pairs {
 				cs := capState{a: p[0], b: p[1]}
@@ -188,17 +193,15 @@ func (e *Engine) collectCaps(x []float64) []capState {
 // The cap list layout must match collectCaps.
 func (e *Engine) refreshMOSCaps(caps []capState, x []float64) {
 	idx := 0
-	for _, el := range e.Ckt.Elements {
-		switch t := el.(type) {
+	for k := range e.elems {
+		ei := &e.elems[k]
+		switch t := ei.el.(type) {
 		case *circuit.Capacitor:
 			idx++
 		case *circuit.MOSFET:
-			vd := voltsAt(x, e.unknownOf(t.D))
-			vg := voltsAt(x, e.unknownOf(t.G))
-			vs := voltsAt(x, e.unknownOf(t.S))
-			vb := voltsAt(x, e.unknownOf(t.B))
-			op := t.Dev.Eval(vg, vd, vs, vb, e.Temp)
-			cset := t.Dev.Caps(op, e.Temp)
+			vd, vg := voltsAt(x, ei.u[0]), voltsAt(x, ei.u[1])
+			vs, vb := voltsAt(x, ei.u[2]), voltsAt(x, ei.u[3])
+			cset := t.Dev.CapsAt(vg, vd, vs, vb, e.Temp)
 			vals := [5]float64{cset.CGS, cset.CGD, cset.CGB, cset.CDB, cset.CSB}
 			for _, v := range vals {
 				caps[idx].c = v
