@@ -515,8 +515,9 @@ func BenchmarkModelCardEval(b *testing.B) {
 	b.ReportMetric(op.ID*1e3, "id_mA")
 }
 
-// BenchmarkModelCardEvalID: the ID-only evaluation the DC solver's
-// Jacobian builder uses (1 core solve instead of 7).
+// BenchmarkModelCardEvalID: the ID-only evaluation (1 core solve
+// instead of 7); the DC Jacobian's EvalIDStencil assembles nine of these
+// from shared pieces.
 func BenchmarkModelCardEvalID(b *testing.B) {
 	tech := techno.Default060()
 	m := device.MOS{Card: &tech.N, W: 50e-6, L: 1e-6}

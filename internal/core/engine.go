@@ -6,7 +6,8 @@ package core
 //   - *techno.Tech and its MOSCards are immutable after construction.
 //     Corner analysis copies the tech (AtCorner), mismatch analysis
 //     clones cards before shifting them (mc.Sample.Apply).
-//   - *circuit.Circuit and sim.Engine are single-goroutine objects; every
+//   - *circuit.Circuit, sim.Engine and sim.ACSolver are single-goroutine
+//     objects (the simulator types own scratch workspaces); every
 //     simulation builds its own netlist, which is why the measurement
 //     benches take netlist builders instead of netlists.
 //   - extract.Parasitics is read-only once published by a layout call;
