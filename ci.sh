@@ -25,6 +25,13 @@ go build ./cmd/...
 go test -race -count=1 -run 'TestFingerprintGolden' ./internal/core
 go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
 
+# Verification fan-out lane. core.Synthesize runs its two verification
+# passes on two goroutines: drive the fan-out with stub passes (errors,
+# panics, span order) and with real five-t runs (a failed and a
+# converged one, every span ended inside its parent), ten times over
+# under the race detector.
+go test -race -count=10 -run 'TestVerifyBothContract|TestFailedRunEndsSpans|TestSynthesizeVerifySpans' ./internal/core
+
 # Race lane doubles as the coverage gate: total statement coverage must
 # not sink below the floor (the suite sits near 84% — the floor trips on
 # regressions, not noise). -shuffle=on randomizes test (and package init)

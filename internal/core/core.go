@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	_ "loas/internal/layout/rows" // register the row-based backend
 	"loas/internal/meas"
 	"loas/internal/obs"
+	"loas/internal/parallel"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -52,8 +54,8 @@ type Options struct {
 	// placement/routing stage ("" means the default slicing-tree
 	// generator, keeping existing callers bit-identical).
 	Layout string
-	// SkipVerify skips the extracted-netlist measurement (used by
-	// benchmarks that only exercise the loop).
+	// SkipVerify skips both verification passes (used by benchmarks
+	// that only exercise the loop).
 	SkipVerify bool
 	// Ctx, when non-nil, carries the caller's observers, all optional
 	// and observation only — results are identical with or without:
@@ -200,11 +202,12 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		obs.Phase(ctx, "sizing", func() {
 			design, err = plan.Size(tech, spec, ps)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("core: sizing pass %d: %w", call, err)
-		}
 		sizingNS := time.Since(sizeStart).Nanoseconds()
 		sizeSpan.End()
+		if err != nil {
+			itSpan.End()
+			return nil, fmt.Errorf("core: sizing pass %d: %w", call, err)
+		}
 		res.SizingPasses++
 
 		laySpan := itSpan.Child("layout-extract")
@@ -214,11 +217,12 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		obs.Phase(ctx, "layout-extract", func() {
 			lay, err = opts.backend.Plan(tech, design.Layout(), opts.Shape, nil)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("core: layout call %d: %w", call, err)
-		}
 		layoutNS := time.Since(layoutStart).Nanoseconds()
 		laySpan.End()
+		if err != nil {
+			itSpan.End()
+			return nil, fmt.Errorf("core: layout call %d: %w", call, err)
+		}
 		res.LayoutCalls++
 		newPar := lay.Parasitics
 		newPar.LayoutCalls = res.LayoutCalls
@@ -270,41 +274,88 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	res.Synthesized = design.PredictedPerf()
 
 	if !opts.SkipVerify {
-		// Synthesized column: the sizing tool's own verification — the
-		// assumed netlist (its parasitic view of the world) measured with
-		// the same suite, so any Table-1 mismatch is purely the
-		// parasitics each case ignores.
-		vsSpan := span.Child("verify-synthesized")
-		vsSpan.BeginResources()
 		var synth *meas.Report
-		obs.Phase(ctx, "verify-synthesized", func() {
-			synth, err = meas.Measure(OTABench(tech, spec, design, func() *circuit.Circuit {
-				return design.AssumedNetlist("assumed")
-			}))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: synthesized verification: %w", err)
-		}
-		vsSpan.End()
-		res.Synthesized = synth.Perf
-		res.Synthesized.Offset = 0 // by construction of a symmetric schematic
-
-		veSpan := span.Child("verify-extracted")
-		veSpan.BeginResources()
 		var perf *sizing.Performance
 		var ckt *circuit.Circuit
-		obs.Phase(ctx, "verify-extracted", func() {
-			perf, ckt, err = VerifyExtracted(tech, spec, design, par)
-		})
+		err = verifyBoth(ctx, span,
+			// Synthesized column: the sizing tool's own verification —
+			// the assumed netlist (its parasitic view of the world)
+			// measured with the same suite, so any Table-1 mismatch is
+			// purely the parasitics each case ignores.
+			func() (err error) {
+				synth, err = meas.Measure(OTABench(tech, spec, design, func() *circuit.Circuit {
+					return design.AssumedNetlist("assumed")
+				}))
+				return err
+			},
+			func() (err error) {
+				perf, ckt, err = VerifyExtracted(tech, spec, design, par)
+				return err
+			})
 		if err != nil {
-			return nil, fmt.Errorf("core: extracted verification: %w", err)
+			return nil, err
 		}
-		veSpan.End()
+		res.Synthesized = synth.Perf
+		res.Synthesized.Offset = 0 // by construction of a symmetric schematic
 		res.Extracted = *perf
 		res.ExtractedCkt = ckt
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// verifyBoth runs the two verification passes of a converged design —
+// synth for Table 1's synthesized column, extracted for the bracketed
+// one — on two goroutines. Each pass builds its own netlists and
+// engines and only reads the tech, spec, design and parasitic report,
+// so it measures the same bits as it would alone.
+//
+// The passes' spans are opened here, in pass order, before either
+// starts: span IDs follow start order, so the tree does not depend on
+// scheduling. Neither span opts into BeginResources, since each delta
+// would count the other pass's work. The fan-out starts from
+// Background, so a cancelled request still runs both passes.
+//
+// One pass's failure neither cancels nor skips the other: each failure
+// travels in its pass's own slot, never as a task error, so the pool's
+// first-error cancellation stays out of play. When both fail the
+// synthesized error wins. A panic in a pass comes back as that pass's
+// error, a *parallel.PanicError.
+func verifyBoth(ctx context.Context, parent *obs.Span, synth, extracted func() error) error {
+	passes := [...]struct {
+		phase, column string
+		run           func() error
+		span          *obs.Span
+		err           error
+	}{
+		{phase: "verify-synthesized", column: "synthesized", run: synth},
+		{phase: "verify-extracted", column: "extracted", run: extracted},
+	}
+	for i := range passes {
+		passes[i].span = parent.Child(passes[i].phase)
+	}
+	err := parallel.Do(context.Background(), len(passes), len(passes), func(_ context.Context, i int) error {
+		p := &passes[i]
+		defer p.span.End()
+		obs.Phase(ctx, p.phase, func() { p.err = p.run() })
+		return nil
+	})
+	// The tasks return nil, so the pool's only error is a recovered
+	// panic. The other pass may then have been skipped before it
+	// started; its span is ended below.
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		passes[pe.Index].err = pe
+	}
+	for _, p := range passes {
+		p.span.End()
+	}
+	for _, p := range passes {
+		if p.err != nil {
+			return fmt.Errorf("core: %s verification: %w", p.column, p.err)
+		}
+	}
+	return nil
 }
 
 // ExtractedNetlist builds the amplifier netlist with the full layout

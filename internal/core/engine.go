@@ -1,11 +1,17 @@
 package core
 
-// Parallel drivers over the synthesis loop. The sharing contract that
-// makes these safe (and that the package tests enforce under -race):
+// Parallel drivers over the synthesis loop. The same sharing contract
+// lets Synthesize run its two verification passes (verifyBoth in
+// core.go) concurrently on one converged design, and the package tests
+// enforce it under -race:
 //
 //   - *techno.Tech and its MOSCards are immutable after construction.
 //     Corner analysis copies the tech (AtCorner), mismatch analysis
 //     clones cards before shifting them (mc.Sample.Apply).
+//   - A sizing.Design is immutable once its plan returns it: nothing
+//     writes to it, and its netlist builders and NodeSet return fresh
+//     circuits and maps, so the verification passes and the corner
+//     workers read one design at once.
 //   - *circuit.Circuit, sim.Engine and sim.ACSolver are single-goroutine
 //     objects (the simulator types own scratch workspaces); every
 //     simulation builds its own netlist, which is why the measurement

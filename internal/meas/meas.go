@@ -333,8 +333,9 @@ func (b *Bench) slewRate(p *sizing.Performance) error {
 		return fmt.Errorf("slew rate needs GBW first")
 	}
 	ckt := b.Build()
-	// Unity feedback: inn follows out. A large resistor avoids merging
-	// the nodes so the builder's netlist stays untouched.
+	// Unity feedback: inn follows out. A 1 Ω resistor closes the
+	// unity-gain loop and keeps out and inn separate nodes, so the
+	// builder's netlist stays untouched.
 	step := 0.8
 	ckt.Add(
 		&circuit.Resistor{Name: "tbfb", A: b.Out, B: b.InN, R: 1.0},

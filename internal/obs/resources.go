@@ -8,9 +8,9 @@ import "runtime/metrics"
 // GC pressure exactly; over a region with concurrent neighbors the
 // delta is an upper bound (everything the process allocated while the
 // region ran). The span layer therefore samples only on the serial
-// phases of the synthesis loop — sizing, layout-extract, the two
-// verification measurements — where the engine runs one phase at a
-// time per run.
+// phases of the synthesis loop — sizing and layout-extract — where the
+// engine runs one phase at a time per run; the two verification
+// measurements run concurrently and do not sample.
 
 // resourceKeys are read together in one metrics.Read call: cumulative
 // heap allocation and completed GC cycles.

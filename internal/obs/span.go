@@ -158,8 +158,9 @@ func (s *Span) SetAttr(k, v string) {
 // BeginResources samples the process resource counters now, opting the
 // span into allocation/GC-delta attribution: End will sample again and
 // freeze the deltas into the record. Call it on serial phases where the
-// delta is exact (sizing, extraction, verification); on concurrent
-// spans the delta would count the neighbors' work too. Safe on nil.
+// delta is exact (sizing, layout-extract); on concurrent spans, such as
+// the two verification passes, the delta would count the neighbors'
+// work too. Safe on nil.
 func (s *Span) BeginResources() {
 	if s == nil {
 		return

@@ -2,7 +2,8 @@
 // small bounded worker pool used by the embarrassingly parallel
 // workloads of the reproduction — Monte-Carlo mismatch sampling
 // (mc.RunOffset), process-corner verification (core.CornerSweep), the
-// four Table-1 parasitic-awareness cases (core.SynthesizeAll) and the
+// two verification passes of every core.Synthesize run, the four
+// Table-1 parasitic-awareness cases (core.SynthesizeAll) and the
 // proposed-vs-traditional flow comparison (core.CompareFlows).
 //
 // The pool guarantees, in order of importance for the callers:
