@@ -575,8 +575,8 @@ func BenchmarkLayoutPlanCold(b *testing.B) {
 
 // benchLayoutBackend runs one registered layout backend over one sized
 // topology — the registry-level rows-vs-slicing comparison. area_um2
-// and cap_fF are deterministic and land in the benchsnap record as the
-// per-backend quality A/B.
+// and cap_fF are deterministic, the per-backend quality A/B, and
+// TestBenchMetricsGolden pins them hex-exact.
 func benchLayoutBackend(b *testing.B, topology, backendName string) {
 	b.Helper()
 	tech := techno.Default060()

@@ -19,11 +19,11 @@ go build ./cmd/...
 # Fingerprint lane. The fingerprint golden pins every topology's full
 # synthesis output (one-shot slicing, refined, one-shot rows) shape by
 # shape and a Monte-Carlo offset run sample by sample, hex-exact, under
-# the race detector; the other golden suites pin the paper's figures. A
-# change that shifts a single ULP fails here — never re-bless with
-# -update to make this lane pass.
+# the race detector; the other golden suites pin the paper's figures and
+# the root benchmarks' custom metrics. A change that shifts a single ULP
+# fails here — never re-bless with -update to make this lane pass.
 go test -race -count=1 -run 'TestFingerprintGolden' ./internal/core
-go test -count=1 -run 'Golden' ./internal/repro ./internal/serve
+go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 
 # Verification fan-out lane. core.Synthesize runs its two verification
 # passes on two goroutines: drive the fan-out with stub passes (errors,
@@ -62,9 +62,3 @@ go test -race -run '^$' -fuzz FuzzEvalIDStencil -fuzztime 5s ./internal/device
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.
 go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
-
-# Perf-trajectory lane: the committed benchmark snapshots must agree on
-# every hex-exact custom metric — those are reproduced paper quantities,
-# and a single-ULP drift between snapshots fails the diff (nonzero
-# exit). ns/op differences are machine noise and only reported.
-go run ./cmd/benchsnap diff BENCH_8.json BENCH_9.json
