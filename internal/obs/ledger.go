@@ -172,17 +172,7 @@ type Ledger struct {
 // the active file, keeping the newest MaxReplay records.
 func OpenLedger(path string, opts LedgerOptions) (*Ledger, error) {
 	opts.defaults()
-	var all []RunRecord
-	for _, p := range []string{path + ".1", path} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			continue // missing generation: fresh ledger
-		}
-		all = append(all, DecodeRunRecords(data, opts.MaxReplay)...)
-	}
-	if len(all) > opts.MaxReplay {
-		all = all[len(all)-opts.MaxReplay:]
-	}
+	all := ReadLedger(path, opts.MaxReplay)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open ledger: %w", err)
@@ -257,20 +247,26 @@ func (l *Ledger) Append(rec RunRecord) error {
 }
 
 // rotateLocked swaps the active file out to <path>.1 (replacing any
-// previous generation) and starts a fresh one.
+// previous generation) and starts a fresh one. Whether or not the
+// rename succeeds, <path> is then reopened for append, so a failed
+// rotation never leaves the ledger on a closed handle: the active file
+// keeps its size, and the next Append over the bound retries.
 func (l *Ledger) rotateLocked() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("obs: ledger rotate close: %w", err)
+	err := l.f.Close()
+	if err == nil {
+		err = os.Rename(l.path, l.path+".1")
 	}
-	if err := os.Rename(l.path, l.path+".1"); err != nil {
-		return fmt.Errorf("obs: ledger rotate: %w", err)
+	if err == nil {
+		l.size = 0
 	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("obs: ledger reopen: %w", err)
+	f, oerr := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if oerr != nil {
+		return fmt.Errorf("obs: ledger reopen: %w", oerr)
 	}
 	l.f = f
-	l.size = 0
+	if err != nil {
+		return fmt.Errorf("obs: ledger rotate: %w", err)
+	}
 	return nil
 }
 

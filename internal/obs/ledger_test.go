@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -104,6 +106,67 @@ func TestLedgerRotation(t *testing.T) {
 		if hist[i].Seq != hist[i-1].Seq+1 {
 			t.Fatalf("replay not contiguous at %d: %d then %d", i, hist[i-1].Seq, hist[i].Seq)
 		}
+	}
+}
+
+// TestLedgerFailedRotationRecovers: a rotation whose rename fails (here
+// <path>.1 is a non-empty directory) must not strand the ledger on a
+// closed handle. Appends keep failing only with the rotation error while
+// the obstruction stands; once it is gone, the next Append rotates and
+// succeeds, and every accepted record is readable.
+func TestLedgerFailedRotationRecovers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	line, err := EncodeRunRecord(testRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLedger(path, LedgerOptions{MaxBytes: int64(2*len(line)) + 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	block := filepath.Join(path+".1", "block")
+	if err := os.MkdirAll(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	var accepted []int64
+	failed := 0
+	seq := int64(0)
+	for i := 0; i < 8; i++ {
+		seq++
+		err := l.Append(testRecord(seq))
+		if errors.Is(err, os.ErrClosed) {
+			t.Fatalf("append %d with <path>.1 blocked: %v", seq, err)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		accepted = append(accepted, seq)
+	}
+	if failed == 0 {
+		t.Fatal("no append reported the blocked rotation")
+	}
+
+	if err := os.RemoveAll(path + ".1"); err != nil {
+		t.Fatal(err)
+	}
+	seq++
+	if err := l.Append(testRecord(seq)); err != nil {
+		t.Fatalf("append after the block was removed: %v", err)
+	}
+	accepted = append(accepted, seq)
+	if st, err := os.Stat(path + ".1"); err != nil || !st.Mode().IsRegular() {
+		t.Fatalf("rotated generation after recovery: %v, %v", st, err)
+	}
+
+	var got []int64
+	for _, r := range ReadLedger(path, 0) {
+		got = append(got, r.Seq)
+	}
+	if !slices.Equal(got, accepted) {
+		t.Fatalf("ReadLedger seqs = %v, want the accepted %v", got, accepted)
 	}
 }
 
