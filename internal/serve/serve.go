@@ -553,13 +553,27 @@ func decodeJSON(r *http.Request, dst any) error {
 
 // decodeJSONLimit is decodeJSON with an explicit body bound — the batch
 // endpoint accepts thousands of specs and needs more than the single-
-// request megabyte.
+// request megabyte. The body holds one JSON value and nothing after it
+// but whitespace: `{"case":1} {"case":2}` must not silently serve case 1.
 func decodeJSONLimit(r *http.Request, dst any, limit int64) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	// One byte past the bound tells an oversized body from a full one.
+	body := &io.LimitedReader{R: r.Body, N: limit + 1}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
-	if err == nil || errors.Is(err, io.EOF) {
-		return nil
+	switch {
+	case err == nil:
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	case errors.Is(err, io.EOF):
+		err = nil // empty body: the defaults
 	}
-	return fmt.Errorf("bad request body: %w", err)
+	if body.N <= 0 {
+		return fmt.Errorf("bad request body: larger than %d bytes", limit)
+	}
+	if err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }

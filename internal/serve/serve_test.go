@@ -223,6 +223,43 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyStrict: a body is one JSON value plus optional
+// whitespace. Trailing data after the value and a body over the bound
+// are 400s that never reach the backend; a newline-terminated body, as
+// json.Encoder writes it, still decodes.
+func TestRequestBodyStrict(t *testing.T) {
+	stub := &stubBackend{}
+	_, ts := newStubServer(t, Config{}, stub)
+	for _, tc := range []struct {
+		body   string
+		status int
+		wantIn string
+	}{
+		{`{"case":1} {"case":2}`, http.StatusBadRequest, "trailing data"},
+		{`{"case":1},{"case":3}`, http.StatusBadRequest, "trailing data"},
+		{`{"case":1}garbage`, http.StatusBadRequest, "trailing data"},
+		{`{"case":1` + strings.Repeat(" ", 1<<20) + `}`, http.StatusBadRequest, "larger than 1048576 bytes"},
+		{"{\"case\":1}\n", http.StatusOK, ""},
+		{" \t{\"case\":2} \r\n\n", http.StatusOK, ""},
+	} {
+		before := stub.calls.Load()
+		resp, data := post(t, ts.URL+"/v1/synthesize", tc.body)
+		name := tc.body
+		if len(name) > 40 {
+			name = name[:40] + "…"
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%q: status %d (%s), want %d", name, resp.StatusCode, data, tc.status)
+		}
+		if !strings.Contains(string(data), tc.wantIn) {
+			t.Errorf("%q: error %s does not mention %q", name, data, tc.wantIn)
+		}
+		if tc.status != http.StatusOK && stub.calls.Load() != before {
+			t.Errorf("%q: a rejected body reached the backend", name)
+		}
+	}
+}
+
 func TestStatsAndHealthz(t *testing.T) {
 	stub := &stubBackend{}
 	_, ts := newStubServer(t, Config{}, stub)
