@@ -177,11 +177,6 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	if err != nil {
 		return nil, err
 	}
-	if opts.backend == nil {
-		if opts.backend, err = layout.Lookup(opts.Layout); err != nil {
-			return nil, err
-		}
-	}
 	obs.Default.Counter("loas_synth_runs_"+metricName(plan.Name)+"_total",
 		"Synthesis runs for topology "+plan.Name+".").Inc()
 

@@ -110,20 +110,6 @@ func SortSpecs(specs []sizing.OTASpec) {
 	sort.SliceStable(specs, func(i, j int) bool { return specLess(specs[i], specs[j]) })
 }
 
-// DedupSpecs removes exact duplicates from a canonically sorted list.
-func DedupSpecs(specs []sizing.OTASpec) []sizing.OTASpec {
-	if len(specs) == 0 {
-		return specs
-	}
-	out := specs[:1]
-	for _, s := range specs[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 func specFields(s sizing.OTASpec) [8]float64 {
 	return [8]float64{s.VDD, s.GBW, s.PM, s.CL, s.ICMLow, s.ICMHigh, s.OutLow, s.OutHigh}
 }

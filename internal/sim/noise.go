@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"sort"
 
 	"loas/internal/circuit"
@@ -146,10 +145,4 @@ func IntegratePSD(freqs, psd []float64) float64 {
 		total += 0.5 * (psd[i] + psd[i-1]) * df
 	}
 	return math.Sqrt(total)
-}
-
-// GainAt is a helper extracting |V(out)| from an AC point; callers use it
-// to convert output noise to input-referred noise.
-func GainAt(r *ACResult, ckt *circuit.Circuit, node string) float64 {
-	return cmplx.Abs(r.Volt(ckt, node))
 }

@@ -224,9 +224,6 @@ func (t *Tech) Card(mt MOSType) *MOSCard {
 	return &t.P
 }
 
-// Vt returns the thermal voltage at the technology's analysis temperature.
-func (t *Tech) Vt() float64 { return ThermalVoltage(t.Temp) }
-
 // Default060 returns a generic 0.6 µm CMOS technology with typical
 // mid-1990s parameters. It substitutes for the proprietary foundry kit used
 // in the paper; see DESIGN.md §5.
