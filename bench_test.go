@@ -36,6 +36,7 @@ import (
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/slicing"
 	"loas/internal/mc"
+	"loas/internal/obs"
 	"loas/internal/repro"
 	"loas/internal/scfilter"
 	"loas/internal/serve"
@@ -221,17 +222,18 @@ func BenchmarkAblationEvalMethod(b *testing.B) {
 }
 
 // BenchmarkConvergenceTrace measures the paper's parasitic fixpoint loop
-// call by call.
+// call by call: the case-4 loop with verification skipped, as `loas
+// trace` runs it.
 func BenchmarkConvergenceTrace(b *testing.B) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
-	var pts []repro.ConvergencePoint
-	var err error
+	var pts []obs.Iteration
 	for i := 0; i < b.N; i++ {
-		pts, err = repro.ConvergenceTrace(tech, spec, 8)
+		res, err := core.Synthesize(tech, spec, core.Options{Case: 4, MaxLayoutCalls: 8, SkipVerify: true})
 		if err != nil {
 			b.Fatal(err)
 		}
+		pts = res.Trace
 	}
 	b.ReportMetric(float64(len(pts)), "layout_calls")
 	b.ReportMetric(pts[len(pts)-1].DeltaF*1e15, "final_delta_fF")

@@ -14,8 +14,8 @@
 //	loas mc [-topology T] [-n N] [-json]  Monte-Carlo mismatch offset analysis
 //	loas techeval              technology characterization report
 //	loas twostage              size the two-stage Miller OTA
-//	loas converge              per-call parasitic convergence trace
-//	loas trace [-case N] [-json]   convergence trace with per-phase timings
+//	loas trace [-case N] [-json]   per-call parasitic convergence trace with per-phase timings
+//	loas converge              alias of loas trace
 //	loas corners [-topology T] process-corner verification
 //	loas serve [flags]         run the loasd synthesis daemon (alias)
 //	loas batch [-f file | -n N] [-json]    fan many synthesize requests through the daemon
@@ -110,14 +110,7 @@ func run(cmd string, args []string, out io.Writer) error {
 		return nil
 	case "twostage":
 		return runTwoStage(tech, args, out)
-	case "converge":
-		pts, err := repro.ConvergenceTrace(tech, spec, 8)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(out, repro.ConvergenceText(pts))
-		return err
-	case "trace":
+	case "trace", "converge":
 		return runTrace(tech, spec, args, out)
 	case "corners":
 		return runCorners(tech, args, out)

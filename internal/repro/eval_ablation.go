@@ -4,38 +4,9 @@ import (
 	"fmt"
 
 	"loas/internal/core"
-	"loas/internal/obs"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
-
-// ConvergencePoint is one sizing↔layout iteration of the case-4 loop —
-// now the shared obs.Iteration event the whole stack records (core
-// results, loasd run records, `loas trace`).
-type ConvergencePoint = obs.Iteration
-
-// ConvergenceTrace replays the paper's "repeated till the calculated
-// parasitics remain unchanged" loop, recording every layout call — the
-// experiment behind the "three calls of the layout tool were needed"
-// sentence in §5. It is the case-4 synthesis loop itself (core.Synthesize
-// with verification skipped), so the trace is exactly what a full run
-// would record.
-func ConvergenceTrace(tech *techno.Tech, spec sizing.OTASpec, maxCalls int) ([]ConvergencePoint, error) {
-	res, err := core.Synthesize(tech, spec, core.Options{
-		Case:           4,
-		MaxLayoutCalls: maxCalls,
-		SkipVerify:     true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Trace, nil
-}
-
-// ConvergenceText renders the trace as the convergence table.
-func ConvergenceText(pts []ConvergencePoint) string {
-	return obs.ConvergenceTable(pts)
-}
 
 // EvalAblation compares the three phase-margin views of one design: the
 // closed-form pole-counting estimate, the simulated evaluation the plan

@@ -188,31 +188,6 @@ func TestTable1HeaderEchoesSpec(t *testing.T) {
 	}
 }
 
-func TestConvergenceTrace(t *testing.T) {
-	pts, err := ConvergenceTrace(techno.Default060(), sizing.Default65MHz(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) < 2 || len(pts) > 6 {
-		t.Fatalf("expected a handful of calls, got %d", len(pts))
-	}
-	// Deltas must shrink monotonically to the fixpoint.
-	for i := 2; i < len(pts); i++ {
-		if pts[i].DeltaF > pts[i-1].DeltaF {
-			t.Fatalf("delta grew at call %d: %g > %g", pts[i].Call,
-				pts[i].DeltaF, pts[i-1].DeltaF)
-		}
-	}
-	last := pts[len(pts)-1]
-	if last.DeltaF > 1e-15 {
-		t.Fatalf("loop ended with Δ = %g F", last.DeltaF)
-	}
-	txt := ConvergenceText(pts)
-	if !strings.Contains(txt, "call") {
-		t.Fatalf("trace text malformed:\n%s", txt)
-	}
-}
-
 func TestEvalAblation(t *testing.T) {
 	abl, err := RunEvalAblation(techno.Default060(), sizing.Default65MHz())
 	if err != nil {
