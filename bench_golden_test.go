@@ -12,14 +12,14 @@ import (
 )
 
 // The bench-metrics golden pins, bit for bit, the custom metrics of the
-// root benchmarks whose quantities no other golden covers: the Fig. 3
-// mirror, the ablations, the SC integrator, the two-stage sizing and the
-// stage benchmarks (device model, width bisection, layout plan per
-// backend and topology, shape function, one Monte-Carlo sample). Each
-// benchmark runs exactly once through testing.Benchmark, and every
-// metric is compared in strconv 'x' form, so a one-ULP drift fails here
-// instead of hiding behind the four digits `go test -bench` prints.
-// Rerun with
+// figure, ablation and stage benchmarks in bench_test.go: the Fig. 3
+// mirror, the fold-style and shape-constraint ablations, the SC
+// integrator, the two-stage sizing, the device model, the width
+// bisection, the layout plan per backend and topology, the shape
+// function and one Monte-Carlo sample. Each benchmark runs exactly once
+// through testing.Benchmark, and every metric is compared in strconv
+// 'x' form, so a one-ULP drift fails here instead of hiding behind the
+// four digits `go test -bench` prints. Rerun with
 //
 //	go test . -run TestBenchMetricsGolden -update
 //
@@ -29,12 +29,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/bench_metrics_go
 
 const benchMetricsGoldenPath = "testdata/bench_metrics_golden.json"
 
-// goldenBenches are the pinned benchmarks. The remaining root
-// benchmarks report quantities other goldens and tests pin at the same
-// inputs (Table 1 and Fig. 5 by internal/repro's table1 golden, the
-// convergence trace by internal/core's fingerprint golden, the eval
-// ablation by internal/repro's eval-ablation golden), or carry no
-// deterministic metric.
+// goldenBenches are the pinned benchmarks. Table 1, Fig. 5, the
+// convergence trace and the eval ablation are not run here: their
+// metrics are quantities internal/repro's table1 and eval-ablation
+// goldens and internal/core's fingerprint golden pin at the same inputs.
 var goldenBenches = []struct {
 	name string
 	fn   func(*testing.B)
@@ -70,7 +68,7 @@ func runGoldenBenches(t *testing.T) benchMetrics {
 	if err := bt.Value.Set("1x"); err != nil {
 		t.Fatal(err)
 	}
-	defer bt.Value.Set(prev)
+	defer bt.Value.Set(prev) // prev parsed once already; it cannot fail now
 
 	got := benchMetrics{}
 	for _, bm := range goldenBenches {
