@@ -125,16 +125,13 @@ func TestLedgerFailedRotationRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	block := filepath.Join(path+".1", "block")
-	if err := os.MkdirAll(block, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(path+".1", "block"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
 	var accepted []int64
 	failed := 0
-	seq := int64(0)
-	for i := 0; i < 8; i++ {
-		seq++
+	for seq := int64(1); seq <= 8; seq++ {
 		err := l.Append(testRecord(seq))
 		if errors.Is(err, os.ErrClosed) {
 			t.Fatalf("append %d with <path>.1 blocked: %v", seq, err)
@@ -152,11 +149,10 @@ func TestLedgerFailedRotationRecovers(t *testing.T) {
 	if err := os.RemoveAll(path + ".1"); err != nil {
 		t.Fatal(err)
 	}
-	seq++
-	if err := l.Append(testRecord(seq)); err != nil {
+	if err := l.Append(testRecord(9)); err != nil {
 		t.Fatalf("append after the block was removed: %v", err)
 	}
-	accepted = append(accepted, seq)
+	accepted = append(accepted, 9)
 	if st, err := os.Stat(path + ".1"); err != nil || !st.Mode().IsRegular() {
 		t.Fatalf("rotated generation after recovery: %v, %v", st, err)
 	}
