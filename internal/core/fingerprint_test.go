@@ -24,11 +24,11 @@ import (
 
 // The fingerprint golden pins the full output of every synthesis flow
 // bit for bit: for each registered topology at its default spec, in
-// three modes, the SHA-256 of the hex-exact fingerprint (summary, trace,
-// parasitic report and the layout shape by shape), plus a Monte-Carlo
-// offset run sample by sample. The other goldens pin caps and bounding
-// boxes only; this one catches a moved shape or a single-ULP drift
-// anywhere in the pipeline. Rerun with
+// three modes, the SHA-256 of the hex-exact fingerprint (summary, spec,
+// device sizes, trace, parasitic report and the layout shape by shape),
+// plus a Monte-Carlo offset run sample by sample. The other goldens pin
+// caps and bounding boxes only; this one catches a moved shape or a
+// single-ULP drift anywhere in the pipeline. Rerun with
 //
 //	go test ./internal/core -run TestFingerprintGolden -update
 //
@@ -38,13 +38,15 @@ var updateFingerprints = flag.Bool("update", false, "rewrite testdata/fingerprin
 
 const fingerprintGoldenPath = "testdata/fingerprint_golden.json"
 
-// fingerprintModes are the pinned flows.
+// fingerprintModes are the pinned flows, all at case 4. The refined
+// mode runs the default round budget, so every round a refined run
+// takes is pinned.
 var fingerprintModes = []struct {
 	name string
 	opts Options
 }{
 	{"oneshot", Options{}},
-	{"refined", Options{Refine: RefineOptions{Enabled: true, MaxRounds: 2}}},
+	{"refined", Options{Refine: RefineOptions{Enabled: true}}},
 	{"rows", Options{Layout: "rows"}},
 }
 
@@ -215,9 +217,9 @@ func fpPerf(b *strings.Builder, tag string, p sizing.Performance) {
 		hx(p.Offset), hx(p.Rout), hx(p.NoiseRMS), hx(p.NoiseTh), hx(p.NoiseFl1), hx(p.Power))
 }
 
-// fingerprint renders everything a synthesis produced — summary, trace,
-// parasitics, geometry — with every float in exact hex; two runs agree
-// iff their results are bit-identical.
+// fingerprint renders everything a synthesis produced — summary, spec,
+// device sizes, trace, parasitics, geometry — with every float in exact
+// hex; two runs agree iff their results are bit-identical.
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
@@ -227,6 +229,18 @@ func fingerprint(t *testing.T, res *Result) string {
 	fpPerf(&b, "synthesized", s.Synthesized)
 	fpPerf(&b, "extracted", s.Extracted)
 	fmt.Fprintf(&b, "floorplan: w=%s h=%s area=%s\n", hx(s.WidthUM), hx(s.HeightUM), hx(s.AreaUM2))
+	sp := res.Spec
+	fmt.Fprintf(&b, "spec: vdd=%s gbw=%s pm=%s cl=%s icml=%s icmh=%s outl=%s outh=%s\n",
+		hx(sp.VDD), hx(sp.GBW), hx(sp.PM), hx(sp.CL), hx(sp.ICMLow), hx(sp.ICMHigh), hx(sp.OutLow), hx(sp.OutHigh))
+	devs := res.Design.DeviceTable()
+	var names []string
+	for n := range devs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(&b, "size %s: w=%s l=%s\n", n, hx(devs[n].W), hx(devs[n].L))
+	}
 	if s.Refine != nil {
 		// The refine report carries no wall-clock; JSON floats use the
 		// shortest round-trip rendering, which is injective on bit
@@ -245,7 +259,7 @@ func fingerprint(t *testing.T, res *Result) string {
 	}
 
 	par := res.Parasitics
-	var names []string
+	names = names[:0]
 	for n := range par.NetCap {
 		names = append(names, n)
 	}
