@@ -22,6 +22,7 @@
 package loas
 
 import (
+	"context"
 	"fmt"
 	"math/cmplx"
 	"net/http"
@@ -362,7 +363,7 @@ func BenchmarkCornerSweep(b *testing.B) {
 	var corners map[techno.Corner]sizing.Performance
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		corners, err = core.CornerSweep(tech, res)
+		corners, err = core.CornerSweep(context.Background(), tech, res)
 		if err != nil {
 			b.Fatal(err)
 		}

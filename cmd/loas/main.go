@@ -280,7 +280,7 @@ func runCorners(tech *techno.Tech, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	corners, err := core.CornerSweep(tech, res)
+	corners, err := core.CornerSweep(context.Background(), tech, res)
 	if err != nil {
 		return err
 	}

@@ -149,8 +149,8 @@ func metricName(topology string) string {
 // needed three calls).
 //
 // With opts.Refine.Enabled the whole loop becomes the inner stage of an
-// outer corner-driven refinement (SynthesizeRefined); otherwise this is
-// the one-shot flow, bit-identical to the pre-refinement engine.
+// outer corner-driven refinement (see refine.go); otherwise this is the
+// one-shot flow, bit-identical to the pre-refinement engine.
 func Synthesize(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*Result, error) {
 	opts.defaults()
 	var err error
@@ -433,7 +433,7 @@ func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec, maxIter int, shape 
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional sizing %d: %w", iter, err)
 		}
-		plan, err := d.Layout().Generate(tech, shape)
+		plan, err := d.Layout().Plan(tech, shape)
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional layout %d: %w", iter, err)
 		}

@@ -423,7 +423,7 @@ func TestOptionsValidation(t *testing.T) {
 func TestCornerSweep(t *testing.T) {
 	res := allCases(t)[4]
 	tech := techno.Default060()
-	corners, err := CornerSweep(tech, res)
+	corners, err := CornerSweep(context.Background(), tech, res)
 	if err != nil {
 		t.Fatal(err)
 	}

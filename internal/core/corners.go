@@ -55,13 +55,7 @@ func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizi
 // nominal technology. A span carried by ctx (obs.ContextWithSpan) gets
 // one "corner" child per worker item, so the span tree shows where the
 // fan-out's parallel time goes.
-func CornerSweep(tech *techno.Tech, res *Result) (map[techno.Corner]sizing.Performance, error) {
-	return CornerSweepCtx(context.Background(), tech, res)
-}
-
-// CornerSweepCtx is CornerSweep under a caller context; the context's
-// span (if any) parents the per-corner spans.
-func CornerSweepCtx(ctx context.Context, tech *techno.Tech, res *Result) (map[techno.Corner]sizing.Performance, error) {
+func CornerSweep(ctx context.Context, tech *techno.Tech, res *Result) (map[techno.Corner]sizing.Performance, error) {
 	parent := obs.SpanFromContext(ctx)
 	corners := []techno.Corner{techno.CornerTT, techno.CornerSS,
 		techno.CornerFF, techno.CornerSF, techno.CornerFS}

@@ -126,13 +126,6 @@ type RefineReport struct {
 	Aborted string `json:"aborted,omitempty"`
 }
 
-// SynthesizeRefined runs the closed-loop flow explicitly (Synthesize
-// with opts.Refine.Enabled forced on).
-func SynthesizeRefined(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*Result, error) {
-	opts.Refine.Enabled = true
-	return Synthesize(tech, spec, opts)
-}
-
 // synthesizeRefined is the outer loop: one-shot synthesis, corner
 // verification against the original spec, and — on any corner miss —
 // proportionally tightened effective targets for the next round, until
@@ -166,7 +159,7 @@ func synthesizeRefined(tech *techno.Tech, spec sizing.OTASpec, opts Options) (*R
 		if err == nil {
 			var corners map[techno.Corner]sizing.Performance
 			sweep := rSpan.Child("corner-sweep")
-			corners, err = CornerSweepCtx(obs.ContextWithSpan(ctx, sweep), tech, res)
+			corners, err = CornerSweep(obs.ContextWithSpan(ctx, sweep), tech, res)
 			sweep.End()
 			if err == nil {
 				rr := scoreRound(round, target, spec, res, corners)

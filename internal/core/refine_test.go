@@ -281,17 +281,3 @@ func TestOneShotCarriesNoRefineState(t *testing.T) {
 		}
 	}
 }
-
-// TestSynthesizeRefinedForcesEnabled: the explicit entry point refines
-// even when the options left Enabled unset.
-func TestSynthesizeRefinedForcesEnabled(t *testing.T) {
-	res := refinedRun(t, 1, 0)
-	viaExplicit, err := SynthesizeRefined(techno.Default060(), sizing.Default65MHz(), Options{Case: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaExplicit.Refine == nil {
-		t.Fatal("SynthesizeRefined did not refine")
-	}
-	assertRefineEqual(t, res, viaExplicit)
-}

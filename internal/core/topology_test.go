@@ -114,7 +114,7 @@ func TestCornerSweepTwoStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corners, err := CornerSweep(tech, res)
+	corners, err := CornerSweep(context.Background(), tech, res)
 	if err != nil {
 		t.Fatal(err)
 	}

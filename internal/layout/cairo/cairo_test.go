@@ -149,7 +149,7 @@ func TestPlanEvenOnlyFoldsHonoured(t *testing.T) {
 
 func TestGenerateSVG(t *testing.T) {
 	tech := techno.Default060()
-	p, err := testDesign().Generate(tech, Constraint{})
+	p, err := testDesign().Plan(tech, Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,10 +201,3 @@ func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
 
 	return &Plan{Parasitics: par, Cell: top, Floorplan: fp, ChoiceOf: choices}, nil
 }
-
-// Generate runs the same flow as Plan; the distinction is semantic
-// (physical output requested). The returned Plan's Cell is the full
-// layout ready for SVG export.
-func (d *Design) Generate(tech *techno.Tech, c Constraint) (*Plan, error) {
-	return d.Plan(tech, c)
-}

@@ -160,7 +160,7 @@ func TestFullOTALayoutIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := d.Layout().Generate(tech, cairo.Constraint{})
+	plan, err := d.Layout().Plan(tech, cairo.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTwoStageLayoutIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := d.Layout().Generate(tech, cairo.Constraint{})
+	plan, err := d.Layout().Plan(tech, cairo.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}

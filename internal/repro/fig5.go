@@ -18,18 +18,15 @@ type Fig5Result struct {
 	Plan   *cairo.Plan
 }
 
-// Fig5 runs the full methodology (case 4) and generates the physical
-// layout of the converged design — the paper's Fig. 5.
+// Fig5 runs the full methodology (case 4) and returns the physical
+// layout of the converged design — the paper's Fig. 5. The loop's last
+// layout call already built it, so no layout is generated again.
 func Fig5(tech *techno.Tech, spec sizing.OTASpec) (*Fig5Result, error) {
 	res, err := core.Synthesize(tech, spec, core.Options{Case: 4, SkipVerify: true})
 	if err != nil {
 		return nil, err
 	}
-	plan, err := res.Design.Layout().Generate(tech, core.Options{}.Shape)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig5Result{Result: res, Plan: plan}, nil
+	return &Fig5Result{Result: res, Plan: res.Layout}, nil
 }
 
 // WriteSVG emits the layout as SVG.

@@ -155,6 +155,12 @@ func TestFig5LayoutGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := r.Plan.Parasitics
+	// The figure is the layout the loop converged on, not a second plan
+	// of the converged design.
+	if r.Plan != r.Result.Layout || par.LayoutCalls != r.Result.LayoutCalls {
+		t.Fatalf("Fig. 5 layout is not the run's converged layout: its report counts %d layout calls, the run made %d",
+			par.LayoutCalls, r.Result.LayoutCalls)
+	}
 	if par.AreaUM2 < 1000 || par.AreaUM2 > 1e6 {
 		t.Fatalf("OTA area %.0f µm² implausible", par.AreaUM2)
 	}
