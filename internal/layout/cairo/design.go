@@ -125,7 +125,7 @@ func widenGaps(t *Tree, need int64) *Tree {
 // CAIRO-side half of the loasd /metrics convergence picture (plans per
 // synthesis ≈ the paper's "three calls of the layout tool").
 var layoutPlans = obs.Default.Counter("loas_layout_plans_total",
-	"layout plan/generate calls (area optimization + realization + extraction)")
+	"layout plan calls (area optimization + realization + extraction)")
 
 // Plan runs the flow: area optimization under the shape constraint,
 // module realization, routing, extraction.

@@ -1,15 +1,12 @@
 // Package cairo is the procedural layout driver — the role of the CAIRO
 // layout language in the paper. Circuit generators describe a layout as
 // modules (folded transistors, matched stacks) arranged in a slicing
-// tree; the driver runs in two modes:
-//
-//   - Plan (parasitic-calculation mode): area optimization under the shape
-//     constraint decides every fold count and wire position, and the
-//     parasitic report is computed — "no layout is physically generated"
-//     in the paper's phrasing, though here the geometry is cheap enough to
-//     build either way, which guarantees plan and generation can never
-//     disagree.
-//   - Generate: the same flow, returning the full cell plus an SVG view.
+// tree. The paper's CAIRO runs in two modes: a parasitic-calculation
+// mode in which "no layout is physically generated", and a generation
+// mode. Here the geometry is cheap enough to build on every call, so
+// Plan is both: area optimization under the shape constraint decides
+// every fold count and wire position, and the returned Plan carries the
+// parasitic report together with the full cell, ready for SVG export.
 package cairo
 
 import (

@@ -117,7 +117,7 @@ func TestEndToEndDaemon(t *testing.T) {
 		t.Fatal("mc analytic estimate missing")
 	}
 
-	// Case-4 generate-mode layout as SVG.
+	// Case-4 converged layout as SVG.
 	resp, err = http.Get(base + "/v1/layout.svg")
 	if err != nil {
 		t.Fatal(err)
