@@ -26,9 +26,11 @@ import (
 // bit for bit: for each registered topology at its default spec, in
 // three modes, the SHA-256 of the hex-exact fingerprint (summary, spec,
 // device sizes, trace, parasitic report and the layout shape by shape),
-// plus a Monte-Carlo offset run sample by sample. The other goldens pin
-// caps and bounding boxes only; this one catches a moved shape or a
-// single-ULP drift anywhere in the pipeline. Rerun with
+// plus a Monte-Carlo offset run sample by sample. Besides the Table-1
+// golden, which pins the paper's experiment field by field, it is the
+// one golden of the synthesis flows: it catches a moved shape or a
+// single-ULP drift anywhere in the pipeline, and a mismatch names the
+// mode and topology but not the field. Rerun with
 //
 //	go test ./internal/core -run TestFingerprintGolden -update
 //

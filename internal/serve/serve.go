@@ -15,7 +15,7 @@
 //	POST /v1/explore      spec-grid / guided search   → ExploreReport JSON
 //	GET  /v1/topologies   registered design plans     → TopologiesReport JSON
 //	GET  /v1/layouts      registered layout backends  → LayoutsReport JSON
-//	GET  /v1/layout.svg   case-4 converged layout → SVG
+//	GET  /v1/layout.svg   case-4 converged layout     → SVG
 //	GET  /v1/runs         recent run history (filterable)  → RunsReport JSON
 //	GET  /v1/runs/{id}    one run: span tree + iterations  → obs.RunRecord JSON
 //	GET  /v1/events       live run lifecycle stream        → Server-Sent Events
