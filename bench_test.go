@@ -132,15 +132,15 @@ func BenchmarkTable1AllCases(b *testing.B) {
 func BenchmarkFig5Layout(b *testing.B) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
-	var r *repro.Fig5Result
+	var res *core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = repro.Fig5(tech, spec)
+		res, err = repro.Fig5(tech, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(r.Plan.Parasitics.AreaUM2, "area_um2")
+	b.ReportMetric(res.Layout.Parasitics.AreaUM2, "area_um2")
 }
 
 func BenchmarkFlowProposed(b *testing.B) {
@@ -164,7 +164,7 @@ func BenchmarkFlowTraditional(b *testing.B) {
 	var res *core.TraditionalResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.TraditionalFlow(tech, spec, 10, core.Options{}.Shape)
+		res, err = core.TraditionalFlow(tech, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkAblationShapeConstraint(b *testing.B) {
 	}
 	var free, narrow float64
 	for i := 0; i < b.N; i++ {
-		pf, err := d.Layout().Plan(tech, core.Options{}.Shape)
+		pf, err := d.Layout().Plan(tech, cairo.Constraint{})
 		if err != nil {
 			b.Fatal(err)
 		}

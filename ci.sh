@@ -20,11 +20,13 @@ go build ./cmd/...
 # synthesis output (one-shot slicing, refined at the default round
 # budget, one-shot rows) shape by shape, with the spec and every
 # device's sized W and L, and a Monte-Carlo offset run sample by
-# sample, hex-exact, under the race detector; the other golden suites
-# pin the paper's figures and the root benchmarks' custom metrics. A
-# change that shifts a single ULP fails here — never re-bless with
-# -update to make this lane pass.
-go test -race -count=1 -run 'TestFingerprintGolden' ./internal/core
+# sample, hex-exact; the other golden suites pin the paper's figures
+# and the root benchmarks' custom metrics. A change that shifts a
+# single ULP fails here, early and by name — never re-bless with
+# -update to make this lane pass. The lane runs without the race
+# detector because the race+coverage lane below runs the same tests
+# under it.
+go test -count=1 -run 'TestFingerprintGolden' ./internal/core
 go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 
 # Verification fan-out lane. core.Synthesize runs its two verification

@@ -13,7 +13,6 @@
 //	loas topologies            list the registered design plans
 //	loas mc [-topology T] [-n N] [-json]  Monte-Carlo mismatch offset analysis
 //	loas techeval              technology characterization report
-//	loas twostage              size the two-stage Miller OTA
 //	loas trace [-case N] [-json]   per-call parasitic convergence trace with per-phase timings
 //	loas converge              alias of loas trace
 //	loas corners [-topology T] process-corner verification
@@ -108,8 +107,6 @@ func run(cmd string, args []string, out io.Writer) error {
 		fmt.Fprint(out, techeval.Characterize(tech, techno.NMOS).Summary()+"\n")
 		fmt.Fprint(out, techeval.Characterize(tech, techno.PMOS).Summary()+"\n")
 		return nil
-	case "twostage":
-		return runTwoStage(tech, args, out)
 	case "trace", "converge":
 		return runTrace(tech, spec, args, out)
 	case "corners":
@@ -135,7 +132,7 @@ func run(cmd string, args []string, out io.Writer) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		`usage: loas <fig2|fig3|table1|fig5|flow|netlist|synth|topologies|layouts|mc|techeval|twostage|converge|trace|corners|serve|batch|explore|runs|show|tail|replay> [flags]`)
+		`usage: loas <fig2|fig3|table1|fig5|flow|netlist|synth|topologies|layouts|mc|techeval|converge|trace|corners|serve|batch|explore|runs|show|tail|replay> [flags]`)
 }
 
 // topoSpec resolves a -topology flag value to its canonical plan name
@@ -238,34 +235,6 @@ func runTrace(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Writ
 	return nil
 }
 
-func runTwoStage(tech *techno.Tech, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("twostage", flag.ExitOnError)
-	gbw := fs.Float64("gbw", 20e6, "gain-bandwidth target (Hz)")
-	cl := fs.Float64("cl", 5e-12, "load capacitance (F)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec := sizing.OTASpec{VDD: 3.3, GBW: *gbw, PM: 65, CL: *cl,
-		ICMLow: 0.4, ICMHigh: 1.8, OutLow: 0.4, OutHigh: 2.9}
-	ps, _ := sizing.Case(1)
-	d, err := sizing.SizeTwoStage(tech, spec, ps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "two-stage Miller OTA: Itail %.1f uA, I6 %.1f uA, CC %.2f pF, RZ %.0f ohm\n",
-		d.Itail*1e6, d.I6*1e6, d.CC*1e12, d.RZ)
-	fmt.Fprintf(out, "  gain %.1f dB, GBW %.2f MHz, PM %.1f deg, SR %.1f V/us, power %.2f mW\n",
-		d.Predicted.DCGainDB, d.Predicted.GBW/1e6, d.Predicted.PhaseDeg,
-		d.Predicted.SlewRate/1e6, d.Predicted.Power*1e3)
-	plan, err := d.Layout().Plan(tech, cairo.Constraint{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  layout: %.1f x %.1f um (%.0f um2)\n",
-		plan.Parasitics.WidthUM, plan.Parasitics.HeightUM, plan.Parasitics.AreaUM2)
-	return nil
-}
-
 func runCorners(tech *techno.Tech, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("corners", flag.ExitOnError)
 	topology := fs.String("topology", "", "design plan to verify (default folded-cascode; see `loas topologies`)")
@@ -339,7 +308,7 @@ func runTable1(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Wri
 		cases = []repro.Table1Case{{Case: *onlyCase, Result: res}}
 	} else {
 		var err error
-		cases, err = repro.Table1(tech, spec)
+		cases, err = repro.Table1(tech, spec, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -368,17 +337,17 @@ func runFig5(tech *techno.Tech, spec sizing.OTASpec, args []string, out io.Write
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	r, err := repro.Fig5(tech, spec)
+	res, err := repro.Fig5(tech, spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(out, repro.Fig5Text(r))
+	fmt.Fprint(out, repro.Fig5Text(res))
 	f, err := os.Create(*svg)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := r.WriteSVG(f); err != nil {
+	if err := cairo.WriteSVG(f, res.Layout.Cell); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "wrote", *svg)

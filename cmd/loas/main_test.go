@@ -99,13 +99,6 @@ func TestSmokeTecheval(t *testing.T) {
 	runOut(t, "techeval")
 }
 
-func TestSmokeTwoStage(t *testing.T) {
-	out := runOut(t, "twostage")
-	if !strings.Contains(out, "two-stage Miller OTA") {
-		t.Fatalf("twostage output unexpected:\n%s", out)
-	}
-}
-
 func TestSmokeConverge(t *testing.T) {
 	runOut(t, "converge")
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"time"
 
+	"loas/internal/core"
+	"loas/internal/layout/cairo"
 	"loas/internal/repro"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -22,7 +24,7 @@ func main() {
 	// hood), so on a multi-core machine the wall-clock printed below is
 	// close to the slowest single case, not the sum of all four.
 	start := time.Now()
-	cases, err := repro.Table1(tech, spec)
+	cases, err := repro.Table1(tech, spec, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := fig5.WriteSVG(f); err != nil {
+	if err := cairo.WriteSVG(f, fig5.Layout.Cell); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote ota-layout.svg")

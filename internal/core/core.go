@@ -47,9 +47,6 @@ type Options struct {
 	Case int
 	// MaxLayoutCalls bounds the parasitic-convergence loop (default 8).
 	MaxLayoutCalls int
-	// Shape is the global layout shape constraint handed to the layout
-	// backend.
-	Shape cairo.Constraint
 	// Layout names the registered layout backend that serves the
 	// placement/routing stage ("" means the default slicing-tree
 	// generator, keeping existing callers bit-identical).
@@ -210,7 +207,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		layoutStart := time.Now()
 		var lay *cairo.Plan
 		obs.Phase(ctx, "layout-extract", func() {
-			lay, err = opts.backend.Plan(tech, design.Layout(), opts.Shape, nil)
+			lay, err = opts.backend.Plan(tech, design.Layout(), layout.Constraint{}, nil)
 		})
 		layoutNS := time.Since(layoutStart).Nanoseconds()
 		laySpan.End()
@@ -412,28 +409,30 @@ type TraditionalResult struct {
 	GBWOverdrive float64 // final over-design factor applied to the GBW target
 }
 
+// traditionalMaxIter bounds the traditional flow's full
+// size→layout→extract→simulate iterations.
+const traditionalMaxIter = 10
+
 // TraditionalFlow runs the classical loop the methodology replaces:
 // size with no layout knowledge, generate the layout, extract, simulate,
 // and if the extracted GBW or phase margin misses the specification,
-// re-size against an inflated target — repeating until specs are met.
-// Each iteration pays for a full extraction + multi-analysis simulation,
-// which is exactly the cost the paper's flow avoids.
-func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec, maxIter int, shape cairo.Constraint) (*TraditionalResult, error) {
-	if maxIter <= 0 {
-		maxIter = 10
-	}
+// re-size against an inflated target — repeating until specs are met or
+// traditionalMaxIter iterations have run. Each iteration pays for a full
+// extraction + multi-analysis simulation, which is exactly the cost the
+// paper's flow avoids.
+func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec) (*TraditionalResult, error) {
 	start := time.Now()
 	ps := sizing.ParasiticState{Junction: extract.JunctionNone}
 	res := &TraditionalResult{GBWOverdrive: 1.0}
 	target := spec
 
-	for iter := 1; iter <= maxIter; iter++ {
+	for iter := 1; iter <= traditionalMaxIter; iter++ {
 		res.Iterations = iter
 		d, err := sizing.SizeFoldedCascode(tech, target, ps)
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional sizing %d: %w", iter, err)
 		}
-		plan, err := d.Layout().Plan(tech, shape)
+		plan, err := d.Layout().Plan(tech, cairo.Constraint{})
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional layout %d: %w", iter, err)
 		}
@@ -460,9 +459,9 @@ func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec, maxIter int, shape 
 			target.PM += 0.6 * (spec.PM - perf.PhaseDeg)
 		}
 		target.GBW = spec.GBW * res.GBWOverdrive
-		if iter == maxIter {
+		if iter == traditionalMaxIter {
 			return res, fmt.Errorf("core: traditional flow did not meet spec in %d iterations "+
-				"(GBW %.1f MHz, PM %.1f°)", maxIter, perf.GBW/1e6, perf.PhaseDeg)
+				"(GBW %.1f MHz, PM %.1f°)", traditionalMaxIter, perf.GBW/1e6, perf.PhaseDeg)
 		}
 	}
 	res.Elapsed = time.Since(start)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"loas/internal/layout/cairo"
 	"loas/internal/layout/extract"
 	"loas/internal/obs"
 	"loas/internal/sizing"
@@ -113,7 +114,7 @@ func TestConcurrentSynthesisSharedTech(t *testing.T) {
 func TestCompareFlowsMatchesComponents(t *testing.T) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
-	fc, err := CompareFlows(tech, spec, 10, Options{}.Shape)
+	fc, err := CompareFlows(tech, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestParasiticFixpoint(t *testing.T) {
 	// Re-running the layout on the converged design changes nothing
 	// beyond the convergence tolerance.
 	res := allCases(t)[4]
-	plan, err := res.Design.Layout().Plan(techno.Default060(), Options{}.Shape)
+	plan, err := res.Design.Layout().Plan(techno.Default060(), cairo.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestExtractedNetlistContents(t *testing.T) {
 func TestTraditionalFlowConverges(t *testing.T) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
-	res, err := TraditionalFlow(tech, spec, 10, Options{}.Shape)
+	res, err := TraditionalFlow(tech, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,10 @@ import (
 // recomputed on the corner models (the role of an on-chip bias generator
 // that tracks the process — fixed external voltages would starve the
 // current sinks at the skew corners), while the device sizes stay as the
-// nominal design chose them. This probes the paper's claim that fixing
-// operating points during synthesis "increases the reliability of the
-// produced circuits".
+// nominal design chose them. Every netlist source whose Pos is a bias net
+// takes that net's corner voltage. This probes the paper's claim that
+// fixing operating points during synthesis "increases the reliability of
+// the produced circuits".
 func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizing.Performance, error) {
 	ct, err := tech.AtCorner(corner)
 	if err != nil {
@@ -29,15 +30,14 @@ func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizi
 	if err != nil {
 		return nil, fmt.Errorf("core: corner %s bias: %w", corner, err)
 	}
-	sources := res.Design.BiasSources()
 	build := func() *circuit.Circuit {
 		ckt := ExtractedNetlist(tech, res.Design, res.Parasitics)
 		for _, m := range ckt.MOSFETs() {
 			m.Dev.Card = ct.Card(m.Dev.Card.Type)
 		}
 		for _, v := range ckt.VSources() {
-			if net, ok := sources[v.Name]; ok {
-				v.DC = bias[net]
+			if vb, ok := bias[v.Pos]; ok {
+				v.DC = vb
 			}
 		}
 		return ckt

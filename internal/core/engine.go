@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"time"
 
-	"loas/internal/layout/cairo"
 	"loas/internal/obs"
 	"loas/internal/parallel"
 	"loas/internal/sizing"
@@ -80,21 +79,21 @@ type FlowComparison struct {
 // size→layout→extract→simulate baseline side by side and returns both
 // results. The two flows are independent end-to-end synthesis runs; only
 // the immutable technology and the spec (passed by value) are shared.
-func CompareFlows(tech *techno.Tech, spec sizing.OTASpec, maxIter int, shape cairo.Constraint) (*FlowComparison, error) {
+func CompareFlows(tech *techno.Tech, spec sizing.OTASpec) (*FlowComparison, error) {
 	start := time.Now()
 	fc := &FlowComparison{}
 	// The two closures write to disjoint fields of fc and Do establishes
 	// the happens-before edge back to this goroutine.
 	err := parallel.Do(context.Background(), 2, 2, func(_ context.Context, i int) error {
 		if i == 0 {
-			res, err := Synthesize(tech, spec, Options{Case: 4, Shape: shape})
+			res, err := Synthesize(tech, spec, Options{Case: 4})
 			if err != nil {
 				return fmt.Errorf("core: proposed flow: %w", err)
 			}
 			fc.Proposed = res
 			return nil
 		}
-		res, err := TraditionalFlow(tech, spec, maxIter, shape)
+		res, err := TraditionalFlow(tech, spec)
 		if res == nil {
 			return fmt.Errorf("core: traditional flow: %w", err)
 		}

@@ -103,7 +103,7 @@ func TestTopologyRegistry(t *testing.T) {
 }
 
 // TestCornerSweepTwoStage runs the corner verification on a non-default
-// topology — the BiasSources-driven retuning path.
+// topology — corner retuning keyed by each bias source's Pos net.
 func TestCornerSweepTwoStage(t *testing.T) {
 	tech := techno.Default060()
 	plan, err := sizing.Lookup("two-stage")

@@ -2,43 +2,28 @@ package repro
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"loas/internal/core"
-	"loas/internal/layout/cairo"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
 
-// Fig5Result is the generated case-4 OTA layout.
-type Fig5Result struct {
-	Result *core.Result
-	Plan   *cairo.Plan
+// Fig5 runs the full methodology (case 4) without verification; the
+// result's Layout is the physical layout of the converged design — the
+// paper's Fig. 5. The loop's last layout call already built it, so no
+// layout is generated again.
+func Fig5(tech *techno.Tech, spec sizing.OTASpec) (*core.Result, error) {
+	return core.Synthesize(tech, spec, core.Options{Case: 4, SkipVerify: true})
 }
 
-// Fig5 runs the full methodology (case 4) and returns the physical
-// layout of the converged design — the paper's Fig. 5. The loop's last
-// layout call already built it, so no layout is generated again.
-func Fig5(tech *techno.Tech, spec sizing.OTASpec) (*Fig5Result, error) {
-	res, err := core.Synthesize(tech, spec, core.Options{Case: 4, SkipVerify: true})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig5Result{Result: res, Plan: res.Layout}, nil
-}
-
-// WriteSVG emits the layout as SVG.
-func (f *Fig5Result) WriteSVG(w io.Writer) error {
-	return cairo.WriteSVG(w, f.Plan.Cell)
-}
-
-// Fig5Text summarizes the layout the way the paper narrates it: fold
-// choices with drains internal, the common-centroid input pair, area.
-func Fig5Text(f *Fig5Result) string {
+// Fig5Text summarizes the converged layout the way the paper narrates
+// it: fold choices with drains internal, the common-centroid input pair,
+// area.
+func Fig5Text(res *core.Result) string {
 	var b strings.Builder
-	par := f.Plan.Parasitics
+	par := res.Layout.Parasitics
 	b.WriteString("Fig. 5 — generated layout of the case-4 OTA\n")
 	fmt.Fprintf(&b, "  area: %.1f x %.1f um (%.0f um2)\n",
 		par.WidthUM, par.HeightUM, par.AreaUM2)
@@ -56,6 +41,6 @@ func Fig5Text(f *Fig5Result) string {
 		fmt.Fprintf(&b, "  %-5s %2d folds x %5.2f um  (%s)\n",
 			name, fp.Folds, fp.FingerW*1e6, style)
 	}
-	fmt.Fprintf(&b, "  module shape choices: %v\n", f.Plan.ChoiceOf)
+	fmt.Fprintf(&b, "  module shape choices: %v\n", res.Layout.ChoiceOf)
 	return b.String()
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"loas/internal/core"
+	"loas/internal/layout/cairo"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -124,7 +126,7 @@ var (
 func table1Cases(t *testing.T) []Table1Case {
 	t.Helper()
 	t1Once.Do(func() {
-		t1Cases, t1Err = Table1(techno.Default060(), sizing.Default65MHz())
+		t1Cases, t1Err = Table1(techno.Default060(), sizing.Default65MHz(), core.Options{})
 	})
 	if t1Err != nil {
 		t.Fatal(t1Err)
@@ -150,16 +152,16 @@ func TestTable1TextComplete(t *testing.T) {
 }
 
 func TestFig5LayoutGenerated(t *testing.T) {
-	r, err := Fig5(techno.Default060(), sizing.Default65MHz())
+	res, err := Fig5(techno.Default060(), sizing.Default65MHz())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := r.Plan.Parasitics
+	par := res.Layout.Parasitics
 	// The figure is the layout the loop converged on, not a second plan
 	// of the converged design.
-	if r.Plan != r.Result.Layout || par.LayoutCalls != r.Result.LayoutCalls {
+	if par.LayoutCalls != res.LayoutCalls {
 		t.Fatalf("Fig. 5 layout is not the run's converged layout: its report counts %d layout calls, the run made %d",
-			par.LayoutCalls, r.Result.LayoutCalls)
+			par.LayoutCalls, res.LayoutCalls)
 	}
 	if par.AreaUM2 < 1000 || par.AreaUM2 > 1e6 {
 		t.Fatalf("OTA area %.0f µm² implausible", par.AreaUM2)
@@ -173,13 +175,13 @@ func TestFig5LayoutGenerated(t *testing.T) {
 		}
 	}
 	var buf strings.Builder
-	if err := r.WriteSVG(&buf); err != nil {
+	if err := cairo.WriteSVG(&buf, res.Layout.Cell); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "<svg") {
 		t.Fatal("SVG malformed")
 	}
-	txt := Fig5Text(r)
+	txt := Fig5Text(res)
 	if !strings.Contains(txt, "folds") {
 		t.Fatalf("Fig5 text malformed:\n%s", txt)
 	}

@@ -26,16 +26,10 @@ var table1Descriptions = [...]string{
 // Table1 synthesizes the folded-cascode OTA under all four parasitic
 // awareness levels and verifies each against its extracted netlist. The
 // four cases run concurrently (core.SynthesizeAll); the rows they return
-// are identical to four serial Synthesize calls.
-func Table1(tech *techno.Tech, spec sizing.OTASpec) ([]Table1Case, error) {
-	return Table1Opts(tech, spec, core.Options{})
-}
-
-// Table1Opts is Table1 under caller-chosen options — the daemon uses it
-// to hang one "case" span per concurrent synthesis under the request's
-// span tree (the span opts.Ctx carries). opts.Case is overridden per
-// slot.
-func Table1Opts(tech *techno.Tech, spec sizing.OTASpec, opts core.Options) ([]Table1Case, error) {
+// are identical to four serial Synthesize calls. opts.Case is overridden
+// per slot; the daemon sets opts.Ctx to hang one "case" span per
+// concurrent synthesis under the request's span tree.
+func Table1(tech *techno.Tech, spec sizing.OTASpec, opts core.Options) ([]Table1Case, error) {
 	results, err := core.SynthesizeAll(tech, spec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("table 1: %w", err)
@@ -191,7 +185,7 @@ func absClose(a, b, tol float64) bool {
 // iteration counts and wall-clock — the design-time argument of the
 // paper's introduction.
 func FlowComparison(tech *techno.Tech, spec sizing.OTASpec) (string, error) {
-	fc, err := core.CompareFlows(tech, spec, 10, core.Options{}.Shape)
+	fc, err := core.CompareFlows(tech, spec)
 	if err != nil {
 		return "", fmt.Errorf("flow comparison: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"loas/internal/circuit"
 	"loas/internal/core"
 	"loas/internal/layout"
+	"loas/internal/layout/cairo"
 	"loas/internal/mc"
 	"loas/internal/repro"
 	"loas/internal/sizing"
@@ -228,7 +229,7 @@ func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *S
 // returns the full report. The context's span, if any, parents one
 // "case" span per concurrent synthesis.
 func (b *StdBackend) Table1(ctx context.Context, spec sizing.OTASpec) ([]byte, error) {
-	cases, err := repro.Table1Opts(b.Tech, spec, core.Options{Ctx: ctx})
+	cases, err := repro.Table1(b.Tech, spec, core.Options{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -249,12 +250,12 @@ func (b *StdBackend) MC(ctx context.Context, spec sizing.OTASpec, req *MCRequest
 // LayoutSVG generates the case-4 layout (Fig. 5) and returns the SVG
 // document.
 func (b *StdBackend) LayoutSVG(_ context.Context, spec sizing.OTASpec) ([]byte, error) {
-	r, err := repro.Fig5(b.Tech, spec)
+	res, err := repro.Fig5(b.Tech, spec)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := r.WriteSVG(&buf); err != nil {
+	if err := cairo.WriteSVG(&buf, res.Layout.Cell); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

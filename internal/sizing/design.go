@@ -45,12 +45,11 @@ type Design interface {
 	ACGroundNets() []string
 	// BiasFor recomputes the bias voltages on an alternate technology
 	// (a process corner) for the same device sizes — the role of an
-	// on-chip bias generator that tracks the process.
+	// on-chip bias generator that tracks the process. Its keys are bias
+	// nets, and Netlist drives each one from a voltage source whose Pos
+	// is that net, so corner verification can retune them without
+	// topology knowledge.
 	BiasFor(tech *techno.Tech) (map[string]float64, error)
-	// BiasSources maps bias vsource instance names in the netlist to
-	// the bias-net keys of the BiasFor map, so corner verification can
-	// retune them without topology knowledge.
-	BiasSources() map[string]string
 	// OffsetRefs returns the input-pair and load devices plus the
 	// gm(load)/gm(pair) ratio for the analytic Pelgrom offset estimate.
 	OffsetRefs() (pair, load DeviceSize, gmRatio float64)

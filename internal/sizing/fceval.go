@@ -11,51 +11,17 @@ import (
 	"loas/internal/techno"
 )
 
-// SignalNets lists the internal nets whose wiring capacitance matters to
-// the small-signal behaviour.
-func SignalNets() []string {
-	return []string{NetOut, NetFN1, NetFN2, NetMO1, NetN3, NetN4, NetTail, NetInP, NetInN}
-}
-
 // AssumedNetlist builds the amplifier netlist under the sizing-time
 // parasitic assumptions: junction geometries as the ParasiticState
 // resolved them (already baked into the device table) plus, when routing
 // awareness is on, the last layout report's wiring/coupling/well
-// capacitance lumped onto each signal net. This is the netlist whose
-// simulation gives the paper's unbracketed "synthesized" column.
+// capacitance lumped onto each signal net — the internal nets whose
+// wiring capacitance matters to the small-signal behaviour. This is the
+// netlist whose simulation gives the paper's unbracketed "synthesized"
+// column.
 func (d *FoldedCascode) AssumedNetlist(name string) *circuit.Circuit {
-	ckt := d.Netlist(name)
-	if d.Par.Routing && d.Par.Report != nil {
-		for _, net := range SignalNets() {
-			if c := d.Par.wiringCap(net); c > 0 {
-				ckt.Add(&circuit.Capacitor{Name: "asm_" + net, A: net, B: circuit.Ground, C: c})
-			}
-		}
-	}
-	return ckt
-}
-
-// simulateGBWPM runs a small-signal evaluation of the current sizing
-// point: DC operating point, then an AC sweep to locate the unity-gain
-// frequency and phase margin. This replaces closed-form pole counting —
-// the design plan evaluates performance on the exact same engine and
-// models the verification uses, which is the paper's stated accuracy
-// recipe taken to its conclusion.
-func (p *plan) simulateGBWPM() (gbw, pm float64, err error) {
-	d := p.d
-	ckt := d.AssumedNetlist("sizing-eval")
-	vicm := 0.5 * (p.spec.ICMLow + p.spec.ICMHigh)
-	if vicm < 0.3 {
-		vicm = 0.3
-	}
-	ckt.Add(
-		&circuit.VSource{Name: "szp", Pos: NetInP, Neg: circuit.Ground, DC: vicm, ACMag: 0.5},
-		&circuit.VSource{Name: "szn", Pos: NetInN, Neg: circuit.Ground, DC: vicm, ACMag: 0.5, ACPhase: 180},
-		&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: p.spec.CL},
-	)
-	ns := d.NodeSet()
-	ns[NetInP], ns[NetInN] = vicm, vicm
-	return EvalGBWPM(p.tech, ckt, NetOut, ns)
+	return d.assumed(d.Netlist(name),
+		NetOut, NetFN1, NetFN2, NetMO1, NetN3, NetN4, NetTail, NetInP, NetInN)
 }
 
 // EvalGBWPM measures the unity-gain frequency and phase margin of a
@@ -119,43 +85,44 @@ func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[
 	return fu, pm, nil
 }
 
-// BiasFor recomputes the four bias voltages on an alternate technology
-// (e.g. a process corner) for the same device sizes and node targets —
-// the role of an on-chip bias generator that tracks the process. Used by
-// the corner verification.
+// BiasFor computes the four bias voltages on the exact model of tech for
+// the same device sizes and node targets — the "DC bias conditions …
+// calculated in order to satisfy the given specifications". The plan
+// calls it on the sizing technology; corner verification calls it on a
+// process corner, the role of an on-chip bias generator that tracks the
+// process (Design).
 func (d *FoldedCascode) BiasFor(tech *techno.Tech) (map[string]float64, error) {
-	out := map[string]float64{}
-	vdd := d.Spec.VDD
+	out := make(map[string]float64, 4)
 
+	// vbn: gate of MN5/MN6 sinking In5 with source at ground.
 	n5 := d.Devices[MN5]
 	mn5 := device.MOS{Card: &tech.N, W: n5.W, L: n5.L}
 	vgs, err := mn5.VGSForCurrent(n5.ID, d.NodeEst[NetFN1], 0, tech.Temp)
 	if err != nil {
-		return nil, fmt.Errorf("sizing: corner vbn: %w", err)
+		return nil, fmt.Errorf("sizing: vbn: %w", err)
 	}
 	out[NetVBN] = vgs
 
+	// vc1: gate of the NMOS cascodes (source at the fold node).
 	c := d.Devices[MN1C]
 	mn1c := device.MOS{Card: &tech.N, W: c.W, L: c.L}
 	vgsC, err := mn1c.VGSForCurrent(c.ID, d.NodeEst[NetMO1]-d.NodeEst[NetFN1], c.VSB, tech.Temp)
 	if err != nil {
-		return nil, fmt.Errorf("sizing: corner vc1: %w", err)
+		return nil, fmt.Errorf("sizing: vc1: %w", err)
 	}
 	out[NetVC1] = d.NodeEst[NetFN1] + vgsC
 
-	t := d.Devices[MP5]
-	mp5 := device.MOS{Card: &tech.P, W: t.W, L: t.L}
-	vgsT, err := mp5.VGSForCurrent(t.ID, vdd-d.NodeEst[NetTail], 0, tech.Temp)
-	if err != nil {
-		return nil, fmt.Errorf("sizing: corner vbp: %w", err)
+	// vbp: gate of the tail source (PMOS, mirrored).
+	if out[NetVBP], err = d.tailBias(tech, MP5); err != nil {
+		return nil, fmt.Errorf("sizing: vbp: %w", err)
 	}
-	out[NetVBP] = vdd - vgsT
 
+	// vc3: gate of the PMOS cascodes (source at n3/n4 below VDD).
 	pc := d.Devices[MP3C]
 	mp3c := device.MOS{Card: &tech.P, W: pc.W, L: pc.L}
 	vgsPC, err := mp3c.VGSForCurrent(pc.ID, d.NodeEst[NetN3]-d.NodeEst[NetMO1], pc.VSB, tech.Temp)
 	if err != nil {
-		return nil, fmt.Errorf("sizing: corner vc3: %w", err)
+		return nil, fmt.Errorf("sizing: vc3: %w", err)
 	}
 	out[NetVC3] = d.NodeEst[NetN3] - vgsPC
 	return out, nil

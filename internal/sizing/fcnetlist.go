@@ -16,18 +16,6 @@ import (
 // extractor overwrites them for the extracted netlist.
 func (d *FoldedCascode) Netlist(name string) *circuit.Circuit {
 	c := circuit.New(name)
-	tech := d.Tech
-	mos := func(inst, dn, g, s, b string) *circuit.MOSFET {
-		ds := d.Devices[inst]
-		card := &tech.N
-		if ds.Type == techno.PMOS {
-			card = &tech.P
-		}
-		return &circuit.MOSFET{
-			Name: inst, D: dn, G: g, S: s, B: b,
-			Dev: device.MOS{Card: card, W: ds.W, L: ds.L, Geom: ds.Geom},
-		}
-	}
 	c.Add(
 		&circuit.VSource{Name: "dd", Pos: NetVDD, Neg: NetGND, DC: d.Spec.VDD},
 		&circuit.VSource{Name: "bp", Pos: NetVBP, Neg: NetGND, DC: d.Bias[NetVBP]},
@@ -36,37 +24,23 @@ func (d *FoldedCascode) Netlist(name string) *circuit.Circuit {
 		&circuit.VSource{Name: "c3", Pos: NetVC3, Neg: NetGND, DC: d.Bias[NetVC3]},
 
 		// Input pair in a source-tied well (bulk = tail).
-		mos(MP1, NetFN1, NetInP, NetTail, NetTail),
-		mos(MP2, NetFN2, NetInN, NetTail, NetTail),
-		mos(MP5, NetTail, NetVBP, NetVDD, NetVDD),
+		d.mos(MP1, NetFN1, NetInP, NetTail, NetTail),
+		d.mos(MP2, NetFN2, NetInN, NetTail, NetTail),
+		d.mos(MP5, NetTail, NetVBP, NetVDD, NetVDD),
 
 		// Top PMOS cascode current mirror.
-		mos(MP3, NetN3, NetMO1, NetVDD, NetVDD),
-		mos(MP4, NetN4, NetMO1, NetVDD, NetVDD),
-		mos(MP3C, NetMO1, NetVC3, NetN3, NetVDD),
-		mos(MP4C, NetOut, NetVC3, NetN4, NetVDD),
+		d.mos(MP3, NetN3, NetMO1, NetVDD, NetVDD),
+		d.mos(MP4, NetN4, NetMO1, NetVDD, NetVDD),
+		d.mos(MP3C, NetMO1, NetVC3, NetN3, NetVDD),
+		d.mos(MP4C, NetOut, NetVC3, NetN4, NetVDD),
 
 		// NMOS cascodes and bottom sinks.
-		mos(MN1C, NetMO1, NetVC1, NetFN1, NetGND),
-		mos(MN2C, NetOut, NetVC1, NetFN2, NetGND),
-		mos(MN5, NetFN1, NetVBN, NetGND, NetGND),
-		mos(MN6, NetFN2, NetVBN, NetGND, NetGND),
+		d.mos(MN1C, NetMO1, NetVC1, NetFN1, NetGND),
+		d.mos(MN2C, NetOut, NetVC1, NetFN2, NetGND),
+		d.mos(MN5, NetFN1, NetVBN, NetGND, NetGND),
+		d.mos(MN6, NetFN2, NetVBN, NetGND, NetGND),
 	)
 	return c
-}
-
-// NodeSet returns DC seeds for the simulator from the design-time
-// estimates.
-func (d *FoldedCascode) NodeSet() map[string]float64 {
-	ns := map[string]float64{}
-	for k, v := range d.NodeEst {
-		ns[k] = v
-	}
-	ns[NetVBP] = d.Bias[NetVBP]
-	ns[NetVBN] = d.Bias[NetVBN]
-	ns[NetVC1] = d.Bias[NetVC1]
-	ns[NetVC3] = d.Bias[NetVC3]
-	return ns
 }
 
 // Layout builds the CAIRO design for the sized OTA: matched stacks for
@@ -174,10 +148,4 @@ func (d *FoldedCascode) Layout() *cairo.Design {
 		},
 	}
 	return des
-}
-
-// ACGroundNets lists the nets whose wiring capacitance lands on AC ground
-// (skipped when lumping parasitics onto the netlist).
-func ACGroundNets() []string {
-	return []string{NetVDD, "gnd", circuit.Ground, NetVBP, NetVBN, NetVC1, NetVC3}
 }

@@ -45,17 +45,9 @@ func DefaultFiveTSpec() OTASpec {
 
 // FiveT is the classic single-stage five-transistor OTA — the smallest
 // entry in the topology library, useful as an SC-filter buffer or a bias
-// amplifier.
+// amplifier. Its one bias rail is the tail gate, vbp.
 type FiveT struct {
-	Tech *techno.Tech
-	Spec OTASpec
-	Par  ParasiticState
-
-	Devices   map[string]DeviceSize
-	Bias      map[string]float64
-	NodeEst   map[string]float64
-	Itail     float64
-	Predicted Performance
+	ota
 }
 
 // SizeFiveT runs the single-stage plan: one transconductance, one pole —
@@ -95,23 +87,12 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 			return fmt.Errorf("sizing: MF5: %w", err)
 		}
 
-		d = &FiveT{
-			Tech: tech, Spec: spec, Par: ps,
-			Devices: map[string]DeviceSize{},
-			Bias:    map[string]float64{},
-			NodeEst: map[string]float64{},
-			Itail:   itail,
-		}
-		oneFold := func(w float64) device.DiffGeom { return device.OneFoldGeom(tech, w) }
-		add := func(name string, t techno.MOSType, w, veff, id float64) {
-			d.Devices[name] = DeviceSize{Type: t, W: w, L: l, Veff: veff, ID: id,
-				Geom: ps.deviceGeom(oneFold, name, w)}
-		}
-		add(MF1, techno.PMOS, w1, veff1, id1)
-		add(MF2, techno.PMOS, w1, veff1, id1)
-		add(MF3, techno.NMOS, w3, veff3, id1)
-		add(MF4, techno.NMOS, w3, veff3, id1)
-		add(MF5, techno.PMOS, w5, vtl, itail)
+		d = &FiveT{ota: newOTA(tech, spec, ps, itail)}
+		d.add(MF1, techno.PMOS, w1, l, veff1, id1, 0)
+		d.add(MF2, techno.PMOS, w1, l, veff1, id1, 0)
+		d.add(MF3, techno.NMOS, w3, l, veff3, id1, 0)
+		d.add(MF4, techno.NMOS, w3, l, veff3, id1, 0)
+		d.add(MF5, techno.PMOS, w5, l, vtl, itail, 0)
 
 		vcm := clamp(0.5*(spec.ICMLow+spec.ICMHigh), 0.3, spec.VDD)
 		mn3 := device.MOS{Card: &tech.N, W: w3, L: l}
@@ -125,12 +106,11 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 		d.NodeEst[NetFX] = vx
 		d.NodeEst[NetOut] = vx
 
-		mp5 := device.MOS{Card: &tech.P, W: w5, L: l}
-		vgs5, err := mp5.VGSForCurrent(itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+		vbp, err := d.tailBias(tech, MF5)
 		if err != nil {
 			return err
 		}
-		d.Bias[NetVBP] = spec.VDD - vgs5
+		d.Bias = map[string]float64{NetVBP: vbp}
 		return nil
 	}
 
@@ -142,15 +122,8 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 		// The assumed netlist folds the last layout report's wiring
 		// capacitance into the evaluation, closing the routing-awareness
 		// feedback under case 4 just like the folded-cascode plan.
-		ckt := d.AssumedNetlist("5t-eval")
-		vcm := d.NodeEst[NetInP]
-		ckt.Add(
-			&circuit.VSource{Name: "szp", Pos: NetInP, Neg: circuit.Ground, DC: vcm, ACMag: 0.5},
-			&circuit.VSource{Name: "szn", Pos: NetInN, Neg: circuit.Ground, DC: vcm, ACMag: 0.5, ACPhase: 180},
-			&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: spec.CL},
-		)
 		var err error
-		gbw, pm, err = EvalGBWPM(tech, ckt, NetOut, d.NodeSet())
+		gbw, pm, err = d.evalGBWPM(d.AssumedNetlist("5t-eval"))
 		if err != nil {
 			return nil, err
 		}
@@ -178,32 +151,13 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 	return d, nil
 }
 
-// fiveTSignalNets lists the nets whose wiring capacitance matters to the
-// small-signal behaviour of the 5T OTA.
-func fiveTSignalNets() []string {
-	return []string{NetOut, NetFX, NetTail, NetInP, NetInN}
-}
-
 // AssumedNetlist is Netlist plus the sizing-time routing assumption:
 // when routing awareness is on, the last layout report's wiring/
-// coupling/well capacitance is lumped onto each signal net (Design).
+// coupling/well capacitance is lumped onto each net whose wiring
+// capacitance matters to the small-signal behaviour (Design).
 func (d *FiveT) AssumedNetlist(name string) *circuit.Circuit {
-	ckt := d.Netlist(name)
-	if d.Par.Routing && d.Par.Report != nil {
-		for _, net := range fiveTSignalNets() {
-			if c := d.Par.wiringCap(net); c > 0 {
-				ckt.Add(&circuit.Capacitor{Name: "asm_" + net, A: net, B: circuit.Ground, C: c})
-			}
-		}
-	}
-	return ckt
+	return d.assumed(d.Netlist(name), NetOut, NetFX, NetTail, NetInP, NetInN)
 }
-
-// PredictedPerf exposes the plan's performance prediction (Design).
-func (d *FiveT) PredictedPerf() Performance { return d.Predicted }
-
-// DeviceTable exposes the sized devices (Design).
-func (d *FiveT) DeviceTable() map[string]DeviceSize { return d.Devices }
 
 // OperatingPoint snapshots the design point (Design). All channels sit
 // at the plan's fixed length, so the mirror's L stands in for the
@@ -216,26 +170,14 @@ func (d *FiveT) OperatingPoint() OperatingPoint {
 // node whose capacitance sets the non-dominant pole (Design).
 func (d *FiveT) HotNet() string { return NetFX }
 
-// ACGroundNets lists the AC-ground nets of this topology (Design).
-func (d *FiveT) ACGroundNets() []string {
-	return []string{NetVDD, "gnd", circuit.Ground, NetVBP}
-}
-
 // BiasFor recomputes the tail bias on an alternate technology (a
 // process corner) for the same device sizes (Design).
 func (d *FiveT) BiasFor(tech *techno.Tech) (map[string]float64, error) {
-	t := d.Devices[MF5]
-	mp5 := device.MOS{Card: &tech.P, W: t.W, L: t.L}
-	vgs, err := mp5.VGSForCurrent(t.ID, d.Spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+	vbp, err := d.tailBias(tech, MF5)
 	if err != nil {
 		return nil, fmt.Errorf("sizing: 5T corner vbp: %w", err)
 	}
-	return map[string]float64{NetVBP: d.Spec.VDD - vgs}, nil
-}
-
-// BiasSources maps the netlist's bias vsources to bias-net keys (Design).
-func (d *FiveT) BiasSources() map[string]string {
-	return map[string]string{"bp": NetVBP}
+	return map[string]float64{NetVBP: vbp}, nil
 }
 
 // OffsetRefs returns the input pair against the mirror load; the gm
@@ -250,36 +192,16 @@ func (d *FiveT) OffsetRefs() (pair, load DeviceSize, gmRatio float64) {
 // Netlist builds the 5T OTA.
 func (d *FiveT) Netlist(name string) *circuit.Circuit {
 	c := circuit.New(name)
-	tech := d.Tech
-	mos := func(inst, dn, g, s, b string) *circuit.MOSFET {
-		ds := d.Devices[inst]
-		card := &tech.N
-		if ds.Type == techno.PMOS {
-			card = &tech.P
-		}
-		return &circuit.MOSFET{Name: inst, D: dn, G: g, S: s, B: b,
-			Dev: device.MOS{Card: card, W: ds.W, L: ds.L, Geom: ds.Geom}}
-	}
 	c.Add(
 		&circuit.VSource{Name: "dd", Pos: NetVDD, Neg: NetGND, DC: d.Spec.VDD},
 		&circuit.VSource{Name: "bp", Pos: NetVBP, Neg: NetGND, DC: d.Bias[NetVBP]},
-		mos(MF1, NetFX, NetInP, NetTail, NetVDD),
-		mos(MF2, NetOut, NetInN, NetTail, NetVDD),
-		mos(MF3, NetFX, NetFX, NetGND, NetGND),
-		mos(MF4, NetOut, NetFX, NetGND, NetGND),
-		mos(MF5, NetTail, NetVBP, NetVDD, NetVDD),
+		d.mos(MF1, NetFX, NetInP, NetTail, NetVDD),
+		d.mos(MF2, NetOut, NetInN, NetTail, NetVDD),
+		d.mos(MF3, NetFX, NetFX, NetGND, NetGND),
+		d.mos(MF4, NetOut, NetFX, NetGND, NetGND),
+		d.mos(MF5, NetTail, NetVBP, NetVDD, NetVDD),
 	)
 	return c
-}
-
-// NodeSet seeds the simulator.
-func (d *FiveT) NodeSet() map[string]float64 {
-	ns := map[string]float64{}
-	for k, v := range d.NodeEst {
-		ns[k] = v
-	}
-	ns[NetVBP] = d.Bias[NetVBP]
-	return ns
 }
 
 // Layout builds the two matched stacks plus the tail.

@@ -53,20 +53,13 @@ type DeviceSize struct {
 	Geom device.DiffGeom
 }
 
-// FoldedCascode is a fully sized design.
+// FoldedCascode is a fully sized design. Its bias rails are vbp, vbn,
+// vc1 and vc3.
 type FoldedCascode struct {
-	Tech *techno.Tech
-	Spec OTASpec
-	Par  ParasiticState
+	ota
 
-	Devices     map[string]DeviceSize
-	Bias        map[string]float64 // vbp, vbn, vc1, vc3
-	NodeEst     map[string]float64 // estimated DC node voltages
-	NetCurrents map[string]float64
-
-	Itail, Icasc float64
-	Lc           float64 // non-input channel length from the PM iteration
-	Predicted    Performance
+	Icasc float64
+	Lc    float64 // non-input channel length from the PM iteration
 	// PMAnalytic is the closed-form pole-counting phase margin at the
 	// final sizing point — kept for the ablation against the simulated
 	// evaluation the plan actually uses.
@@ -85,12 +78,6 @@ func init() {
 	})
 }
 
-// PredictedPerf exposes the plan's performance prediction (Design).
-func (d *FoldedCascode) PredictedPerf() Performance { return d.Predicted }
-
-// DeviceTable exposes the sized devices (Design).
-func (d *FoldedCascode) DeviceTable() map[string]DeviceSize { return d.Devices }
-
 // OperatingPoint snapshots the design point (Design).
 func (d *FoldedCascode) OperatingPoint() OperatingPoint {
 	return OperatingPoint{W1: d.Devices[MP1].W, Lc: d.Lc, Itail: d.Itail}
@@ -99,14 +86,6 @@ func (d *FoldedCascode) OperatingPoint() OperatingPoint {
 // HotNet is the mirror-side fold node — the net whose parasitics drive
 // the GBW/PM feedback (Design).
 func (d *FoldedCascode) HotNet() string { return NetFN1 }
-
-// ACGroundNets lists the AC-ground nets of this topology (Design).
-func (d *FoldedCascode) ACGroundNets() []string { return ACGroundNets() }
-
-// BiasSources maps the netlist's bias vsources to bias-net keys (Design).
-func (d *FoldedCascode) BiasSources() map[string]string {
-	return map[string]string{"bp": NetVBP, "bn": NetVBN, "c1": NetVC1, "c3": NetVC3}
-}
 
 // OffsetRefs returns the mismatch-critical devices for the analytic
 // offset estimate: the input pair against the bottom sinks (Design).
@@ -233,7 +212,7 @@ func (p *plan) pmAt(lc float64) (float64, error) {
 		if err := p.size(); err != nil {
 			return 0, err
 		}
-		gbw, pm, err := p.simulateGBWPM()
+		gbw, pm, err := p.d.evalGBWPM(p.d.AssumedNetlist("sizing-eval"))
 		if err != nil {
 			return 0, err
 		}
@@ -245,11 +224,6 @@ func (p *plan) pmAt(lc float64) (float64, error) {
 		p.gbwBoost = clamp(p.gbwBoost*p.spec.GBW/gbw, 0.3, 5)
 	}
 	return p.lastPM, nil
-}
-
-// oneFold returns the worst-case unfolded junction geometry for width w.
-func (p *plan) oneFold(w float64) device.DiffGeom {
-	return device.OneFoldGeom(p.tech, w)
 }
 
 // size runs the inner GBW fixpoint: output load → gm1 → currents → widths
@@ -301,33 +275,22 @@ func (p *plan) size() error {
 			return fmt.Errorf("sizing: MP5: %w", err)
 		}
 
-		d = &FoldedCascode{
-			Tech: tech, Spec: spec, Par: p.ps,
-			Devices:     map[string]DeviceSize{},
-			Bias:        map[string]float64{},
-			NodeEst:     map[string]float64{},
-			NetCurrents: map[string]float64{},
-			Itail:       itail, Icasc: icasc, Lc: p.lc,
-		}
-		add := func(name string, t techno.MOSType, w, l, veff, id, vsb float64) {
-			g := p.ps.deviceGeom(p.oneFold, name, w)
-			d.Devices[name] = DeviceSize{Type: t, W: w, L: l, Veff: veff, ID: id, VSB: vsb, Geom: g}
-		}
-		add(MP1, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
-		add(MP2, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
-		add(MP5, techno.PMOS, wp5, p.lc, p.vtl, itail, 0)
-		add(MP3, techno.PMOS, wp3, p.lc, p.veffP, icasc, 0)
-		add(MP4, techno.PMOS, wp3, p.lc, p.veffP, icasc, 0)
-		add(MP3C, techno.PMOS, wp3c, p.lc, p.veffP, icasc, vn3)
-		add(MP4C, techno.PMOS, wp3c, p.lc, p.veffP, icasc, vn3)
-		add(MN5, techno.NMOS, wn5, p.lc, p.veffN, in5, 0)
-		add(MN6, techno.NMOS, wn5, p.lc, p.veffN, in5, 0)
-		add(MN1C, techno.NMOS, wn1c, p.lc, p.veffN, icasc, vfn)
-		add(MN2C, techno.NMOS, wn1c, p.lc, p.veffN, icasc, vfn)
+		d = &FoldedCascode{ota: newOTA(tech, spec, p.ps, itail), Icasc: icasc, Lc: p.lc}
+		d.add(MP1, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
+		d.add(MP2, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
+		d.add(MP5, techno.PMOS, wp5, p.lc, p.vtl, itail, 0)
+		d.add(MP3, techno.PMOS, wp3, p.lc, p.veffP, icasc, 0)
+		d.add(MP4, techno.PMOS, wp3, p.lc, p.veffP, icasc, 0)
+		d.add(MP3C, techno.PMOS, wp3c, p.lc, p.veffP, icasc, vn3)
+		d.add(MP4C, techno.PMOS, wp3c, p.lc, p.veffP, icasc, vn3)
+		d.add(MN5, techno.NMOS, wn5, p.lc, p.veffN, in5, 0)
+		d.add(MN6, techno.NMOS, wn5, p.lc, p.veffN, in5, 0)
+		d.add(MN1C, techno.NMOS, wn1c, p.lc, p.veffN, icasc, vfn)
+		d.add(MN2C, techno.NMOS, wn1c, p.lc, p.veffN, icasc, vfn)
 
 		p.d = d
 		p.estimateNodes()
-		if err := p.biasVoltages(); err != nil {
+		if d.Bias, err = d.BiasFor(tech); err != nil {
 			return err
 		}
 
@@ -337,11 +300,6 @@ func (p *plan) size() error {
 			break
 		}
 		cout = newCout
-	}
-	p.d.NetCurrents = map[string]float64{
-		NetTail: p.d.Itail, NetFN1: p.d.Devices[MN5].ID, NetFN2: p.d.Devices[MN6].ID,
-		NetN3: p.d.Icasc, NetN4: p.d.Icasc, NetMO1: p.d.Icasc, NetOut: p.d.Icasc,
-		NetVDD: p.d.Itail + 2*p.d.Icasc, NetGND: p.d.Itail + 2*p.d.Icasc, "gnd": p.d.Itail + 2*p.d.Icasc,
 	}
 	return nil
 }
@@ -366,52 +324,6 @@ func (p *plan) estimateNodes() {
 	d.NodeEst[NetN4] = spec.VDD - (p.veffP + 0.10)
 	d.NodeEst[NetMO1] = spec.VDD - (p.tech.P.VT0 + p.veffP)
 	d.NodeEst[NetOut] = 0.5 * (spec.OutLow + spec.OutHigh)
-}
-
-// biasVoltages computes the four bias voltages on the exact model — the
-// "DC bias conditions … calculated in order to satisfy the given
-// specifications".
-func (p *plan) biasVoltages() error {
-	d := p.d
-	tech := p.tech
-	vdd := p.spec.VDD
-
-	// vbn: gate of MN5/MN6 sinking In5 with source at ground.
-	n5 := d.Devices[MN5]
-	mn5 := device.MOS{Card: &tech.N, W: n5.W, L: n5.L}
-	vgs, err := mn5.VGSForCurrent(n5.ID, d.NodeEst[NetFN1], 0, tech.Temp)
-	if err != nil {
-		return fmt.Errorf("sizing: vbn: %w", err)
-	}
-	d.Bias[NetVBN] = vgs
-
-	// vc1: gate of the NMOS cascodes (source at the fold node).
-	c := d.Devices[MN1C]
-	mn1c := device.MOS{Card: &tech.N, W: c.W, L: c.L}
-	vgsC, err := mn1c.VGSForCurrent(c.ID, d.NodeEst[NetMO1]-d.NodeEst[NetFN1], c.VSB, tech.Temp)
-	if err != nil {
-		return fmt.Errorf("sizing: vc1: %w", err)
-	}
-	d.Bias[NetVC1] = d.NodeEst[NetFN1] + vgsC
-
-	// vbp: gate of the tail source (PMOS, mirrored).
-	t := d.Devices[MP5]
-	mp5 := device.MOS{Card: &tech.P, W: t.W, L: t.L}
-	vgsT, err := mp5.VGSForCurrent(t.ID, vdd-d.NodeEst[NetTail], 0, tech.Temp)
-	if err != nil {
-		return fmt.Errorf("sizing: vbp: %w", err)
-	}
-	d.Bias[NetVBP] = vdd - vgsT
-
-	// vc3: gate of the PMOS cascodes (source at n3/n4 below VDD).
-	pc := d.Devices[MP3C]
-	mp3c := device.MOS{Card: &tech.P, W: pc.W, L: pc.L}
-	vgsPC, err := mp3c.VGSForCurrent(pc.ID, d.NodeEst[NetN3]-d.NodeEst[NetMO1], pc.VSB, tech.Temp)
-	if err != nil {
-		return fmt.Errorf("sizing: vc3: %w", err)
-	}
-	d.Bias[NetVC3] = d.NodeEst[NetN3] - vgsPC
-	return nil
 }
 
 // evalDev evaluates a sized device at its design-time bias estimate,

@@ -2,6 +2,7 @@ package sizing
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -262,6 +263,84 @@ func TestDeviceGeomFallbackBeforeFirstLayout(t *testing.T) {
 	want := tech.DiffExtContacted * d.Devices[MP1].W
 	if math.Abs(g.AD-want)/want > 1e-9 {
 		t.Fatalf("fallback geom AD = %g, want one-fold %g", g.AD, want)
+	}
+}
+
+// TestBiasRailContract pins what corner verification relies on to retune
+// any topology: every bias rail is driven by exactly one netlist source
+// whose Pos is that rail, BiasFor on the sizing technology reproduces the
+// plan's rails bit for bit, and the simulator seeds and AC grounds cover
+// exactly the rails.
+func TestBiasRailContract(t *testing.T) {
+	tech := techno.Default060()
+	ps, _ := Case(1)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, name := range Topologies() {
+		plan, _ := Lookup(name)
+		d, err := plan.Size(tech, plan.DefaultSpec(), ps)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var bias, nodeEst map[string]float64
+		switch d := d.(type) {
+		case *FoldedCascode:
+			bias, nodeEst = d.Bias, d.NodeEst
+		case *TwoStage:
+			bias, nodeEst = d.Bias, d.NodeEst
+		case *FiveT:
+			bias, nodeEst = d.Bias, d.NodeEst
+		default:
+			t.Fatalf("%s: unknown design type %T", name, d)
+		}
+		if len(bias) == 0 {
+			t.Fatalf("%s: no bias rails", name)
+		}
+
+		sources := map[string][]*circuit.VSource{}
+		for _, v := range d.Netlist("rails").VSources() {
+			sources[v.Pos] = append(sources[v.Pos], v)
+		}
+		for net, vb := range bias {
+			if len(sources[net]) != 1 {
+				t.Fatalf("%s: bias rail %s is the Pos of %d sources, want 1", name, net, len(sources[net]))
+			}
+			if v := sources[net][0]; !same(v.DC, vb) {
+				t.Fatalf("%s: source %s drives %s at %v, Bias says %v", name, v.Name, net, v.DC, vb)
+			}
+		}
+
+		again, err := d.BiasFor(tech)
+		if err != nil {
+			t.Fatalf("%s: BiasFor: %v", name, err)
+		}
+		if len(again) != len(bias) {
+			t.Fatalf("%s: BiasFor returns %d rails, the plan set %d", name, len(again), len(bias))
+		}
+		for net, vb := range bias {
+			if v, ok := again[net]; !ok || !same(v, vb) {
+				t.Fatalf("%s: BiasFor(%s) = %v, the plan set %v", name, net, v, vb)
+			}
+		}
+
+		ns := d.NodeSet()
+		for _, m := range []map[string]float64{nodeEst, bias} {
+			for net, want := range m {
+				if v, ok := ns[net]; !ok || !same(v, want) {
+					t.Fatalf("%s: NodeSet[%s] = %v, want %v", name, net, v, want)
+				}
+			}
+		}
+
+		want := []string{NetVDD, "gnd", circuit.Ground}
+		for net := range bias {
+			want = append(want, net)
+		}
+		got := append([]string(nil), d.ACGroundNets()...)
+		sort.Strings(want)
+		sort.Strings(got)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s: ACGroundNets = %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"loas/internal/device"
 	"loas/internal/layout/extract"
+	"loas/internal/techno"
 )
 
 // OTASpec is the performance specification of an operational
@@ -129,12 +130,12 @@ func Case(n int) (ParasiticState, error) {
 
 // deviceGeom resolves the junction geometry the sizing plan should assume
 // for a device of the given name and current width.
-func (ps *ParasiticState) deviceGeom(oneFold func(w float64) device.DiffGeom, name string, w float64) device.DiffGeom {
+func (ps *ParasiticState) deviceGeom(tech *techno.Tech, name string, w float64) device.DiffGeom {
 	switch ps.Junction {
 	case extract.JunctionNone:
 		return device.DiffGeom{}
 	case extract.JunctionOneFold:
-		return oneFold(w)
+		return device.OneFoldGeom(tech, w)
 	case extract.JunctionExact:
 		if ps.Report != nil {
 			if g, ok := ps.Report.DeviceGeom[name]; ok {
@@ -145,7 +146,7 @@ func (ps *ParasiticState) deviceGeom(oneFold func(w float64) device.DiffGeom, na
 		// one-fold worst case (the paper's first sizing pass does the
 		// same: "the first circuit sizing is done assuming one fold per
 		// transistor").
-		return oneFold(w)
+		return device.OneFoldGeom(tech, w)
 	}
 	return device.DiffGeom{}
 }

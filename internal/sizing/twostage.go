@@ -14,9 +14,10 @@ import (
 
 // Two-stage Miller OTA device and net names. The second topology of the
 // tool demonstrates the paper's claim that "the use of hierarchy
-// simplifies the addition of new topologies": the same building blocks
-// (pair, mirror, single transistors) and the same simulated evaluation
-// carry over; only the plan differs.
+// simplifies the addition of new topologies": the layout building blocks
+// (pair, mirror, single transistors) and, through the embedded base, the
+// design state, simulated evaluation, simulator seeds and tail bias carry
+// over; only the plan, netlist and layout differ.
 const (
 	MT1 = "MT1" // input pair +
 	MT2 = "MT2" // input pair −
@@ -53,19 +54,13 @@ func DefaultTwoStageSpec() OTASpec {
 	}
 }
 
-// TwoStage is a sized two-stage Miller-compensated OTA.
+// TwoStage is a sized two-stage Miller-compensated OTA. Its one bias
+// rail is the tail and second-stage source gate, vbp.
 type TwoStage struct {
-	Tech *techno.Tech
-	Spec OTASpec
-	Par  ParasiticState
+	ota
 
-	Devices map[string]DeviceSize
-	Bias    map[string]float64
-	NodeEst map[string]float64
-
-	Itail, I6 float64
-	CC, RZ    float64
-	Predicted Performance
+	I6     float64
+	CC, RZ float64
 }
 
 // SizeTwoStage runs the two-stage design plan: the Miller capacitor sets
@@ -130,28 +125,14 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 			return fmt.Errorf("sizing: MT7: %w", err)
 		}
 
-		d = &TwoStage{
-			Tech: tech, Spec: spec, Par: ps,
-			Devices: map[string]DeviceSize{},
-			Bias:    map[string]float64{},
-			NodeEst: map[string]float64{},
-			Itail:   itail, I6: i6,
-			CC: cc, RZ: 1 / gm6,
-		}
-		oneFold := func(w float64) device.DiffGeom { return device.OneFoldGeom(tech, w) }
-		add := func(name string, t techno.MOSType, w, veff, id float64) {
-			d.Devices[name] = DeviceSize{
-				Type: t, W: w, L: l, Veff: veff, ID: id,
-				Geom: ps.deviceGeom(oneFold, name, w),
-			}
-		}
-		add(MT1, techno.PMOS, w1, veff1, id1)
-		add(MT2, techno.PMOS, w1, veff1, id1)
-		add(MT3, techno.NMOS, w3, veff3, id1)
-		add(MT4, techno.NMOS, w3, veff3, id1)
-		add(MT5, techno.PMOS, w5, vtl, itail)
-		add(MT6, techno.NMOS, w6, veff6, i6)
-		add(MT7, techno.PMOS, w7, veff7, i6)
+		d = &TwoStage{ota: newOTA(tech, spec, ps, itail), I6: i6, CC: cc, RZ: 1 / gm6}
+		d.add(MT1, techno.PMOS, w1, l, veff1, id1, 0)
+		d.add(MT2, techno.PMOS, w1, l, veff1, id1, 0)
+		d.add(MT3, techno.NMOS, w3, l, veff3, id1, 0)
+		d.add(MT4, techno.NMOS, w3, l, veff3, id1, 0)
+		d.add(MT5, techno.PMOS, w5, l, vtl, itail, 0)
+		d.add(MT6, techno.NMOS, w6, l, veff6, i6, 0)
+		d.add(MT7, techno.PMOS, w7, l, veff7, i6, 0)
 
 		vcm := 0.5 * (spec.ICMLow + spec.ICMHigh)
 		if vcm < 0.3 {
@@ -170,28 +151,12 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 		d.NodeEst[NetOut] = 0.5 * (spec.OutLow + spec.OutHigh)
 		d.NodeEst[NetCZ] = d.NodeEst[NetOut]
 
-		mp5 := device.MOS{Card: &tech.P, W: w5, L: l}
-		vgs5, err := mp5.VGSForCurrent(itail, spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+		vbp, err := d.tailBias(tech, MT5)
 		if err != nil {
 			return fmt.Errorf("sizing: vbp: %w", err)
 		}
-		d.Bias[NetVBP] = spec.VDD - vgs5
+		d.Bias = map[string]float64{NetVBP: vbp}
 		return nil
-	}
-
-	evaluate := func() (float64, float64, error) {
-		// The assumed netlist folds the last layout report's wiring
-		// capacitance into the evaluation, so under routing awareness
-		// (case 4) the plan reacts to its own layout — the same feedback
-		// the folded-cascode plan gets.
-		ckt := d.AssumedNetlist("ts-eval")
-		vcm := d.NodeEst[NetInP]
-		ckt.Add(
-			&circuit.VSource{Name: "szp", Pos: NetInP, Neg: circuit.Ground, DC: vcm, ACMag: 0.5},
-			&circuit.VSource{Name: "szn", Pos: NetInN, Neg: circuit.Ground, DC: vcm, ACMag: 0.5, ACPhase: 180},
-			&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: spec.CL},
-		)
-		return EvalGBWPM(tech, ckt, NetOut, d.NodeSet())
 	}
 
 	var gbw, pm float64
@@ -199,8 +164,12 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 		if err := build(); err != nil {
 			return nil, err
 		}
+		// The assumed netlist folds the last layout report's wiring
+		// capacitance into the evaluation, so under routing awareness
+		// (case 4) the plan reacts to its own layout — the same feedback
+		// the folded-cascode plan gets.
 		var err error
-		gbw, pm, err = evaluate()
+		gbw, pm, err = d.evalGBWPM(d.AssumedNetlist("ts-eval"))
 		if err != nil {
 			return nil, err
 		}
@@ -260,29 +229,19 @@ func evalAt(tech *techno.Tech, ds DeviceSize) device.OP {
 // Netlist builds the two-stage OTA with its Miller network.
 func (d *TwoStage) Netlist(name string) *circuit.Circuit {
 	c := circuit.New(name)
-	tech := d.Tech
-	mos := func(inst, dn, g, s, b string) *circuit.MOSFET {
-		ds := d.Devices[inst]
-		card := &tech.N
-		if ds.Type == techno.PMOS {
-			card = &tech.P
-		}
-		return &circuit.MOSFET{Name: inst, D: dn, G: g, S: s, B: b,
-			Dev: device.MOS{Card: card, W: ds.W, L: ds.L, Geom: ds.Geom}}
-	}
 	c.Add(
 		&circuit.VSource{Name: "dd", Pos: NetVDD, Neg: NetGND, DC: d.Spec.VDD},
 		&circuit.VSource{Name: "bp", Pos: NetVBP, Neg: NetGND, DC: d.Bias[NetVBP]},
 
 		// MT2 (the x2 side) is the non-inverting input: two signal
 		// inversions from inp to out.
-		mos(MT1, NetX1, NetInN, NetTail, NetVDD),
-		mos(MT2, NetX2, NetInP, NetTail, NetVDD),
-		mos(MT3, NetX1, NetX1, NetGND, NetGND),
-		mos(MT4, NetX2, NetX1, NetGND, NetGND),
-		mos(MT5, NetTail, NetVBP, NetVDD, NetVDD),
-		mos(MT6, NetOut, NetX2, NetGND, NetGND),
-		mos(MT7, NetOut, NetVBP, NetVDD, NetVDD),
+		d.mos(MT1, NetX1, NetInN, NetTail, NetVDD),
+		d.mos(MT2, NetX2, NetInP, NetTail, NetVDD),
+		d.mos(MT3, NetX1, NetX1, NetGND, NetGND),
+		d.mos(MT4, NetX2, NetX1, NetGND, NetGND),
+		d.mos(MT5, NetTail, NetVBP, NetVDD, NetVDD),
+		d.mos(MT6, NetOut, NetX2, NetGND, NetGND),
+		d.mos(MT7, NetOut, NetVBP, NetVDD, NetVDD),
 
 		&circuit.Resistor{Name: "z", A: NetOut, B: NetCZ, R: d.RZ},
 		&circuit.Capacitor{Name: "c", A: NetCZ, B: NetX2, C: d.CC},
@@ -290,42 +249,13 @@ func (d *TwoStage) Netlist(name string) *circuit.Circuit {
 	return c
 }
 
-// NodeSet seeds the simulator.
-func (d *TwoStage) NodeSet() map[string]float64 {
-	ns := map[string]float64{}
-	for k, v := range d.NodeEst {
-		ns[k] = v
-	}
-	ns[NetVBP] = d.Bias[NetVBP]
-	return ns
-}
-
-// twoStageSignalNets lists the nets whose wiring capacitance matters to
-// the small-signal behaviour of the two-stage OTA.
-func twoStageSignalNets() []string {
-	return []string{NetOut, NetX1, NetX2, NetCZ, NetTail, NetInP, NetInN}
-}
-
 // AssumedNetlist is Netlist plus the sizing-time routing assumption:
 // when routing awareness is on, the last layout report's wiring/
-// coupling/well capacitance is lumped onto each signal net (Design).
+// coupling/well capacitance is lumped onto each net whose wiring
+// capacitance matters to the small-signal behaviour (Design).
 func (d *TwoStage) AssumedNetlist(name string) *circuit.Circuit {
-	ckt := d.Netlist(name)
-	if d.Par.Routing && d.Par.Report != nil {
-		for _, net := range twoStageSignalNets() {
-			if c := d.Par.wiringCap(net); c > 0 {
-				ckt.Add(&circuit.Capacitor{Name: "asm_" + net, A: net, B: circuit.Ground, C: c})
-			}
-		}
-	}
-	return ckt
+	return d.assumed(d.Netlist(name), NetOut, NetX1, NetX2, NetCZ, NetTail, NetInP, NetInN)
 }
-
-// PredictedPerf exposes the plan's performance prediction (Design).
-func (d *TwoStage) PredictedPerf() Performance { return d.Predicted }
-
-// DeviceTable exposes the sized devices (Design).
-func (d *TwoStage) DeviceTable() map[string]DeviceSize { return d.Devices }
 
 // OperatingPoint snapshots the design point (Design). The "non-input
 // length" slot reports the second-stage device length — the plan keeps
@@ -338,26 +268,14 @@ func (d *TwoStage) OperatingPoint() OperatingPoint {
 // Miller network pivots on (Design).
 func (d *TwoStage) HotNet() string { return NetX2 }
 
-// ACGroundNets lists the AC-ground nets of this topology (Design).
-func (d *TwoStage) ACGroundNets() []string {
-	return []string{NetVDD, "gnd", circuit.Ground, NetVBP}
-}
-
 // BiasFor recomputes the single bias voltage on an alternate technology
 // (a process corner) for the same tail device (Design).
 func (d *TwoStage) BiasFor(tech *techno.Tech) (map[string]float64, error) {
-	t := d.Devices[MT5]
-	mp5 := device.MOS{Card: &tech.P, W: t.W, L: t.L}
-	vgs, err := mp5.VGSForCurrent(t.ID, d.Spec.VDD-d.NodeEst[NetTail], 0, tech.Temp)
+	vbp, err := d.tailBias(tech, MT5)
 	if err != nil {
 		return nil, fmt.Errorf("sizing: two-stage corner vbp: %w", err)
 	}
-	return map[string]float64{NetVBP: d.Spec.VDD - vgs}, nil
-}
-
-// BiasSources maps the netlist's bias vsources to bias-net keys (Design).
-func (d *TwoStage) BiasSources() map[string]string {
-	return map[string]string{"bp": NetVBP}
+	return map[string]float64{NetVBP: vbp}, nil
 }
 
 // OffsetRefs returns the input pair against the mirror load; the gm
