@@ -5,9 +5,10 @@
 // poorly scaled matrices MOS stamps produce (conductances spanning 1e-12
 // to 1e-1 S).
 //
-// The factorizations are workspaces: Factor overwrites the receiver's
+// The factorizations are workspaces: Factor factors a matrix in its own
 // storage and SolveInto writes into a caller's slice, so a Newton loop or
-// a frequency sweep that keeps one LU allocates nothing per solve.
+// a frequency sweep that keeps one matrix and one LU holds one n² buffer
+// and allocates nothing per solve.
 package linalg
 
 import (
@@ -47,23 +48,25 @@ func (m *Real) Zero() {
 	}
 }
 
-// LUReal is an LU factorization with partial pivoting. The zero value is
-// ready to use; each Factor reuses the storage of the previous one.
+// LUReal is an LU factorization with partial pivoting, held in the
+// storage of the matrix it factored. The zero value is ready to use; each
+// Factor reuses the pivot storage of the previous one.
 type LUReal struct {
 	n   int
-	lu  []float64
+	lu  []float64 // the factored matrix's storage: L below the diagonal, U on and above
 	piv []int
 }
 
-// Factor computes the LU factorization of m into f (m is not modified).
-// On ErrSingular f holds no usable factorization until the next
-// successful Factor.
+// Factor computes the LU factorization of m in place: afterwards m holds
+// the factors, not the matrix, and f solves from m's storage until the
+// next Factor, so m must not be restamped while f is in use. On
+// ErrSingular f holds no usable factorization until the next successful
+// Factor.
 func (f *LUReal) Factor(m *Real) error {
 	n := m.N
 	f.n = n
-	f.lu = grow(f.lu, n*n)
+	f.lu = m.A
 	f.piv = grow(f.piv, n)
-	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
 		f.piv[i] = i
@@ -159,18 +162,17 @@ func (m *Complex) Zero() {
 // LUComplex is the complex analogue of LUReal.
 type LUComplex struct {
 	n   int
-	lu  []complex128
+	lu  []complex128 // the factored matrix's storage
 	piv []int
 }
 
-// Factor computes the LU factorization of m into f (m is not modified),
-// with the same storage reuse and failure contract as LUReal.Factor.
+// Factor computes the LU factorization of m in place, with the same
+// storage and failure contract as LUReal.Factor.
 func (f *LUComplex) Factor(m *Complex) error {
 	n := m.N
 	f.n = n
-	f.lu = grow(f.lu, n*n)
+	f.lu = m.A
 	f.piv = grow(f.piv, n)
-	copy(f.lu, m.A)
 	lu := f.lu
 	for i := range f.piv {
 		f.piv[i] = i

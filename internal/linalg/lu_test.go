@@ -83,7 +83,7 @@ func TestRealResidualProperty(t *testing.T) {
 			b[i] = r.NormFloat64()
 		}
 		var lu LUReal
-		if err := lu.Factor(m); err != nil {
+		if err := lu.Factor(m.Clone()); err != nil {
 			return false
 		}
 		x := make([]float64, n)
@@ -138,7 +138,7 @@ func TestComplexPivotAndResidual(t *testing.T) {
 			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		var lu LUComplex
-		if err := lu.Factor(m); err != nil {
+		if err := lu.Factor(cloneComplex(m)); err != nil {
 			t.Fatal(err)
 		}
 		x := make([]complex128, n)
@@ -206,6 +206,13 @@ func (m *Real) Clone() *Real {
 	return c
 }
 
+// cloneComplex returns a deep copy of m.
+func cloneComplex(m *Complex) *Complex {
+	c := NewComplex(m.N)
+	copy(c.A, m.A)
+	return c
+}
+
 // MulVecReal computes y = A·x for a real matrix, the residual check the
 // property tests use.
 func MulVecReal(m *Real, x []float64) []float64 {
@@ -221,7 +228,7 @@ func MulVecReal(m *Real, x []float64) []float64 {
 	return y
 }
 
-// solveReal factors m into a fresh LU and solves for b.
+// solveReal factors m in place into a fresh LU and solves for b.
 func solveReal(t *testing.T, m *Real, b []float64) []float64 {
 	t.Helper()
 	var lu LUReal
@@ -254,7 +261,8 @@ func randComplex(r *rand.Rand, n int) *Complex {
 // TestLURealReuseMatchesFresh: an LU last used at a larger dimension, or
 // left behind by ErrSingular, factors and solves bit-identically to a
 // fresh one — the contract that lets the simulator keep one LU per
-// engine.
+// engine. Factor works in place, so every factorization gets its own
+// copy of the matrix.
 func TestLURealReuseMatchesFresh(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	small, big := randReal(r, 6), randReal(r, 11)
@@ -268,7 +276,7 @@ func TestLURealReuseMatchesFresh(t *testing.T) {
 	}
 
 	var fresh LUReal
-	if err := fresh.Factor(small); err != nil {
+	if err := fresh.Factor(small.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]float64, small.N)
@@ -280,10 +288,10 @@ func TestLURealReuseMatchesFresh(t *testing.T) {
 		err  error
 	}{{"larger n", big, nil}, {"after ErrSingular", singular, ErrSingular}} {
 		var lu LUReal
-		if err := lu.Factor(prev.m); err != prev.err {
+		if err := lu.Factor(prev.m.Clone()); err != prev.err {
 			t.Fatalf("%s: priming Factor = %v, want %v", prev.name, err, prev.err)
 		}
-		if err := lu.Factor(small); err != nil {
+		if err := lu.Factor(small.Clone()); err != nil {
 			t.Fatalf("%s: %v", prev.name, err)
 		}
 		got := make([]float64, small.N)
@@ -314,7 +322,7 @@ func TestLUComplexReuseMatchesFresh(t *testing.T) {
 	}
 
 	var fresh LUComplex
-	if err := fresh.Factor(small); err != nil {
+	if err := fresh.Factor(cloneComplex(small)); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]complex128, small.N)
@@ -330,10 +338,10 @@ func TestLUComplexReuseMatchesFresh(t *testing.T) {
 		err  error
 	}{{"larger n", big, nil}, {"after ErrSingular", singular, ErrSingular}} {
 		var lu LUComplex
-		if err := lu.Factor(prev.m); err != prev.err {
+		if err := lu.Factor(cloneComplex(prev.m)); err != prev.err {
 			t.Fatalf("%s: priming Factor = %v, want %v", prev.name, err, prev.err)
 		}
-		if err := lu.Factor(small); err != nil {
+		if err := lu.Factor(cloneComplex(small)); err != nil {
 			t.Fatalf("%s: %v", prev.name, err)
 		}
 		got := make([]complex128, small.N)
@@ -347,24 +355,61 @@ func TestLUComplexReuseMatchesFresh(t *testing.T) {
 }
 
 // TestFactorSolveAllocFree pins the workspace contract: a warm LU
-// factors and solves without allocating.
+// factors and solves without allocating. Each run restamps the work
+// matrices, as the simulator does, since Factor overwrites them.
 func TestFactorSolveAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	mr, mc := randReal(r, 9), randComplex(r, 9)
+	wr, wc := NewReal(9), NewComplex(9)
 	xr, br := make([]float64, 9), make([]float64, 9)
 	xc, bc := make([]complex128, 9), make([]complex128, 9)
 	var lr LUReal
 	var lc LUComplex
 	if n := testing.AllocsPerRun(20, func() {
-		if err := lr.Factor(mr); err != nil {
+		copy(wr.A, mr.A)
+		if err := lr.Factor(wr); err != nil {
 			t.Fatal(err)
 		}
 		lr.SolveInto(xr, br)
-		if err := lc.Factor(mc); err != nil {
+		copy(wc.A, mc.A)
+		if err := lc.Factor(wc); err != nil {
 			t.Fatal(err)
 		}
 		lc.SolveInto(xc, bc)
 	}); n != 0 {
 		t.Fatalf("warm Factor+SolveInto allocates %v times per run", n)
+	}
+}
+
+// TestFactorInPlace: Factor keeps no copy of the matrix. The factors
+// overwrite m's own storage, and solving from them still gives A·x = b.
+func TestFactorInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	orig := randReal(r, 7)
+	m := orig.Clone()
+	var lu LUReal
+	if err := lu.Factor(m); err != nil {
+		t.Fatal(err)
+	}
+	if &lu.lu[0] != &m.A[0] {
+		t.Fatal("LU holds a copy of the matrix, not the matrix's storage")
+	}
+	same := true
+	for i := range m.A {
+		same = same && m.A[i] == orig.A[i]
+	}
+	if same {
+		t.Fatal("Factor left the matrix untouched; the factors live elsewhere")
+	}
+	b := make([]float64, 7)
+	for i := range b {
+		b[i] = r.NormFloat64()
+	}
+	x := make([]float64, 7)
+	lu.SolveInto(x, b)
+	for i, v := range MulVecReal(orig, x) {
+		if math.Abs(v-b[i]) > 1e-9 {
+			t.Fatalf("residual row %d = %g", i, v-b[i])
+		}
 	}
 }

@@ -20,21 +20,19 @@ func OutputRange(b Bench, keepFraction float64) (lo, hi float64, err error) {
 	// Open loop: sweep the differential input through the transition.
 	// With gain A, the output traverses the full range over ~VDD/A of
 	// input; sweep ±4× that around the nulling point.
-	ckt := b.openLoop(0, false, false)
-	vdd := supplyVoltage(ckt, b.SupplyName)
+	ol := b.openLoop()
+	vdd := supplyVoltage(ol.ckt, b.SupplyName)
 	if math.IsNaN(vdd) || vdd <= 0 {
 		return 0, 0, fmt.Errorf("meas: cannot determine the supply voltage")
 	}
 
 	// Rough gain from a two-point probe for the sweep span.
 	probe := func(vid float64) (float64, error) {
-		c := b.openLoop(vid, false, false)
-		e := sim.NewEngine(c, b.Temp)
-		r, err := e.OP(sim.OPOptions{NodeSet: b.nodeSet()})
+		r, err := ol.solve(vid)
 		if err != nil {
 			return 0, err
 		}
-		return r.Volt(c, b.Out), nil
+		return r.Volt(ol.ckt, b.Out), nil
 	}
 	v1, err := probe(-1e-3)
 	if err != nil {
@@ -51,21 +49,20 @@ func OutputRange(b Bench, keepFraction float64) (lo, hi float64, err error) {
 	span := 4 * vdd / gain
 
 	const n = 160
-	sweepCkt := b.openLoop(0, false, false)
 	// Drive the positive input around the common mode; the negative
 	// input stays fixed. This sweeps vid directly.
+	ol.setInput(0)
 	values := make([]float64, n)
 	for i := range values {
 		values[i] = b.VicmDC - span/2 + span*float64(i)/float64(n-1)
 	}
-	engS := sim.NewEngine(sweepCkt, b.Temp)
-	results, err := engS.DCSweep("tbip", values, sim.OPOptions{NodeSet: b.nodeSet()})
+	results, err := ol.eng.DCSweep("tbip", values, sim.OPOptions{NodeSet: ol.ns})
 	if err != nil {
 		return 0, 0, err
 	}
 	vout := make([]float64, n)
 	for i, r := range results {
-		vout[i] = r.Volt(sweepCkt, b.Out)
+		vout[i] = r.Volt(ol.ckt, b.Out)
 	}
 
 	// Incremental gain per segment; keep the output interval where it

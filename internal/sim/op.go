@@ -42,18 +42,21 @@ func (o *OPOptions) defaults() {
 	}
 }
 
-// OPResult is a converged DC operating point.
+// OPResult is a converged DC operating point: the solution vector, and
+// nothing derived from it. Accessors derive a branch current or a
+// transistor's bias point on demand.
 type OPResult struct {
 	// V holds node voltages indexed by circuit node index (0 = ground).
 	V []float64
-	// BranchI holds voltage-source branch currents by source name;
-	// positive current flows from Pos through the source to Neg.
-	BranchI map[string]float64
-	// MOSOPs holds per-transistor bias data by instance name.
-	MOSOPs map[string]device.OP
 	// Iterations is the total Newton iteration count: every gmin rung,
 	// the source-stepping fallback when the ladder fails, and the polish.
 	Iterations int
+
+	// br holds the branch currents of the voltage sources and VCVSs in
+	// circuit order; positive current flows from Pos through the source
+	// to Neg.
+	br []float64
+	e  *Engine
 }
 
 // Volt returns the voltage of a named node.
@@ -65,10 +68,40 @@ func (r *OPResult) Volt(ckt *circuit.Circuit, node string) float64 {
 	return r.V[i]
 }
 
+// BranchCurrent returns the branch current of the named voltage source
+// or VCVS, positive from Pos through the source to Neg, and whether the
+// circuit has such a source.
+func (r *OPResult) BranchCurrent(name string) (float64, bool) {
+	for k := range r.e.elems {
+		if ei := &r.e.elems[k]; ei.br >= 0 && ei.el.ElemName() == name {
+			return r.br[ei.br-r.e.nNodes], true
+		}
+	}
+	return 0, false
+}
+
 // SupplyCurrent returns the magnitude of the current delivered by the
-// named supply source.
+// named supply source (0 when there is no such source).
 func (r *OPResult) SupplyCurrent(name string) float64 {
-	return math.Abs(r.BranchI[name])
+	i, _ := r.BranchCurrent(name)
+	return math.Abs(i)
+}
+
+// MOSOP evaluates the named transistor's bias data at this operating
+// point; a name no MOSFET carries gives the zero OP.
+func (r *OPResult) MOSOP(name string) device.OP {
+	for k := range r.e.elems {
+		if m, ok := r.e.elems[k].el.(*circuit.MOSFET); ok && m.Name == name {
+			return r.e.mosOP(m, &r.e.elems[k].u, r.V)
+		}
+	}
+	return device.OP{}
+}
+
+// mosOP evaluates transistor m, whose terminal unknowns are u (D, G, S,
+// B), at node voltages v indexed by node, that is by unknown+1.
+func (e *Engine) mosOP(m *circuit.MOSFET, u *[4]int, v []float64) device.OP {
+	return m.Dev.Eval(v[u[1]+1], v[u[0]+1], v[u[2]+1], v[u[3]+1], e.Temp)
 }
 
 // mosPartials evaluates the drain current (into the drain terminal) and
@@ -332,26 +365,14 @@ func (e *Engine) opSourceStepping(opts OPOptions, spent int) (*OPResult, error) 
 	return e.finishOP(x, total), nil
 }
 
-// finishOP packages the solution vector.
+// finishOP packages the solution vector: node voltages and branch
+// currents share one allocation, and no device is evaluated.
 func (e *Engine) finishOP(x []float64, iters int) *OPResult {
-	r := &OPResult{
-		V:          make([]float64, e.Ckt.NumNodes()),
-		BranchI:    map[string]float64{},
-		MOSOPs:     map[string]device.OP{},
-		Iterations: iters,
-	}
-	for i := 1; i < e.Ckt.NumNodes(); i++ {
-		r.V[i] = x[e.nodeUnknown(i)]
-	}
-	for name, idx := range e.branch {
-		r.BranchI[name] = x[idx]
-	}
-	for k := range e.elems {
-		if m, ok := e.elems[k].el.(*circuit.MOSFET); ok {
-			u := &e.elems[k].u // D, G, S, B; V is indexed by unknown+1
-			r.MOSOPs[m.Name] = m.Dev.Eval(r.V[u[1]+1], r.V[u[0]+1], r.V[u[2]+1], r.V[u[3]+1], e.Temp)
-		}
-	}
+	nv := e.nNodes + 1
+	buf := make([]float64, nv+e.nBranch)
+	r := &OPResult{V: buf[:nv:nv], br: buf[nv:], Iterations: iters, e: e}
+	copy(r.V[1:], x[:e.nNodes]) // node i is unknown i-1
+	copy(r.br, x[e.nNodes:])
 	return r
 }
 

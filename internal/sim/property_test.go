@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -154,13 +156,20 @@ func TestTranSettlesToDC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Tran(1e-8, 1e-10, OPOptions{})
+		nodes := make([]string, n)
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("n%d", i+1)
+		}
+		res, err := eng.Tran(1e-8, 1e-10, OPOptions{}, nodes...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i <= n; i++ {
-			node := fmt.Sprintf("n%d", i)
-			if math.Abs(res.SettleValue(ckt, node)-op.Volt(ckt, node)) > 1e-6 {
+		for _, node := range nodes {
+			w := res.Waveform(node)
+			if len(w) != len(res.T) {
+				t.Fatalf("trial %d node %s: %d samples for %d time points", trial, node, len(w), len(res.T))
+			}
+			if math.Abs(w[len(w)-1]-op.Volt(ckt, node)) > 1e-6 {
 				t.Fatalf("trial %d node %s drifted from DC", trial, node)
 			}
 		}
@@ -184,7 +193,7 @@ func TestNoiseScalesWithTemperature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts, err := eng.Noise(op, "b", []float64{100})
+		pts, err := eng.PrepareAC(op).Noise("b", []float64{100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,18 +217,24 @@ func TestNoiseContributorBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := eng.Noise(op, "b", []float64{1e3})
+	pts, err := eng.PrepareAC(op).Noise("b", []float64{1e3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := pts[0].TopNoiseContributors(2)
-	if len(top) != 2 {
-		t.Fatalf("want 2 contributors, got %v", top)
+	pt := pts[0]
+	if want := []string{"big/thermal", "small/thermal"}; !slices.Equal(pt.Sources, want) {
+		t.Fatalf("sources %v, want %v", pt.Sources, want)
+	}
+	if len(pt.Contrib) != len(pt.Sources) {
+		t.Fatalf("%d contributions for %d sources", len(pt.Contrib), len(pt.Sources))
 	}
 	// Both noise currents see the same tap impedance R1∥R2, so the
-	// contributions weight by conductance: the smaller resistor wins.
-	if pts[0].BySource["small/thermal"] <= pts[0].BySource["big/thermal"] {
-		t.Fatalf("contributor weighting wrong: %v", pts[0].BySource)
+	// contributions weight by conductance: the smaller resistor ranks
+	// first.
+	rank := []int{0, 1}
+	sort.Slice(rank, func(i, j int) bool { return pt.Contrib[rank[i]] > pt.Contrib[rank[j]] })
+	if top := pt.Sources[rank[0]]; top != "small/thermal" || pt.Contrib[rank[0]] <= pt.Contrib[rank[1]] {
+		t.Fatalf("contributor weighting wrong: %v = %v", pt.Sources, pt.Contrib)
 	}
 	// Total equals the thermal noise of the parallel combination.
 	want := 4 * techno.KBoltzmann * techno.TempNominal * (9e3 * 1e3 / 10e3)

@@ -27,7 +27,7 @@ func TestOPResistorDivider(t *testing.T) {
 	if v := r.Volt(c, "mid"); math.Abs(v-2.0) > 1e-9 {
 		t.Fatalf("V(mid) = %g, want 2", v)
 	}
-	if i := r.BranchI["dd"]; math.Abs(i+1e-3) > 1e-9 {
+	if i, _ := r.BranchCurrent("dd"); math.Abs(i+1e-3) > 1e-9 {
 		t.Fatalf("source current = %g, want −1 mA", i)
 	}
 	if res := e.KCLResidual(r); res > 1e-9 {
@@ -50,7 +50,7 @@ func TestOPDiodeConnectedNMOS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := r.MOSOPs["1"]
+	op := r.MOSOP("1")
 	if math.Abs(op.ID-50e-6)/50e-6 > 1e-4 {
 		t.Fatalf("diode current %g, want 50 µA", op.ID)
 	}
@@ -82,7 +82,7 @@ func TestOPCurrentMirrorRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iOut := r.MOSOPs["2"].ID
+	iOut := r.MOSOP("2").ID
 	// 3:1 mirror with mild CLM mismatch: within 15% of 60 µA.
 	if iOut < 55e-6 || iOut > 75e-6 {
 		t.Fatalf("mirror output %g, want ≈ 60 µA", iOut)
@@ -104,7 +104,7 @@ func TestOPPMOSCommonSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := r.MOSOPs["p"]
+	op := r.MOSOP("p")
 	// |VGS| = 1.1 V > |VT0p| = 0.8 V → conducting; V(out) = −ID·(−RL)…
 	if op.ID >= 0 {
 		t.Fatalf("PMOS drain current should be negative (out of drain into node): %g", op.ID)
@@ -164,13 +164,13 @@ func TestOP5TOTA(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pair must split the tail current evenly (symmetric bias).
-	i1, i2 := r.MOSOPs["1"].ID, r.MOSOPs["2"].ID
+	i1, i2 := r.MOSOP("1").ID, r.MOSOP("2").ID
 	if math.Abs(i1-i2) > 0.02*math.Abs(i1) {
 		t.Fatalf("pair imbalance: %g vs %g", i1, i2)
 	}
 	// All devices saturated.
 	for _, name := range []string{"1", "2", "3", "4", "t"} {
-		op := r.MOSOPs[name]
+		op := r.MOSOP(name)
 		if op.Region != device.RegionSaturation {
 			t.Fatalf("M%s region = %v at VDS=%.3g, want saturation", name, op.Region, op.VDS)
 		}
@@ -189,8 +189,8 @@ func TestAC5TOTAGainAndPole(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hand estimate: Av = gm1/(gds2+gds4).
-	gm := r.MOSOPs["1"].Gm
-	gds := r.MOSOPs["2"].Gds + r.MOSOPs["4"].Gds
+	gm := r.MOSOP("1").Gm
+	gds := r.MOSOP("2").Gds + r.MOSOP("4").Gds
 	want := gm / gds
 
 	acr, err := e.AC(r, []float64{10, 1e3})
@@ -263,7 +263,7 @@ func TestNoiseResistorMatchesTheory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := e.Noise(r, "b", []float64{100})
+	pts, err := e.PrepareAC(r).Noise("b", []float64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestNoiseKTOverC(t *testing.T) {
 	}
 	fc := 1 / (2 * math.Pi * 1e3 * 10e-12)
 	freqs := LogSpace(fc/1e4, fc*1e4, 400)
-	pts, err := e.Noise(r, "b", freqs)
+	pts, err := e.PrepareAC(r).Noise("b", freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,11 +313,11 @@ func TestTranRCStep(t *testing.T) {
 	)
 	e := NewEngine(c, techno.TempNominal)
 	tau := 1e-6
-	res, err := e.Tran(5*tau, tau/100, OPOptions{})
+	res, err := e.Tran(5*tau, tau/100, OPOptions{}, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := res.Waveform(c, "b")
+	w := res.Waveform("b")
 	// Compare against the analytic exponential at t = tau.
 	idx := 100
 	want := 1 - math.Exp(-1)
@@ -382,10 +382,19 @@ func TestEngineBranchIndexing(t *testing.T) {
 	if e.Size() != 2 { // one node + one branch
 		t.Fatalf("size = %d, want 2", e.Size())
 	}
-	if _, ok := e.BranchIndex("v1"); !ok {
-		t.Fatal("v1 branch missing")
+	r, err := e.OP(OPOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := e.BranchIndex("nope"); ok {
+	if i, ok := r.BranchCurrent("v1"); !ok {
+		t.Fatal("v1 branch missing")
+	} else if math.Abs(i+1) > 1e-9 {
+		t.Fatalf("v1 branch current = %g, want −1 A", i)
+	}
+	if _, ok := r.BranchCurrent("nope"); ok {
 		t.Fatal("phantom branch")
+	}
+	if i := r.SupplyCurrent("nope"); i != 0 {
+		t.Fatalf("phantom supply current %g", i)
 	}
 }

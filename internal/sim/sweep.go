@@ -60,11 +60,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 // packSolution flattens an OPResult back into an unknown vector.
 func (e *Engine) packSolution(r *OPResult) []float64 {
 	x := make([]float64, e.size)
-	for i := 1; i < e.Ckt.NumNodes(); i++ {
-		x[e.nodeUnknown(i)] = r.V[i]
-	}
-	for name, idx := range e.branch {
-		x[idx] = r.BranchI[name]
-	}
+	copy(x, r.V[1:])
+	copy(x[e.nNodes:], r.br)
 	return x
 }

@@ -37,8 +37,8 @@ func TestSizeMirrorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i1 := r.MOSOPs["mir_o1"].ID
-	i2 := r.MOSOPs["mir_o2"].ID
+	i1 := r.MOSOP("mir_o1").ID
+	i2 := r.MOSOP("mir_o2").ID
 	if math.Abs(i1-60e-6)/60e-6 > 0.15 {
 		t.Fatalf("3x branch = %.1f µA, want ≈ 60", i1*1e6)
 	}
@@ -121,8 +121,8 @@ func TestSizeFiveT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{MF1, MF2, MF3, MF4, MF5} {
-		if r.MOSOPs[name].Region.String() != "saturation" {
-			t.Fatalf("%s in %v", name, r.MOSOPs[name].Region)
+		if r.MOSOP(name).Region.String() != "saturation" {
+			t.Fatalf("%s in %v", name, r.MOSOP(name).Region)
 		}
 	}
 }

@@ -34,26 +34,19 @@ func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[
 		return 0, 0, fmt.Errorf("sizing: evaluation OP: %w", err)
 	}
 
-	// One linearization serves the sweep and every bisection probe: the
-	// ~26 gainAt calls below used to re-derive the MOSFET partials each
-	// time, which profiling showed dominating the sizing evaluation.
+	// One linearization serves the sweep and every bisection probe, and
+	// each probe solves for the output phasor alone. The bracketing
+	// sweep stops at the first point below unity: no later point is read.
 	solver := eng.PrepareAC(op)
-	gainAt := func(f float64) (complex128, error) {
-		res, err := solver.Solve([]float64{f})
-		if err != nil {
-			return 0, err
-		}
-		return res[0].Volt(ckt, out), nil
-	}
 	freqs := sim.LogSpace(1e6, 3e9, 40)
-	res, err := solver.Solve(freqs)
-	if err != nil {
-		return 0, 0, err
-	}
 	var fLo, fHi float64
-	for i := 1; i < len(res); i++ {
-		if cmplx.Abs(res[i].Volt(ckt, out)) < 1 {
-			fLo, fHi = freqs[i-1], freqs[i]
+	for i, f := range freqs {
+		h, err := solver.Phasor(f, out)
+		if err != nil {
+			return 0, 0, err
+		}
+		if i > 0 && cmplx.Abs(h) < 1 {
+			fLo, fHi = freqs[i-1], f
 			break
 		}
 	}
@@ -62,7 +55,7 @@ func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[
 	}
 	for i := 0; i < 25; i++ {
 		mid := math.Sqrt(fLo * fHi)
-		h, err := gainAt(mid)
+		h, err := solver.Phasor(mid, out)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -73,7 +66,7 @@ func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[
 		}
 	}
 	fu := math.Sqrt(fLo * fHi)
-	h, err := gainAt(fu)
+	h, err := solver.Phasor(fu, out)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -150,7 +150,7 @@ func TestSizingNetlistSimulates(t *testing.T) {
 	}
 	// Every transistor saturated at the design bias.
 	for name := range d.Devices {
-		op := r.MOSOPs[name]
+		op := r.MOSOP(name)
 		if op.Region.String() != "saturation" {
 			t.Fatalf("%s region %v (VDS=%.3f, Veff=%.3f)", name, op.Region, op.VDS, op.Veff)
 		}

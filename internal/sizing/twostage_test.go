@@ -81,13 +81,13 @@ func TestTwoStageNetlistSimulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{MT1, MT2, MT3, MT4, MT5, MT6, MT7} {
-		op := r.MOSOPs[name]
+		op := r.MOSOP(name)
 		if op.Region.String() != "saturation" {
 			t.Fatalf("%s in %v (VDS=%.3f)", name, op.Region, op.VDS)
 		}
 	}
 	// First-stage mirror splits the tail evenly.
-	i1, i2 := r.MOSOPs[MT1].ID, r.MOSOPs[MT2].ID
+	i1, i2 := r.MOSOP(MT1).ID, r.MOSOP(MT2).ID
 	if math.Abs(i1-i2) > 0.05*math.Abs(i1) {
 		t.Fatalf("pair imbalance: %g vs %g", i1, i2)
 	}
