@@ -29,6 +29,15 @@ go build ./cmd/...
 go test -count=1 -run 'TestFingerprintGolden' ./internal/core
 go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 
+# Allocation-budget lane. The analyses allocate only what their callers
+# read: one Measure of the five-t default design, one EvalGBWPM and a
+# one-probe transient each have a byte and an allocation budget 1.25×
+# above their measured values, so a per-probe netlist and engine, a
+# per-point map or a stored all-node waveform fails here by name. The
+# lane runs without the race detector, whose instrumented build need
+# not allocate the same.
+go test -count=1 -run 'AllocBudget' ./internal/sim ./internal/sizing ./internal/meas
+
 # Verification fan-out lane. core.Synthesize runs its two verification
 # passes on two goroutines: drive the fan-out with stub passes (errors,
 # panics, span order) and with real five-t runs (a failed and a

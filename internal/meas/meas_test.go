@@ -1,11 +1,14 @@
 package meas
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"sync"
 	"testing"
 
 	"loas/internal/circuit"
+	"loas/internal/sim"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -161,4 +164,278 @@ func TestMeasureRejectsBrokenBench(t *testing.T) {
 	if _, err := Measure(b); err == nil {
 		t.Fatal("gainless circuit should fail the unity-crossing search")
 	}
+}
+
+// RefMeasure is the measurement path as it stood before Measure shared
+// one open-loop bench: one fresh netlist and engine per offset probe
+// and per measurement, full AC sweeps, a second AC sweep for the noise
+// gain, and the slew rate from the full waveform. It stays as the
+// reference that the differential test holds Measure to, bit for bit.
+func RefMeasure(b Bench) (*Report, error) {
+	rep := &Report{}
+	voff, op, eng, ckt, err := b.refFindOffset()
+	if err != nil {
+		return nil, fmt.Errorf("meas: offset search: %w", err)
+	}
+	rep.Perf.Offset = voff
+	rep.Perf.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ckt, b.SupplyName)
+	if err := b.refACGainSweep(eng, ckt, op, &rep.Perf); err != nil {
+		return nil, fmt.Errorf("meas: AC: %w", err)
+	}
+	if err := b.refCMRR(voff, &rep.Perf); err != nil {
+		return nil, fmt.Errorf("meas: CMRR: %w", err)
+	}
+	if err := b.refRout(voff, &rep.Perf); err != nil {
+		return nil, fmt.Errorf("meas: Rout: %w", err)
+	}
+	if err := b.refNoise(eng, ckt, op, &rep.Perf); err != nil {
+		return nil, fmt.Errorf("meas: noise: %w", err)
+	}
+	if err := b.refSlewRate(&rep.Perf); err != nil {
+		return nil, fmt.Errorf("meas: slew rate: %w", err)
+	}
+	return rep, nil
+}
+
+// refOpenLoop builds a fresh open-loop testbench: differential sources
+// around the common mode, load at the output.
+func (b *Bench) refOpenLoop(vid float64, acDiff, acCM bool) *circuit.Circuit {
+	ckt := b.Build()
+	vp := &circuit.VSource{Name: "tbip", Pos: b.InP, Neg: circuit.Ground, DC: b.VicmDC + vid/2}
+	vn := &circuit.VSource{Name: "tbin", Pos: b.InN, Neg: circuit.Ground, DC: b.VicmDC - vid/2}
+	if acDiff {
+		vp.ACMag, vp.ACPhase = 0.5, 0
+		vn.ACMag, vn.ACPhase = 0.5, 180
+	}
+	if acCM {
+		vp.ACMag, vp.ACPhase = 1, 0
+		vn.ACMag, vn.ACPhase = 1, 0
+	}
+	ckt.Add(vp, vn,
+		&circuit.Capacitor{Name: "tbload", A: b.Out, B: circuit.Ground, C: b.CL})
+	return ckt
+}
+
+// refOP solves a fresh engine for ckt at the bench's node set.
+func (b *Bench) refOP(ckt *circuit.Circuit) (*sim.OPResult, *sim.Engine, error) {
+	eng := sim.NewEngine(ckt, b.Temp)
+	op, err := eng.OP(sim.OPOptions{NodeSet: b.nodeSet()})
+	return op, eng, err
+}
+
+func (b *Bench) refFindOffset() (float64, *sim.OPResult, *sim.Engine, *circuit.Circuit, error) {
+	solve := func(vid float64) (*sim.OPResult, *sim.Engine, *circuit.Circuit, error) {
+		ckt := b.refOpenLoop(vid, true, false)
+		op, eng, err := b.refOP(ckt)
+		return op, eng, ckt, err
+	}
+	f := func(op *sim.OPResult, ckt *circuit.Circuit) float64 {
+		return op.Volt(ckt, b.Out) - b.VoutMid
+	}
+	lo, hi := -20e-3, 20e-3
+	opLo, _, cktLo, err := solve(lo)
+	if err != nil {
+		return 0, nil, nil, nil, err
+	}
+	opHi, _, cktHi, err := solve(hi)
+	if err != nil {
+		return 0, nil, nil, nil, err
+	}
+	fLo, fHi := f(opLo, cktLo), f(opHi, cktHi)
+	if math.Signbit(fLo) == math.Signbit(fHi) {
+		op, eng, ckt, err := solve(0)
+		return 0, op, eng, ckt, err
+	}
+	var op *sim.OPResult
+	var eng *sim.Engine
+	var ckt *circuit.Circuit
+	vid := 0.0
+	for i := 0; i < 40; i++ {
+		vid = 0.5 * (lo + hi)
+		var err error
+		op, eng, ckt, err = solve(vid)
+		if err != nil {
+			return 0, nil, nil, nil, err
+		}
+		fm := f(op, ckt)
+		if math.Abs(fm) < 1e-4 || hi-lo < 1e-9 {
+			break
+		}
+		if math.Signbit(fm) == math.Signbit(fLo) {
+			lo = vid
+		} else {
+			hi = vid
+		}
+	}
+	return vid, op, eng, ckt, nil
+}
+
+func (b *Bench) refACGainSweep(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, p *sizing.Performance) error {
+	solver := eng.PrepareAC(op)
+	gainAt := func(freq float64) (complex128, error) {
+		res, err := solver.Solve([]float64{freq})
+		if err != nil {
+			return 0, err
+		}
+		return res[0].Volt(ckt, b.Out), nil
+	}
+	h0, err := gainAt(1.0)
+	if err != nil {
+		return err
+	}
+	p.DCGainDB = sizing.DB(cmplx.Abs(h0))
+	freqs := sim.LogSpace(1e3, 3e9, 130)
+	res, err := solver.Solve(freqs)
+	if err != nil {
+		return err
+	}
+	if g0 := cmplx.Abs(res[0].Volt(ckt, b.Out)); g0 < 1 {
+		return fmt.Errorf("gain already below unity at %g Hz (|H| = %g)", freqs[0], g0)
+	}
+	var fLo, fHi float64
+	for i := 1; i < len(res); i++ {
+		if cmplx.Abs(res[i].Volt(ckt, b.Out)) < 1 {
+			fLo, fHi = freqs[i-1], freqs[i]
+			break
+		}
+	}
+	if fHi == 0 {
+		return fmt.Errorf("no unity crossing below 3 GHz (|H(3G)| = %g)",
+			cmplx.Abs(res[len(res)-1].Volt(ckt, b.Out)))
+	}
+	for i := 0; i < 50; i++ {
+		mid := math.Sqrt(fLo * fHi)
+		h, err := gainAt(mid)
+		if err != nil {
+			return err
+		}
+		if cmplx.Abs(h) >= 1 {
+			fLo = mid
+		} else {
+			fHi = mid
+		}
+	}
+	fu := math.Sqrt(fLo * fHi)
+	p.GBW = fu
+	hU, err := gainAt(fu)
+	if err != nil {
+		return err
+	}
+	pm := 180 + cmplx.Phase(hU)*180/math.Pi
+	for pm > 180 {
+		pm -= 360
+	}
+	p.PhaseDeg = pm
+	return nil
+}
+
+// refGainAt solves a fresh engine for ckt and returns |V(out)| at f.
+func (b *Bench) refGainAt(ckt *circuit.Circuit, f float64) (float64, error) {
+	op, eng, err := b.refOP(ckt)
+	if err != nil {
+		return 0, err
+	}
+	res, err := eng.AC(op, []float64{f})
+	if err != nil {
+		return 0, err
+	}
+	return cmplx.Abs(res[0].Volt(ckt, b.Out)), nil
+}
+
+func (b *Bench) refCMRR(voff float64, p *sizing.Performance) error {
+	const f = 1e3
+	adm, err := b.refGainAt(b.refOpenLoop(voff, true, false), f)
+	if err != nil {
+		return err
+	}
+	acm, err := b.refGainAt(b.refOpenLoop(voff, false, true), f)
+	if err != nil {
+		return err
+	}
+	if acm == 0 {
+		p.CMRRDB = 200
+		return nil
+	}
+	p.CMRRDB = sizing.DB(adm / acm)
+	return nil
+}
+
+func (b *Bench) refRout(voff float64, p *sizing.Performance) error {
+	ckt := b.refOpenLoop(voff, false, false)
+	ckt.Add(&circuit.ISource{Name: "tbrout", Pos: b.Out, Neg: circuit.Ground, ACMag: 1})
+	rout, err := b.refGainAt(ckt, 1.0)
+	p.Rout = rout
+	return err
+}
+
+func (b *Bench) refNoise(eng *sim.Engine, ckt *circuit.Circuit, op *sim.OPResult, p *sizing.Performance) error {
+	if p.GBW <= 0 {
+		return fmt.Errorf("noise needs GBW first")
+	}
+	freqs := sim.LogSpace(1, p.GBW, 200)
+	pts, err := eng.PrepareAC(op).Noise(b.Out, freqs)
+	if err != nil {
+		return err
+	}
+	acs, err := eng.AC(op, freqs)
+	if err != nil {
+		return err
+	}
+	svin := make([]float64, len(freqs))
+	for i := range freqs {
+		g := cmplx.Abs(acs[i].Volt(ckt, b.Out))
+		if g < 1e-12 {
+			g = 1e-12
+		}
+		svin[i] = pts[i].OutPSD / (g * g)
+	}
+	p.NoiseRMS = sim.IntegratePSD(freqs, svin)
+	p.NoiseFl1 = math.Sqrt(svin[0])
+	plateau := p.GBW / 100
+	for i, f := range freqs {
+		if f >= plateau {
+			p.NoiseTh = math.Sqrt(svin[i])
+			break
+		}
+	}
+	return nil
+}
+
+func (b *Bench) refSlewRate(p *sizing.Performance) error {
+	if p.GBW <= 0 {
+		return fmt.Errorf("slew rate needs GBW first")
+	}
+	ckt := b.Build()
+	step := 0.8
+	ckt.Add(
+		&circuit.Resistor{Name: "tbfb", A: b.Out, B: b.InN, R: 1.0},
+		&circuit.VSource{Name: "tbstep", Pos: b.InP, Neg: circuit.Ground,
+			DC: b.VicmDC - step/2,
+			Pulse: &circuit.Pulse{
+				V1: b.VicmDC - step/2, V2: b.VicmDC + step/2,
+				Delay: 4 / p.GBW, Rise: 1e-10,
+			}},
+		&circuit.Capacitor{Name: "tbload", A: b.Out, B: circuit.Ground, C: b.CL},
+	)
+	eng := sim.NewEngine(ckt, b.Temp)
+	ns := b.nodeSet()
+	ns[b.InP] = b.VicmDC - step/2
+	ns[b.InN] = b.VicmDC - step/2
+	ns[b.Out] = b.VicmDC - step/2
+	// Every node's waveform, as the transient stored it before probes.
+	res, err := eng.Tran(60/p.GBW, 0.02/p.GBW, sim.OPOptions{NodeSet: ns}, ckt.Nodes()...)
+	if err != nil {
+		return err
+	}
+	w := res.Waveform(b.Out)
+	for k := 1; k < len(w); k++ {
+		dt := res.T[k] - res.T[k-1]
+		if dt <= 0 {
+			continue
+		}
+		if s := math.Abs(w[k]-w[k-1]) / dt; s > p.SlewRate {
+			p.SlewRate = s
+		}
+	}
+	return nil
 }

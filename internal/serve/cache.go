@@ -74,20 +74,42 @@ func NewCache(maxBytes int64, ttl time.Duration) *Cache {
 func (c *Cache) Get(key string) (Value, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	v, ok := c.lookupLocked(key)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return v, ok
+}
+
+// recheck looks key up again for a caller whose Get just missed. A hit
+// turns that counted miss into a hit, so one request counts once.
+func (c *Cache) recheck(key string) (Value, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.lookupLocked(key)
+	if ok {
+		c.hits++
+		c.misses--
+	}
+	return v, ok
+}
+
+// lookupLocked returns key's fresh value, marking it most recently
+// used; it removes an expired entry. It counts no hit or miss.
+func (c *Cache) lookupLocked(key string) (Value, bool) {
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return Value{}, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if !ent.expires.IsZero() && c.now().After(ent.expires) {
 		c.removeLocked(el)
 		c.expirations++
-		c.misses++
 		return Value{}, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits++
 	return ent.val, true
 }
 

@@ -430,60 +430,78 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	// loas_queue_wait_seconds histogram) measure the real time this
 	// request's work sat behind the bounded queue.
 	queueWait := ar.root.Child("queue-wait")
-	v, err, shared := s.flight.Do(info.key, func() (Value, error) {
-		// Leader: run under the daemon's own lifetime, not the first
-		// client's — if that client disconnects, joiners and the cache
-		// still get the result.
-		ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-		defer cancel()
-		// Label the execution context so CPU/heap profile samples taken
-		// anywhere under this run — pool worker, corner sweep, MC fan-out
-		// — attribute to the request that caused them. The engine layers
-		// finer phase labels (sizing, layout-extract, ...) on top.
-		lay := info.layout
-		if lay == "" {
-			lay = layout.DefaultBackend
-		}
-		ctx = obs.LabelCtx(ctx,
-			"phase", info.kind,
-			"topology", info.topology,
-			"layout", lay,
-			"run_id", ar.id)
-		var out Value
-		err := s.pool.Submit(ctx, func(ctx context.Context) error {
-			queueWait.End()
-			s.queueWait.Observe(queueWait.Duration().Seconds())
-			s.backendRuns.Add(1)
-			work := ar.root.Child(info.kind)
-			defer work.End()
-			ctx = obs.ContextWithSpan(ctx, work)
-			ctx = obs.ContextWithTrace(ctx, ar.trace)
-			body, cErr := compute(ctx)
-			if cErr != nil {
-				return cErr
-			}
-			out = Value{Body: body, ContentType: contentType}
-			s.cache.Put(info.key, out)
-			return nil
-		})
-		if err != nil {
-			return Value{}, err
-		}
-		return out, nil
+	var hit bool
+	v, err, shared := s.flight.Do(info.key, func() (v Value, err error) {
+		v, hit, err = s.lead(ar, contentType, queueWait, compute)
+		return v, err
 	})
 	// Idempotent close for the paths where the job never started
-	// (joiner, queue full, pool closed). Those spans measured waiting on
-	// someone else's execution, not this request's queue admission, so
-	// only the in-job End above feeds the histogram.
+	// (joiner, cache hit on the re-check, queue full, pool closed).
+	// Those spans measured waiting on someone else's execution, not this
+	// request's queue admission, so only the in-job End in lead feeds
+	// the histogram.
 	queueWait.End()
-	if err != nil {
+	switch {
+	case err != nil:
 		return Value{}, outcomeError, err
+	case shared:
+		return v, outcomeDedup, nil
+	case hit:
+		return v, outcomeCacheHit, nil
 	}
-	outcome := outcomeOK
-	if shared {
-		outcome = outcomeDedup
+	return v, outcomeOK, nil
+}
+
+// lead is the flight leader's path for one keyed unit of work. It looks
+// the key up again first: a request that missed the cache just before
+// an earlier leader stored the result, and reached the flight just
+// after that leader left it, finds the result there instead of running
+// the backend a second time; hit reports it. On a miss it submits
+// compute to the pool and caches the body.
+func (s *Server) lead(ar *activeRun, contentType string, queueWait *obs.Span,
+	compute func(context.Context) ([]byte, error)) (v Value, hit bool, err error) {
+	info := ar.info
+	if v, ok := s.cache.recheck(info.key); ok {
+		return v, true, nil
 	}
-	return v, outcome, nil
+	// Run under the daemon's own lifetime, not the first client's — if
+	// that client disconnects, joiners and the cache still get the
+	// result.
+	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
+	defer cancel()
+	// Label the execution context so CPU/heap profile samples taken
+	// anywhere under this run — pool worker, corner sweep, MC fan-out —
+	// attribute to the request that caused them. The engine layers finer
+	// phase labels (sizing, layout-extract, ...) on top.
+	lay := info.layout
+	if lay == "" {
+		lay = layout.DefaultBackend
+	}
+	ctx = obs.LabelCtx(ctx,
+		"phase", info.kind,
+		"topology", info.topology,
+		"layout", lay,
+		"run_id", ar.id)
+	err = s.pool.Submit(ctx, func(ctx context.Context) error {
+		queueWait.End()
+		s.queueWait.Observe(queueWait.Duration().Seconds())
+		s.backendRuns.Add(1)
+		work := ar.root.Child(info.kind)
+		defer work.End()
+		ctx = obs.ContextWithSpan(ctx, work)
+		ctx = obs.ContextWithTrace(ctx, ar.trace)
+		body, cErr := compute(ctx)
+		if cErr != nil {
+			return cErr
+		}
+		v = Value{Body: body, ContentType: contentType}
+		s.cache.Put(info.key, v)
+		return nil
+	})
+	if err != nil {
+		return Value{}, false, err
+	}
+	return v, false, nil
 }
 
 func (s *Server) write(w http.ResponseWriter, v Value, key, src string, start time.Time) {

@@ -136,6 +136,42 @@ func TestDedupConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
+// TestLeaderRechecksCache pins the dedup race deterministically. A
+// request can miss the cache just before another leader stores the
+// result, then reach the flight just after that leader has left it, and
+// so lead with the result already cached. The leader path must find it
+// there: report a hit, run no backend and count the request once in the
+// cache statistics.
+func TestLeaderRechecksCache(t *testing.T) {
+	stub := &stubBackend{}
+	s, _ := newStubServer(t, Config{}, stub)
+	info := runInfo{kind: "synthesize", key: "race-key"}
+	if _, ok := s.cache.Get(info.key); ok { // the late request's miss
+		t.Fatal("empty cache hit")
+	}
+	want := Value{Body: []byte("{\"kind\":\"earlier leader\"}\n"), ContentType: "application/json"}
+	s.cache.Put(info.key, want) // the earlier leader's result
+
+	ar := s.beginRun(info, time.Now())
+	v, hit, err := s.lead(ar, want.ContentType, ar.root.Child("queue-wait"),
+		func(context.Context) ([]byte, error) { return stub.do(info.kind) })
+	s.finishRun(ar, outcomeCacheHit, err, v.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || !bytes.Equal(v.Body, want.Body) {
+		t.Fatalf("lead = %q, hit %v; want the cached body as a hit", v.Body, hit)
+	}
+	if got := stub.calls.Load(); got != 0 {
+		t.Fatalf("backend ran %d times for a cached key, want 0", got)
+	}
+	st := s.Stats()
+	if st.BackendRuns != 0 || st.Cache.Hits != 1 || st.Cache.Misses != 0 {
+		t.Fatalf("backend runs %d, cache hits %d, misses %d; want 0, 1, 0",
+			st.BackendRuns, st.Cache.Hits, st.Cache.Misses)
+	}
+}
+
 func TestCacheHitReplaysBytes(t *testing.T) {
 	stub := &stubBackend{}
 	s, ts := newStubServer(t, Config{}, stub)
