@@ -14,8 +14,8 @@ package core
 //     workers read one design at once.
 //   - *circuit.Circuit, sim.Engine and sim.ACSolver are single-goroutine
 //     objects (the simulator types own scratch workspaces); every
-//     simulation builds its own netlist, which is why the measurement
-//     benches take netlist builders instead of netlists.
+//     verification pass builds its own netlists, which is why the
+//     measurement benches take netlist builders instead of netlists.
 //   - extract.Parasitics is read-only once published by a layout call;
 //     Apply mutates only the target circuit.
 
