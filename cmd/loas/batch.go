@@ -21,7 +21,7 @@ import (
 )
 
 // daemonPost posts a JSON body to one daemon endpoint and decodes the
-// JSON payload, folding error bodies like daemonGet.
+// JSON payload.
 func daemonPost(base, path string, body any, dst any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -29,20 +29,7 @@ func daemonPost(base, path string, body any, dst any) error {
 	}
 	resp, err := http.Post(strings.TrimRight(base, "/")+path,
 		"application/json", bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("is loasd running at %s? %w", base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("loasd: %s", e.Error)
-		}
-		return fmt.Errorf("loasd: %s returned status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(dst)
+	return decodeReply(resp, err, base, path, dst)
 }
 
 // readInput loads a -f argument: a path, or "-" for stdin.

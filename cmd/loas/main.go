@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -394,31 +393,27 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 	// span tree, iterations, outcome — with Source "cli", into the same
 	// JSONL format loasd appends and `loas runs` reads back.
 	var ledger *obs.Ledger
-	var recorder *obs.Recorder
-	var root *obs.Span
+	var run *obs.Run
 	if *ledgerPath != "" {
 		ledger, err = obs.OpenLedger(*ledgerPath, obs.LedgerOptions{})
 		if err != nil {
 			return err
 		}
 		defer ledger.Close()
-		recorder = obs.NewRecorder()
-		root = recorder.Root("request")
-		root.SetAttr("kind", "synthesize")
-		root.SetAttr("topology", name)
-		if layName != "" {
-			root.SetAttr("layout", layName)
-		}
-		root.SetAttr("case", strconv.Itoa(*caseN))
+		seq := ledger.LastSeq() + 1
+		run = obs.StartRun(obs.RunRecord{
+			ID: fmt.Sprintf("run-%06d", seq), Seq: seq, StartUnixNS: time.Now().UnixNano(),
+			Source: "cli", Kind: "synthesize", Topology: name, Layout: layName, Case: *caseN,
+		}, nil)
 	}
-	start := time.Now()
+	ctx := obs.ContextWithRun(obs.ContextWithSpan(context.Background(), run.Root()), run)
 	res, err := core.Synthesize(tech, spec, core.Options{
 		Topology:       name,
 		Case:           *caseN,
 		Layout:         layName,
 		MaxLayoutCalls: *maxCalls,
 		SkipVerify:     *skipVerify,
-		Ctx:            obs.ContextWithSpan(context.Background(), root),
+		Ctx:            ctx,
 		Refine: core.RefineOptions{
 			Enabled:    *refine,
 			MaxRounds:  *refineRounds,
@@ -426,30 +421,11 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 		},
 	})
 	if ledger != nil {
-		root.End()
-		seq := ledger.LastSeq() + 1
-		rec := obs.RunRecord{
-			ID:          fmt.Sprintf("run-%06d", seq),
-			Seq:         seq,
-			StartUnixNS: start.UnixNano(),
-			Source:      "cli",
-			Kind:        "synthesize",
-			Topology:    name,
-			Layout:      layName,
-			Case:        *caseN,
-			Outcome:     "ok",
-			DurationNS:  root.Duration().Nanoseconds(),
-			Spans:       recorder.Snapshot(),
-		}
+		outcome := "ok"
 		if err != nil {
-			rec.Outcome = "error"
-			rec.Error = err.Error()
-		} else {
-			rec.Converged = obs.Converged(res.Trace, core.ConvergeTolF)
-			rec.LayoutCalls = res.LayoutCalls
-			rec.Iterations = res.Trace
+			outcome = "error"
 		}
-		if lerr := ledger.Append(rec); lerr != nil {
+		if lerr := ledger.Append(run.Finish(outcome, err, nil)); lerr != nil {
 			fmt.Fprintf(out, "warning: ledger append failed: %v\n", lerr)
 		}
 	}

@@ -1,8 +1,9 @@
-// `loas replay` is the ledger-driven load generator: it reads a
-// recorded JSONL run ledger (loasd -ledger / loas synth -ledger) and
-// re-issues the original requests against a live daemon, reporting
-// throughput, latency percentiles, cache behaviour and byte-identity
-// of the responses against the recorded results.
+// `loas replay` is the ledger-driven load generator: it reads a JSONL
+// run ledger recorded by loasd -ledger and re-issues the original
+// requests against a live daemon, reporting throughput, latency
+// percentiles, cache behaviour and byte-identity of the responses
+// against the recorded results. Records that `loas synth -ledger`
+// appends carry no request, so replay skips them.
 
 package main
 

@@ -19,11 +19,16 @@ import (
 	"loas/internal/serve"
 )
 
-// daemonGet fetches one daemon endpoint and decodes the JSON payload,
-// folding non-200 responses (which carry {"error": ...} bodies) into a
-// readable error.
+// daemonGet fetches one daemon endpoint and decodes the JSON payload.
 func daemonGet(base, path string, dst any) error {
 	resp, err := http.Get(strings.TrimRight(base, "/") + path)
+	return decodeReply(resp, err, base, path, dst)
+}
+
+// decodeReply decodes a daemon reply's JSON payload into dst, folding a
+// failed round trip and non-200 responses (which carry {"error": ...}
+// bodies) into a readable error.
+func decodeReply(resp *http.Response, err error, base, path string, dst any) error {
 	if err != nil {
 		return fmt.Errorf("is loasd running at %s? %w", base, err)
 	}

@@ -28,9 +28,9 @@ type cannedBackend struct {
 }
 
 func (b *cannedBackend) Synthesize(ctx context.Context, _ sizing.OTASpec, req *serve.SynthesizeRequest) ([]byte, error) {
-	tr := obs.TraceFromContext(ctx)
-	tr.Record(obs.Iteration{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8})
-	tr.Record(obs.Iteration{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8})
+	run := obs.RunFromContext(ctx)
+	run.Record(obs.Iteration{Topology: req.Topology, Call: 1, DeltaF: -1, Folds: 8})
+	run.Record(obs.Iteration{Topology: req.Topology, Call: 2, DeltaF: 0.2e-15, Folds: 8})
 	n := b.calls.Add(1)
 	return []byte(fmt.Sprintf("{\"call\":%d}\n", n)), nil
 }
@@ -189,4 +189,34 @@ func postJSON(t *testing.T, url, body string) (int, string) {
 		t.Fatalf("read %s: %v", url, err)
 	}
 	return resp.StatusCode, string(data)
+}
+
+// TestSynthLedgerCountsEveryRound: a CLI record counts layout calls and
+// keeps iterations the way a daemon record does — over every refinement
+// round, and for a run that fails.
+func TestSynthLedgerCountsEveryRound(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	runOut(t, "synth", "-topology", "two-stage", "-refine", "-refine-rounds", "2", "-ledger", path)
+	runErr := run("synth", []string{"-maxcalls", "2", "-ledger", path}, io.Discard)
+	if runErr == nil {
+		t.Fatal("two layout calls converged the folded cascode; want the budget to run out")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := obs.DecodeRunRecords(data, 0)
+	if len(recs) != 2 {
+		t.Fatalf("ledger has %d records, want 2", len(recs))
+	}
+	refined, failed := recs[0], recs[1]
+	if refined.Outcome != "ok" || refined.LayoutCalls != 4 || len(refined.Iterations) != refined.LayoutCalls {
+		t.Fatalf("refined record: outcome %q, %d layout calls, %d iterations; want ok, 4, 4",
+			refined.Outcome, refined.LayoutCalls, len(refined.Iterations))
+	}
+	if failed.Outcome != "error" || failed.Error != runErr.Error() ||
+		len(failed.Iterations) != 2 || failed.LayoutCalls != 2 || failed.Converged {
+		t.Fatalf("failed record: outcome %q, error %q, %d iterations, %d layout calls, converged %v; want error, %q, 2, 2, false",
+			failed.Outcome, failed.Error, len(failed.Iterations), failed.LayoutCalls, failed.Converged, runErr)
+	}
 }

@@ -191,26 +191,6 @@ func (m *MOSFET) Card() string {
 		m.Dev.W*1e6, m.Dev.L*1e6, g.AD*1e12, g.PD*1e6, g.AS*1e12, g.PS*1e6, m.Dev.M())
 }
 
-// VCVS is a voltage-controlled voltage source (E element), used by tests
-// and the switched-capacitor macromodels.
-type VCVS struct {
-	Name       string
-	Pos, Neg   string
-	CPos, CNeg string
-	Gain       float64
-}
-
-// ElemName implements Element.
-func (e *VCVS) ElemName() string { return e.Name }
-
-// ElemNodes implements Element.
-func (e *VCVS) ElemNodes() []string { return []string{e.Pos, e.Neg, e.CPos, e.CNeg} }
-
-// Card implements Element.
-func (e *VCVS) Card() string {
-	return fmt.Sprintf("E%s %s %s %s %s %.6g", e.Name, e.Pos, e.Neg, e.CPos, e.CNeg, e.Gain)
-}
-
 // Circuit is a flat netlist with a node table. The zero value is not
 // usable; call New.
 type Circuit struct {

@@ -88,14 +88,13 @@ func TestExportDeck(t *testing.T) {
 		&Resistor{Name: "l", A: "vdd", B: "out", R: 1e4},
 		&Capacitor{Name: "c", A: "out", B: "0", C: 1e-12},
 		&ISource{Name: "b", Pos: "out", Neg: "0", DC: 1e-6},
-		&VCVS{Name: "e", Pos: "x", Neg: "0", CPos: "out", CNeg: "0", Gain: 2},
 		&MOSFET{Name: "1", D: "out", G: "vdd", S: "0", B: "0",
 			Dev: device.MOS{Card: &tech.N, W: 10e-6, L: 1e-6}},
 	)
 	deck := c.Export()
 	for _, want := range []string{
 		"* deck", "Vdd vdd 0 DC 3.3 AC 1", "Rl vdd out 10000",
-		"Cc out 0 1e-12", "Ib out 0 DC 1e-06", "Ee x 0 out 0 2",
+		"Cc out 0 1e-12", "Ib out 0 DC 1e-06",
 		"M1 out vdd 0 0 nmos W=10u L=1u", ".end",
 	} {
 		if !strings.Contains(deck, want) {

@@ -32,10 +32,9 @@ import (
 
 // ConvergeTolF is the parasitic fixpoint tolerance in farads: the loop
 // stops once no net's parasitic capacitance moves by this much between
-// two layout calls (1 fF — 0.03% of the 3 pF load, far below any
-// performance-relevant delta). obs.Converged judges recorded traces
-// against the same value.
-const ConvergeTolF = 1e-15
+// two layout calls. Run records judge their iterations against the same
+// value, which obs owns.
+const ConvergeTolF = obs.ConvergeTolF
 
 // Options configures a synthesis run.
 type Options struct {
@@ -63,9 +62,9 @@ type Options struct {
 	//     records one "iteration" span per layout call (with "sizing"
 	//     and "layout-extract" children) plus the two verification
 	//     phases;
-	//   - a live trace (obs.ContextWithTrace), which receives each
-	//     sizing↔layout iteration as it happens. The finished Result
-	//     carries the same events in Result.Trace regardless.
+	//   - a run (obs.ContextWithRun), which records each sizing↔layout
+	//     iteration as it happens. The finished Result carries the same
+	//     events in Result.Trace regardless.
 	Ctx context.Context
 	// Refine configures the closed-loop post-layout refinement: when
 	// enabled, extracted corner performance drives re-sizing rounds
@@ -178,7 +177,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		"Synthesis runs for topology "+plan.Name+".").Inc()
 
 	ctx := opts.ctx()
-	span, trace := obs.SpanFromContext(ctx), obs.TraceFromContext(ctx)
+	span, run := obs.SpanFromContext(ctx), obs.RunFromContext(ctx)
 	res := &Result{Topology: plan.Name, LayoutBackend: opts.backend.Info().Name, Spec: spec}
 	var par *extract.Parasitics
 	var design sizing.Design
@@ -243,7 +242,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 			LayoutNS:  layoutNS,
 		}
 		res.Trace = append(res.Trace, it)
-		trace.Record(it)
+		run.Record(it)
 		itSpan.End()
 
 		if !usesLayoutInfo {

@@ -293,16 +293,16 @@ func TestConvergenceBudgetAndShrinkingDeltas(t *testing.T) {
 	}
 }
 
-// TestOptionsTraceMirrorsResult: the live recorder passed via
-// Options.Ctx sees exactly the events the Result carries.
+// TestOptionsTraceMirrorsResult: the run passed via Options.Ctx
+// records exactly the events the Result carries.
 func TestOptionsTraceMirrorsResult(t *testing.T) {
-	tr := &obs.Trace{}
+	run := obs.StartRun(obs.RunRecord{Kind: "synthesize"}, nil)
 	res, err := Synthesize(techno.Default060(), sizing.Default65MHz(),
-		Options{Case: 4, SkipVerify: true, Ctx: obs.ContextWithTrace(context.Background(), tr)})
+		Options{Case: 4, SkipVerify: true, Ctx: obs.ContextWithRun(context.Background(), run)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := tr.Iterations()
+	live := run.Iterations()
 	if len(live) != len(res.Trace) {
 		t.Fatalf("live recorder got %d events, result has %d", len(live), len(res.Trace))
 	}

@@ -27,9 +27,9 @@ func TestSynthesizeEveryTopology(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := plan.DefaultSpec()
-			live := &obs.Trace{}
+			live := obs.StartRun(obs.RunRecord{Kind: "synthesize"}, nil)
 			res, err := Synthesize(tech, spec, Options{
-				Topology: name, Case: 4, Ctx: obs.ContextWithTrace(context.Background(), live),
+				Topology: name, Case: 4, Ctx: obs.ContextWithRun(context.Background(), live),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -2,19 +2,19 @@ package obs
 
 import "context"
 
-// Context propagation is the only way spans and the live trace reach
-// the engine: the daemon (or `loas synth -ledger`) opens the run's spans
-// and trace and hands both down through the context core, mc and
-// explore already take, so no options struct carries an observer.
-// Every accessor is nil-safe — a context without a span or trace yields
-// the no-op nil recorder, so the engine never branches on whether it
-// is being observed.
+// Context propagation is the only way spans and the run reach the
+// engine: the daemon (or `loas synth -ledger`) opens the Run and hands
+// it and the current span down through the context core, mc and explore
+// already take, so no options struct carries an observer. Every
+// accessor is nil-safe — a context without a span or run yields the
+// no-op nil recorder, so the engine never branches on whether it is
+// being observed.
 
 type ctxKey int
 
 const (
 	ctxSpan ctxKey = iota
-	ctxTrace
+	ctxRun
 )
 
 // ContextWithSpan returns ctx carrying span as the current parent.
@@ -31,16 +31,17 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWithTrace returns ctx carrying a live iteration recorder.
-func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxTrace, t)
+// ContextWithRun returns ctx carrying run, which the engine records
+// each convergence iteration into.
+func ContextWithRun(ctx context.Context, run *Run) context.Context {
+	return context.WithValue(ctx, ctxRun, run)
 }
 
-// TraceFromContext returns the live trace, or nil (a valid no-op).
-func TraceFromContext(ctx context.Context) *Trace {
+// RunFromContext returns the run ctx carries, or nil (a valid no-op).
+func RunFromContext(ctx context.Context) *Run {
 	if ctx == nil {
 		return nil
 	}
-	t, _ := ctx.Value(ctxTrace).(*Trace)
-	return t
+	r, _ := ctx.Value(ctxRun).(*Run)
+	return r
 }

@@ -141,38 +141,32 @@ type LedgerOptions struct {
 	// file is renamed to <path>.1 (replacing the previous generation)
 	// and a fresh file is started. Default 8 MiB.
 	MaxBytes int64
-	// MaxReplay bounds how many records OpenLedger reads back from disk
-	// (newest win). Default 1024.
-	MaxReplay int
 }
 
-func (o *LedgerOptions) defaults() {
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 8 << 20
-	}
-	if o.MaxReplay <= 0 {
-		o.MaxReplay = 1024
-	}
-}
+// maxReplay bounds how many records OpenLedger reads back from disk
+// (newest win): as many as the daemon's run store holds.
+const maxReplay = 1024
 
 // Ledger is the append-side handle: open once, Append per run, Close on
 // shutdown. Safe for concurrent Append.
 type Ledger struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	size    int64
-	opts    LedgerOptions
-	history []RunRecord
-	lastSeq int64
+	mu       sync.Mutex
+	path     string
+	f        *os.File
+	size     int64
+	maxBytes int64
+	history  []RunRecord
+	lastSeq  int64
 }
 
 // OpenLedger opens (creating if needed) the ledger at path and replays
 // the bounded tail of its history — the rotated generation first, then
-// the active file, keeping the newest MaxReplay records.
+// the active file, keeping the newest maxReplay records.
 func OpenLedger(path string, opts LedgerOptions) (*Ledger, error) {
-	opts.defaults()
-	all := ReadLedger(path, opts.MaxReplay)
+	if opts.MaxBytes <= 0 {
+		opts.MaxBytes = 8 << 20
+	}
+	all := ReadLedger(path, maxReplay)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("obs: open ledger: %w", err)
@@ -182,7 +176,7 @@ func OpenLedger(path string, opts LedgerOptions) (*Ledger, error) {
 		f.Close()
 		return nil, fmt.Errorf("obs: stat ledger: %w", err)
 	}
-	l := &Ledger{path: path, f: f, size: st.Size(), opts: opts, history: all}
+	l := &Ledger{path: path, f: f, size: st.Size(), maxBytes: opts.MaxBytes, history: all}
 	for _, r := range all {
 		if r.Seq > l.lastSeq {
 			l.lastSeq = r.Seq
@@ -230,7 +224,7 @@ func (l *Ledger) Append(rec RunRecord) error {
 	if l.f == nil {
 		return fmt.Errorf("obs: ledger closed")
 	}
-	if l.size > 0 && l.size+int64(len(line)) > l.opts.MaxBytes {
+	if l.size > 0 && l.size+int64(len(line)) > l.maxBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}

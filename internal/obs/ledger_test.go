@@ -202,26 +202,31 @@ func TestLedgerCorruptTail(t *testing.T) {
 	}
 }
 
-// TestLedgerBoundedReplay: MaxReplay keeps only the newest records.
+// TestLedgerBoundedReplay: OpenLedger replays only the newest
+// maxReplay records.
 func TestLedgerBoundedReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	l, err := OpenLedger(path, LedgerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(1); i <= 20; i++ {
+	const n = maxReplay + 5
+	for i := int64(1); i <= n; i++ {
 		l.Append(testRecord(i))
 	}
 	l.Close()
-	l2, err := OpenLedger(path, LedgerOptions{MaxReplay: 5})
+	l2, err := OpenLedger(path, LedgerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
 	hist := l2.History()
-	if len(hist) != 5 || hist[0].Seq != 16 || hist[4].Seq != 20 {
-		t.Fatalf("bounded replay = %d records (first %d), want the newest 5",
-			len(hist), hist[0].Seq)
+	if len(hist) != maxReplay || hist[0].Seq != 6 || hist[maxReplay-1].Seq != n {
+		t.Fatalf("bounded replay = %d records (first %d), want the newest %d",
+			len(hist), hist[0].Seq, maxReplay)
+	}
+	if l2.LastSeq() != n {
+		t.Fatalf("last seq %d, want %d", l2.LastSeq(), n)
 	}
 }
 

@@ -1,29 +1,30 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 )
 
+// TestTraceNilSafe: a nil run is a no-op recorder, so the engine
+// records into whatever run its context carries.
 func TestTraceNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.Record(Iteration{Call: 1}) // must not panic
-	if tr.Iterations() != nil {
-		t.Fatal("nil trace should report no iterations")
+	var r *Run
+	r.Record(Iteration{Call: 1}) // must not panic
+	if r.Iterations() != nil || r.Root() != nil {
+		t.Fatal("nil run should report no iterations and no root span")
 	}
-	if tr.Len() != 0 {
-		t.Fatal("nil trace should have length 0")
-	}
+	r.Root().Child("x").End() // the nil root is a no-op span
 }
 
 func TestTraceRecordsInOrder(t *testing.T) {
-	tr := &Trace{}
+	r := StartRun(RunRecord{Kind: "synthesize"}, nil)
 	for i := 1; i <= 3; i++ {
-		tr.Record(Iteration{Call: i, DeltaF: float64(i)})
+		r.Record(Iteration{Call: i, DeltaF: float64(i)})
 	}
-	got := tr.Iterations()
-	if len(got) != 3 || tr.Len() != 3 {
+	got := r.Iterations()
+	if len(got) != 3 {
 		t.Fatalf("expected 3 iterations, got %d", len(got))
 	}
 	for i, it := range got {
@@ -31,28 +32,67 @@ func TestTraceRecordsInOrder(t *testing.T) {
 			t.Fatalf("iteration %d out of order: call %d", i, it.Call)
 		}
 	}
-	// The returned slice is a copy: mutating it must not affect the trace.
+	// The returned slice is a copy: mutating it must not affect the run.
 	got[0].Call = 99
-	if tr.Iterations()[0].Call != 1 {
+	if r.Iterations()[0].Call != 1 {
 		t.Fatal("Iterations must return a copy")
 	}
 }
 
 func TestTraceConcurrentRecord(t *testing.T) {
-	tr := &Trace{}
+	r := StartRun(RunRecord{Kind: "table1"}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Record(Iteration{Call: i})
+				r.Record(Iteration{Call: i})
 			}
 		}()
 	}
 	wg.Wait()
-	if tr.Len() != 800 {
-		t.Fatalf("lost records: %d of 800", tr.Len())
+	if n := len(r.Iterations()); n != 800 {
+		t.Fatalf("lost records: %d of 800", n)
+	}
+}
+
+// TestRunFinish: Finish fills in how the run ended over its identity —
+// outcome, error, duration, converged and layout_calls from the
+// recorded iterations, the body's size and SHA-256, the span tree — and
+// returns a copy that a job still recording into the run cannot change.
+func TestRunFinish(t *testing.T) {
+	id := RunRecord{ID: "run-000007", Seq: 7, Source: "cli", Kind: "synthesize",
+		Topology: "five-t", Layout: "rows", Case: 4, CacheKey: "k"}
+	r := StartRun(id, nil)
+	r.Root().Child("synthesize").End()
+	r.Record(Iteration{Call: 1, DeltaF: -1})
+	r.Record(Iteration{Call: 2, DeltaF: ConvergeTolF / 2})
+	rec := r.Finish("ok", nil, []byte("abc"))
+	r.Record(Iteration{Call: 3, DeltaF: -1}) // an abandoned job, after the fact
+
+	if len(rec.Spans) != 2 || rec.Spans[0].Name != "request" || rec.Spans[0].Attrs["case"] != "4" ||
+		rec.Spans[0].Attrs["layout"] != "rows" || rec.Spans[1].Parent != rec.Spans[0].ID {
+		t.Fatalf("span tree = %+v", rec.Spans)
+	}
+	if rec.ID != id.ID || rec.Seq != id.Seq || rec.Source != "cli" || rec.Layout != "rows" || rec.CacheKey != "k" {
+		t.Fatalf("identity lost: %+v", rec)
+	}
+	if rec.Outcome != "ok" || rec.Error != "" || rec.DurationNS != rec.Spans[0].DurationNS {
+		t.Fatalf("outcome %q, error %q, duration %d (root span %d)",
+			rec.Outcome, rec.Error, rec.DurationNS, rec.Spans[0].DurationNS)
+	}
+	if !rec.Converged || rec.LayoutCalls != 2 || len(rec.Iterations) != 2 {
+		t.Fatalf("converged %v, layout calls %d, %d iterations; want true, 2, 2",
+			rec.Converged, rec.LayoutCalls, len(rec.Iterations))
+	}
+	const sha = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" // SHA-256("abc")
+	if rec.Bytes != 3 || rec.BodySHA256 != sha {
+		t.Fatalf("bytes %d, sha %s", rec.Bytes, rec.BodySHA256)
+	}
+	failed := StartRun(id, nil).Finish("error", errors.New("boom"), nil)
+	if failed.Error != "boom" || failed.Bytes != 0 || failed.BodySHA256 != "" || failed.Converged {
+		t.Fatalf("failed record = %+v", failed)
 	}
 }
 

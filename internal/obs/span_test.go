@@ -173,17 +173,17 @@ func TestSpanTreeText(t *testing.T) {
 }
 
 // TestTraceNotify: the live hook fires once per recorded iteration, in
-// order, and the trace still accumulates normally.
+// order, and the run still accumulates them normally.
 func TestTraceNotify(t *testing.T) {
 	var got []int
-	tr := NewTraceFunc(func(it Iteration) { got = append(got, it.Call) })
+	r := StartRun(RunRecord{Kind: "synthesize"}, func(it Iteration) { got = append(got, it.Call) })
 	for c := 1; c <= 3; c++ {
-		tr.Record(Iteration{Call: c})
+		r.Record(Iteration{Call: c})
 	}
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("notify calls = %v", got)
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("trace len = %d", tr.Len())
+	if n := len(r.Iterations()); n != 3 {
+		t.Fatalf("run holds %d iterations", n)
 	}
 }

@@ -7,15 +7,15 @@
 // The package sits at the bottom of the dependency graph — it imports
 // nothing from the rest of the module — so every layer (sizing, layout,
 // mc, serve, the CLIs) can record into it without cycles. Trace events
-// flow upward attached to results (core.Result.Trace, the iterations of
-// a loasd run record, `loas trace`); metrics flow outward through
-// Registry.WritePrometheus (the loasd /metrics endpoint).
+// flow upward attached to results (core.Result.Trace, `loas trace`) and
+// into the Run a context carries (the iterations of a run record);
+// metrics flow outward through Registry.WritePrometheus (the loasd
+// /metrics endpoint).
 package obs
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Iteration is one sizing↔layout call of the convergence loop — the
@@ -56,59 +56,6 @@ type Iteration struct {
 	// iteration (the sizing pass and the layout plan call).
 	SizingNS int64 `json:"sizing_ns"`
 	LayoutNS int64 `json:"layout_ns"`
-}
-
-// Trace is a concurrency-safe recorder of convergence iterations. A nil
-// *Trace is a valid no-op recorder, so call sites thread it through
-// unconditionally.
-type Trace struct {
-	mu     sync.Mutex
-	iters  []Iteration
-	notify func(Iteration)
-}
-
-// NewTraceFunc returns a Trace that additionally invokes fn for every
-// recorded iteration (after appending, outside the lock) — the live
-// event feed behind the daemon's SSE stream.
-func NewTraceFunc(fn func(Iteration)) *Trace {
-	return &Trace{notify: fn}
-}
-
-// Record appends one iteration. Safe on a nil receiver.
-func (t *Trace) Record(it Iteration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.iters = append(t.iters, it)
-	fn := t.notify
-	t.mu.Unlock()
-	if fn != nil {
-		fn(it)
-	}
-}
-
-// Iterations returns a copy of everything recorded so far, in record
-// order. Safe on a nil receiver (returns nil).
-func (t *Trace) Iterations() []Iteration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Iteration, len(t.iters))
-	copy(out, t.iters)
-	return out
-}
-
-// Len reports how many iterations have been recorded. Safe on nil.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.iters)
 }
 
 // ConvergenceTable renders iterations as the human-readable convergence

@@ -182,9 +182,9 @@ func layoutCacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
 // Backend produces response bodies for the server. Implementations
 // must be safe for concurrent use; the returned bytes are cached and
 // replayed verbatim. The server hands each call a context carrying the
-// run's span (obs.SpanFromContext) and live iteration trace
-// (obs.TraceFromContext); a backend that records into them fills the
-// run record behind /v1/runs/{id}. Tests substitute a counting stub to
+// run's span (obs.SpanFromContext) and the run itself
+// (obs.RunFromContext); a backend that records into them fills the run
+// record behind /v1/runs/{id}. Tests substitute a counting stub to
 // pin down the cache and dedup behaviour without paying for real
 // synthesis.
 type Backend interface {
@@ -200,9 +200,9 @@ type StdBackend struct {
 }
 
 // Synthesize runs one Table-1 case and returns its JSON summary. The
-// engine reads the span and live trace carried by ctx (the daemon's
-// per-run recorder), so the run's span tree covers every
-// sizing/layout/verify phase.
+// engine records into the span and run carried by ctx, so the run's
+// span tree covers every sizing/layout/verify phase and its record
+// holds every iteration.
 func (b *StdBackend) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
 	res, err := core.Synthesize(b.Tech, spec, core.Options{
 		Topology:       req.Topology,

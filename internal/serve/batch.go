@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"loas/internal/obs"
 	"loas/internal/parallel"
 	"loas/internal/sizing"
 )
@@ -149,20 +150,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchSize.Observe(float64(len(items)))
 	// Record the normalized batch with resolved specs embedded, so a
 	// replayed batch re-keys identically even under different server
-	// defaults. recordRequest bounds nothing — finishRun drops bodies
+	// defaults. recordRequest bounds nothing — beginRun drops bodies
 	// over maxRecordedRequest.
 	recItems := make([]sizingItem, len(items))
 	for i := range items {
 		recItems[i] = items[i].req
 		recItems[i].Spec = &items[i].spec
 	}
-	info := runInfo{kind: "batch", key: batchKey(keys),
-		request: recordRequest(BatchRequest{Items: recItems, Limit: req.Limit, Offset: req.Offset})}
-	ar := s.beginRun(info, start)
-	ar.root.SetAttr("items", fmt.Sprintf("%d", len(items)))
-	ar.root.SetAttr("unique", fmt.Sprintf("%d", len(unique)))
+	key := batchKey(keys)
+	run := s.beginRun(obs.RunRecord{Kind: "batch", CacheKey: key,
+		Request: recordRequest(BatchRequest{Items: recItems, Limit: req.Limit, Offset: req.Offset})})
+	runID := run.Identity().ID
+	run.Root().SetAttr("items", fmt.Sprintf("%d", len(items)))
+	run.Root().SetAttr("unique", fmt.Sprintf("%d", len(unique)))
 	s.events.publish("batch-start", batchStartEvent{
-		ID: ar.id, Kind: "batch", Items: len(items), Unique: len(unique),
+		ID: runID, Kind: "batch", Items: len(items), Unique: len(unique),
 	})
 
 	// Fan out on at most as many goroutines as the pool has workers: the
@@ -171,10 +173,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// under the daemon's lifetime (each leader already detaches from the
 	// client context), so a disconnecting client wastes nothing — every
 	// completed item is in the content-addressed cache.
-	fan := ar.root.Child("batch-fanout")
+	fan := run.Root().Child("batch-fanout")
 	results, _ := parallel.MapN(context.Background(), s.pool.Stats().Workers, len(items),
 		func(_ context.Context, i int) (BatchItemResult, error) {
-			return s.runBatchItem(ar.id, i, items[i]), nil
+			return s.runBatchItem(runID, i, items[i]), nil
 		})
 	fan.End()
 
@@ -204,52 +206,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		window = window[:req.Limit]
 	}
 	rep := BatchReport{
-		Key: info.key, Items: len(items), Unique: len(unique),
+		Key: key, Items: len(items), Unique: len(unique),
 		Errors: errs, Offset: req.Offset, Limit: req.Limit, Results: window,
 	}
 	body, err := marshalJSON(rep)
 	if err != nil {
-		s.finishRun(ar, outcomeError, err, nil)
+		s.finishRun(run, outcomeError, err, nil)
 		s.fail(w, err)
 		return
 	}
-	s.finishRun(ar, outcome, runErr, body)
+	s.finishRun(run, outcome, runErr, body)
 	s.events.publish("batch-end", batchEndEvent{
-		ID: ar.id, Outcome: outcome, Items: len(items), Errors: errs,
+		ID: runID, Outcome: outcome, Items: len(items), Errors: errs,
 		DurationNS: time.Since(start).Nanoseconds(),
 	})
-	s.write(w, Value{Body: body, ContentType: "application/json"}, info.key, "none", start)
+	s.write(w, Value{Body: body, ContentType: "application/json"}, key, "none", start)
 }
 
-// runBatchItem executes one item as a child run through the shared
-// cache → singleflight → queue path and narrates it on /v1/events.
-// Item failures are report data, not batch failures.
+// runBatchItem executes one item as a child run and narrates it on
+// /v1/events. Item failures are report data, not batch failures.
 func (s *Server) runBatchItem(parentID string, i int, it batchItem) BatchItemResult {
-	recReq := it.req
-	recReq.Spec = &it.spec
-	info := runInfo{
-		kind: "synthesize", topology: it.req.Topology, layout: it.req.Layout, caseN: it.req.Case,
-		key: it.key, specDigest: specDigest(s.tech, it.spec), parent: parentID,
-		request: recordRequest(recReq),
-	}
-	child := s.beginRun(info, time.Now())
-	req := it.req
-	v, outcome, err := s.executeKeyed(child, "application/json",
-		func(ctx context.Context) ([]byte, error) {
-			return s.backend.Synthesize(ctx, it.spec, &req)
-		})
+	runID, v, outcome, err := s.runChild(parentID, it.req, it.spec, it.key)
 	res := BatchItemResult{
 		Index: i, Topology: it.req.Topology, Layout: it.req.Layout, Case: it.req.Case,
-		Key: it.key, RunID: child.id,
+		Key: it.key, RunID: runID, Outcome: outcome,
 	}
 	if err != nil {
 		s.batchItemErrors.Inc()
-		s.finishRun(child, outcomeError, err, nil)
-		res.Outcome = outcomeError
 		res.Error = err.Error()
 	} else {
-		s.finishRun(child, outcome, nil, v.Body)
-		res.Outcome = outcome
 		res.Cache = cacheSource(outcome)
 		res.Summary = json.RawMessage(v.Body)
 	}
@@ -258,4 +243,15 @@ func (s *Server) runBatchItem(parentID string, i int, it batchItem) BatchItemRes
 		Topology: res.Topology, Case: res.Case, Error: res.Error,
 	})
 	return res
+}
+
+// runChild executes one synthesize request keyed by key as a child run
+// of parentID — one batch item or exploration probe — through the keyed
+// path, and finishes its run. outcome is outcomeError when err is set.
+func (s *Server) runChild(parentID string, req SynthesizeRequest, spec sizing.OTASpec, key string) (runID string, v Value, outcome string, err error) {
+	id, work := s.synthesize(req, spec, key, parentID)
+	run := s.beginRun(id)
+	v, outcome, err = s.executeKeyed(run, key, work)
+	s.finishRun(run, outcome, err, v.Body)
+	return run.Identity().ID, v, outcome, err
 }

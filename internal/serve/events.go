@@ -143,13 +143,18 @@ func (b *eventBus) unsubscribe(s *eventSub) {
 }
 
 // publish renders one SSE frame and offers it to every subscriber.
+// With no subscriber attached it only counts the frame: nobody would
+// read what rendering it costs.
 func (b *eventBus) publish(event string, v any) {
+	b.published.Add(1)
+	if b.subscribers() == 0 {
+		return
+	}
 	body, err := marshalCompact(v)
 	if err != nil {
 		return
 	}
 	frame := []byte(fmt.Sprintf("event: %s\ndata: %s\n\n", event, body))
-	b.published.Add(1)
 	b.mu.Lock()
 	for s := range b.subs {
 		select {

@@ -279,3 +279,19 @@ func TestEventsSlowHTTPClientStreamEnds(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestEventsPublishIdleRendersNothing: with no /v1/events client
+// attached, a publish only counts its frame. Boxing the payload into
+// the interface is its one allocation; marshalling the payload and
+// formatting the frame would cost several more.
+func TestEventsPublishIdleRendersNothing(t *testing.T) {
+	bus := newEventBus()
+	ev := runEndEvent{ID: "run-000001", Outcome: outcomeCacheHit, DurationNS: 26000}
+	allocs := testing.AllocsPerRun(100, func() { bus.publish("run-end", ev) })
+	if allocs > 1 {
+		t.Fatalf("idle publish allocates %.0f times, want at most 1", allocs)
+	}
+	if p := bus.published.Load(); p != 101 {
+		t.Fatalf("published = %d, want 101 (every idle publish counts)", p)
+	}
+}

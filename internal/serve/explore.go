@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"loas/internal/core"
 	"loas/internal/explore"
@@ -205,64 +204,36 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		bases[i] = spec
 	}
 
-	start := time.Now()
-	s.requests.Add(1)
 	s.exploreRequests.Inc()
-	info := runInfo{kind: "explore", layout: req.Layout, key: req.cacheKey(s.tech, bases),
-		request: recordRequest(&req)}
+	id := obs.RunRecord{Kind: "explore", Layout: req.Layout, CacheKey: req.cacheKey(s.tech, bases),
+		Request: recordRequest(&req)}
 	if len(req.Topologies) == 1 {
-		info.topology = req.Topologies[0]
+		id.Topology = req.Topologies[0]
 	}
-	ar := s.beginRun(info, start)
-
-	lookup := ar.root.Child("cache-lookup")
-	v, ok := s.cache.Get(info.key)
-	lookup.End()
-	if ok {
-		s.finishRun(ar, outcomeCacheHit, nil, v.Body)
-		s.write(w, v, info.key, "hit", start)
-		return
-	}
-
-	// The leader closure runs on THIS goroutine (Flight.Do calls it
-	// inline) — never inside the pool, which only sees the individual
-	// probes. Joined identical explorations wait here for its bytes.
-	v, err, shared := s.flight.Do(info.key, func() (Value, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-		defer cancel()
-		body, rerr := s.runExplore(ctx, ar, &req, bases)
-		if rerr != nil {
-			return Value{}, rerr
-		}
-		out := Value{Body: body, ContentType: "application/json"}
-		s.cache.Put(info.key, out)
-		return out, nil
+	s.respond(w, id, func(run *obs.Run) (Value, error) {
+		return s.runExplore(run, &req, bases)
 	})
-	if err != nil {
-		s.finishRun(ar, outcomeError, err, nil)
-		s.fail(w, err)
-		return
-	}
-	outcome := outcomeOK
-	if shared {
-		outcome = outcomeDedup
-	}
-	s.finishRun(ar, outcome, nil, v.Body)
-	s.write(w, v, info.key, cacheSource(outcome), start)
 }
 
-// runExplore executes the exploration (leader only): one explore.Run
-// per topology, probes fanning through the shared pool as child runs.
-func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequest, bases []sizing.OTASpec) ([]byte, error) {
-	s.events.publish("batch-start", batchStartEvent{ID: ar.id, Kind: "explore"})
-	p := &poolProber{s: s, parent: ar, caseN: req.Case, maxCalls: req.MaxLayoutCalls, layout: req.Layout}
+// runExplore is an exploration's work (flight leader only): one
+// explore.Run per topology, probes fanning through the shared pool as
+// child runs. It runs on the leader's own goroutine — never inside the
+// pool, which only sees the individual probes — under the daemon's
+// timeout, not the client's; joined identical explorations wait for
+// its bytes.
+func (s *Server) runExplore(run *obs.Run, req *ExploreRequest, bases []sizing.OTASpec) (Value, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
+	defer cancel()
+	runID := run.Identity().ID
+	s.events.publish("batch-start", batchStartEvent{ID: runID, Kind: "explore"})
+	p := &poolProber{s: s, parentID: runID, caseN: req.Case, maxCalls: req.MaxLayoutCalls, layout: req.Layout}
 	rep := ExploreReport{
 		Mode: req.Mode, Axes: req.Axes,
 		Budget: req.Budget, Step: req.Step, Case: req.Case, Layout: req.Layout,
 	}
 	workers := s.pool.Stats().Workers
 	for i, topo := range req.Topologies {
-		span := ar.root.Child("explore-" + topo)
+		span := run.Root().Child("explore-" + topo)
 		res, err := explore.Run(obs.ContextWithSpan(ctx, span), p, explore.Config{
 			Topology: topo,
 			Base:     bases[i],
@@ -275,10 +246,10 @@ func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequ
 		span.End()
 		if err != nil {
 			s.events.publish("batch-end", batchEndEvent{
-				ID: ar.id, Outcome: outcomeError,
-				Items: int(p.done.Load()), DurationNS: ar.root.Duration().Nanoseconds(),
+				ID: runID, Outcome: outcomeError,
+				Items: int(p.done.Load()), DurationNS: run.Root().Duration().Nanoseconds(),
 			})
-			return nil, err
+			return Value{}, err
 		}
 		tf := TopologyFront{Topology: topo, Probes: len(res.Probes), Rounds: res.Rounds, Front: res.Front}
 		for _, pt := range res.Probes {
@@ -291,13 +262,13 @@ func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequ
 	}
 	body, err := marshalJSON(rep)
 	if err != nil {
-		return nil, err
+		return Value{}, err
 	}
 	s.events.publish("batch-end", batchEndEvent{
-		ID: ar.id, Outcome: outcomeOK, Items: int(p.done.Load()),
-		DurationNS: time.Since(time.Unix(0, ar.startUnix)).Nanoseconds(),
+		ID: runID, Outcome: outcomeOK, Items: int(p.done.Load()),
+		DurationNS: run.Root().Duration().Nanoseconds(),
 	})
-	return body, nil
+	return Value{Body: body, ContentType: "application/json"}, nil
 }
 
 // poolProber is the serving layer's explore.Prober: each probe is one
@@ -307,7 +278,7 @@ func (s *Server) runExplore(ctx context.Context, ar *activeRun, req *ExploreRequ
 // exploration — a partial front must never be cached.
 type poolProber struct {
 	s        *Server
-	parent   *activeRun
+	parentID string
 	caseN    int
 	maxCalls int
 	layout   string
@@ -320,24 +291,10 @@ func (p *poolProber) Probe(_ context.Context, topology string, spec sizing.OTASp
 	if err := req.normalize(); err != nil {
 		return explore.Metrics{}, false, "", err
 	}
-	key := req.cacheKey(s.tech, spec)
-	recReq := req
-	recReq.Spec = &spec
-	info := runInfo{
-		kind: "synthesize", topology: topology, caseN: req.Case, layout: req.Layout,
-		key: key, specDigest: specDigest(s.tech, spec), parent: p.parent.id,
-		request: recordRequest(recReq),
-	}
-	child := s.beginRun(info, time.Now())
-	v, outcome, err := s.executeKeyed(child, "application/json",
-		func(ctx context.Context) ([]byte, error) {
-			return s.backend.Synthesize(ctx, spec, &req)
-		})
+	_, v, outcome, err := s.runChild(p.parentID, req, spec, req.cacheKey(s.tech, spec))
 	idx := int(p.done.Add(1)) - 1
-	ev := batchItemEvent{Parent: p.parent.id, Index: idx, Topology: topology, Case: req.Case}
+	ev := batchItemEvent{Parent: p.parentID, Index: idx, Outcome: outcome, Topology: topology, Case: req.Case}
 	if err != nil {
-		s.finishRun(child, outcomeError, err, nil)
-		ev.Outcome = outcomeError
 		ev.Error = err.Error()
 		s.events.publish("batch-item", ev)
 		if errors.Is(err, parallel.ErrQueueFull) || errors.Is(err, parallel.ErrPoolClosed) ||
@@ -348,9 +305,7 @@ func (p *poolProber) Probe(_ context.Context, topology string, spec sizing.OTASp
 		// deterministic for a given spec, so it may shape the front.
 		return explore.Metrics{}, false, err.Error(), nil
 	}
-	s.finishRun(child, outcome, nil, v.Body)
 	s.exploreProbes.Inc()
-	ev.Outcome = outcome
 	ev.Cache = cacheSource(outcome)
 	s.events.publish("batch-item", ev)
 	var sum core.Summary

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"loas/internal/core"
 	"loas/internal/obs"
 )
 
@@ -29,29 +26,14 @@ const (
 	outcomeError    = "error"
 )
 
-// runInfo is what a handler knows about a request before it runs.
-type runInfo struct {
-	kind       string // synthesize | table1 | mc | layout.svg | batch | explore
-	topology   string
-	layout     string // non-default layout backend, "" for slicing
-	caseN      int
-	key        string // content-addressed cache key
-	specDigest string
-	parent     string // batch/explore run ID this run is a child of
-	// request is the canonicalized request body (compact JSON with the
-	// resolved spec embedded) recorded into the ledger for `loas replay`.
-	// nil for GET-style runs; bodies over maxRecordedRequest are dropped
-	// at finish so one giant batch cannot blow the ledger's rotation.
-	request []byte
-}
-
-// maxRecordedRequest bounds the request body copied into a RunRecord.
+// maxRecordedRequest bounds the request body copied into a RunRecord,
+// so one giant batch cannot blow the ledger's rotation.
 const maxRecordedRequest = 256 << 10
 
-// recordRequest renders v as the runInfo.request canonical compact
-// form, dropping it (nil, no error surfaced — recording is advisory)
-// if encoding fails.
-func recordRequest(v any) []byte {
+// recordRequest renders v as a record's canonical compact request body,
+// dropping it (nil, no error surfaced — recording is advisory) if
+// encoding fails.
+func recordRequest(v any) json.RawMessage {
 	b, err := marshalCompact(v)
 	if err != nil {
 		return nil
@@ -59,92 +41,42 @@ func recordRequest(v any) []byte {
 	return b
 }
 
-// activeRun is a run in flight: its recorder, root span and live trace.
-type activeRun struct {
-	info      runInfo
-	id        string
-	seq       int64
-	startUnix int64
-	rec       *obs.Recorder
-	root      *obs.Span
-	trace     *obs.Trace
-}
-
-// beginRun opens the run: allocates the ID (sequence numbers continue
-// across restarts via the ledger), starts the span tree and announces
-// run-start on the event stream.
-func (s *Server) beginRun(info runInfo, start time.Time) *activeRun {
-	seq := s.runSeq.Add(1)
-	ar := &activeRun{
-		info:      info,
-		id:        fmt.Sprintf("run-%06d", seq),
-		seq:       seq,
-		startUnix: start.UnixNano(),
-		rec:       obs.NewRecorder(),
+// beginRun opens a run for the identity a handler filled in (kind,
+// topology, layout, case, parent, cache key, spec digest, request): it
+// allocates the ID (sequence numbers continue across restarts via the
+// ledger), stamps the start and the daemon source, drops a request
+// over maxRecordedRequest, and announces run-start on the event stream.
+// Its iterations are narrated live as iteration events.
+func (s *Server) beginRun(id obs.RunRecord) *obs.Run {
+	id.Seq = s.runSeq.Add(1)
+	id.ID = fmt.Sprintf("run-%06d", id.Seq)
+	id.StartUnixNS = time.Now().UnixNano()
+	id.Source = "daemon"
+	if len(id.Request) > maxRecordedRequest {
+		id.Request = nil
 	}
-	ar.root = ar.rec.Root("request")
-	ar.root.SetAttr("kind", info.kind)
-	if info.topology != "" {
-		ar.root.SetAttr("topology", info.topology)
-	}
-	if info.layout != "" {
-		ar.root.SetAttr("layout", info.layout)
-	}
-	if info.caseN != 0 {
-		ar.root.SetAttr("case", strconv.Itoa(info.caseN))
-	}
-	ar.trace = obs.NewTraceFunc(func(it obs.Iteration) {
-		s.events.publish("iteration", iterationEvent{RunID: ar.id, Iteration: it})
+	runID := id.ID
+	run := obs.StartRun(id, func(it obs.Iteration) {
+		s.events.publish("iteration", iterationEvent{RunID: runID, Iteration: it})
 	})
 	s.events.publish("run-start", runStartEvent{
-		ID: ar.id, Kind: info.kind, Topology: info.topology,
-		Case: info.caseN, CacheKey: info.key, Parent: info.parent,
+		ID: id.ID, Kind: id.Kind, Topology: id.Topology,
+		Case: id.Case, CacheKey: id.CacheKey, Parent: id.Parent,
 	})
-	return ar
+	return run
 }
 
-// finishRun closes the run: ends the root span, freezes the record
-// (body is the response; its size and SHA-256 make the record a replay
-// target), stores it, appends it to the ledger and announces run-end.
-func (s *Server) finishRun(ar *activeRun, outcome string, err error, body []byte) {
-	ar.root.End()
-	iters := ar.trace.Iterations()
-	rec := obs.RunRecord{
-		ID:          ar.id,
-		Seq:         ar.seq,
-		StartUnixNS: ar.startUnix,
-		Source:      "daemon",
-		Kind:        ar.info.kind,
-		Topology:    ar.info.topology,
-		Layout:      ar.info.layout,
-		Case:        ar.info.caseN,
-		Parent:      ar.info.parent,
-		CacheKey:    ar.info.key,
-		SpecDigest:  ar.info.specDigest,
-		Outcome:     outcome,
-		DurationNS:  ar.root.Duration().Nanoseconds(),
-		Converged:   obs.Converged(iters, core.ConvergeTolF),
-		LayoutCalls: len(iters),
-		Bytes:       len(body),
-		Spans:       ar.rec.Snapshot(),
-		Iterations:  iters,
-	}
-	if len(body) > 0 {
-		sum := sha256.Sum256(body)
-		rec.BodySHA256 = hex.EncodeToString(sum[:])
-	}
-	if len(ar.info.request) > 0 && len(ar.info.request) <= maxRecordedRequest {
-		rec.Request = json.RawMessage(ar.info.request)
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
+// finishRun closes the run (body is the response; its size and SHA-256
+// make the record a replay target), stores the record, appends it to
+// the ledger and announces run-end.
+func (s *Server) finishRun(run *obs.Run, outcome string, err error, body []byte) {
+	rec := run.Finish(outcome, err, body)
 	s.runs.add(&rec)
 	if lerr := s.ledger.Append(rec); lerr != nil {
 		s.ledgerErrs.Add(1)
 	}
 	s.events.publish("run-end", runEndEvent{
-		ID: ar.id, Outcome: outcome, DurationNS: rec.DurationNS,
+		ID: rec.ID, Outcome: outcome, DurationNS: rec.DurationNS,
 		Converged: rec.Converged, LayoutCalls: rec.LayoutCalls, Error: rec.Error,
 	})
 }
@@ -329,14 +261,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	for _, rec := range recs {
 		rep.Runs = append(rep.Runs, summarize(rec))
 	}
-	body, err := marshalJSON(rep)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
+	s.reply(w, rep, true)
 }
 
 // handleRunByID serves one full run record: span tree + iterations.
@@ -348,12 +273,5 @@ func (s *Server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 		s.errorBody(w, http.StatusNotFound, fmt.Errorf("no run %q (the store keeps the most recent runs; see /v1/runs)", id))
 		return
 	}
-	body, err := marshalJSON(rec)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
+	s.reply(w, rec, true)
 }

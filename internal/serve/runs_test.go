@@ -9,22 +9,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"loas/internal/obs"
 	"loas/internal/sizing"
 )
 
 // tracingStub is a stubBackend that also records its canned iterations
-// into the live trace the server hands down via ctx — the behaviour the
-// real engine has through core.Options.Ctx.
+// into the run the server hands down via ctx — the behaviour the real
+// engine has through core.Options.Ctx.
 type tracingStub struct {
 	stubBackend
 }
 
 func (b *tracingStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
-	tr := obs.TraceFromContext(ctx)
+	run := obs.RunFromContext(ctx)
 	for _, it := range stubIterations {
-		tr.Record(it)
+		run.Record(it)
 	}
 	return b.stubBackend.Synthesize(ctx, spec, req)
 }
@@ -325,5 +326,49 @@ func TestLedgerAppendFailureKeepsRequest(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/runs", &rep)
 	if len(rep.Runs) != 1 || rep.Runs[0].Kind != "synthesize" || rep.Runs[0].Outcome != "ok" {
 		t.Fatalf("runs = %+v, want the one synthesize run", rep.Runs)
+	}
+}
+
+// lateStub outlives a short request timeout: it sleeps past the
+// deadline, then records an iteration into the run its request has
+// already finished.
+type lateStub struct {
+	stubBackend
+	done chan struct{} // closed once the late iteration is recorded
+}
+
+func (b *lateStub) Synthesize(ctx context.Context, spec sizing.OTASpec, req *SynthesizeRequest) ([]byte, error) {
+	time.Sleep(60 * time.Millisecond)
+	obs.RunFromContext(ctx).Record(stubIterations[0])
+	close(b.done)
+	return b.stubBackend.Synthesize(ctx, spec, req)
+}
+
+// TestTimeoutAbandonsJob: a job that outlives Config.Timeout answers
+// its request with a 504 and an error record naming the deadline, while
+// the pool runs it on. The job then records into the finished run: the
+// stored record stays as it was finished, and under -race nothing the
+// job writes races the request that abandoned it.
+func TestTimeoutAbandonsJob(t *testing.T) {
+	stub := &lateStub{done: make(chan struct{})}
+	_, ts := newStubServer(t, Config{Timeout: 20 * time.Millisecond}, stub)
+	resp, data := post(t, ts.URL+"/v1/synthesize", `{}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%s), want 504", resp.StatusCode, data)
+	}
+	<-stub.done
+
+	var rep RunsReport
+	getJSON(t, ts.URL+"/v1/runs", &rep)
+	if len(rep.Runs) != 1 {
+		t.Fatalf("runs = %+v, want the one timed-out run", rep.Runs)
+	}
+	var rec obs.RunRecord
+	getJSON(t, ts.URL+"/v1/runs/"+rep.Runs[0].ID, &rec)
+	if rec.Outcome != outcomeError || !strings.Contains(rec.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("record outcome %q, error %q; want an error naming the deadline", rec.Outcome, rec.Error)
+	}
+	if len(rec.Iterations) != 0 || rec.LayoutCalls != 0 {
+		t.Fatalf("record gained the abandoned job's iterations: %+v", rec.Iterations)
 	}
 }

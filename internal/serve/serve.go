@@ -220,28 +220,32 @@ type HealthReport struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	body, err := marshalJSON(HealthReport{
+	s.reply(w, HealthReport{
 		Status:     "ok",
 		Version:    BuildVersion(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	}, false)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body, err := marshalJSON(s.Stats())
+	s.reply(w, s.Stats(), false)
+}
+
+// reply answers a GET with v as its JSON body. Counted requests (every
+// GET but the /healthz and /stats probes) count as served once written;
+// their handlers counted the request on arrival.
+func (s *Server) reply(w http.ResponseWriter, v any, counted bool) {
+	body, err := marshalJSON(v)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
+	if counted {
+		s.served.Add(1)
+	}
 }
 
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
@@ -259,19 +263,24 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	key := req.cacheKey(s.tech, spec)
-	// The recorded request embeds the resolved spec so replaying it
-	// against a daemon with different defaults still re-issues the same
-	// workload (the cache key hashes the resolved spec either way).
+	id, work := s.synthesize(req, spec, req.cacheKey(s.tech, spec), "")
+	s.respond(w, id, work)
+}
+
+// synthesize returns the identity and the work of one synthesize run
+// keyed by key: a request, or a child of the batch or exploration run
+// parent. The recorded request embeds the resolved spec, so replaying
+// it against a daemon with different defaults still re-issues the same
+// workload (the cache key hashes the resolved spec either way).
+func (s *Server) synthesize(req SynthesizeRequest, spec sizing.OTASpec, key, parent string) (obs.RunRecord, func(*obs.Run) (Value, error)) {
 	recReq := req
 	recReq.Spec = &spec
-	info := runInfo{kind: "synthesize", topology: req.Topology, caseN: req.Case,
-		layout: req.Layout, key: key, specDigest: specDigest(s.tech, spec),
-		request: recordRequest(recReq)}
-	s.respond(w, info, "application/json",
-		func(ctx context.Context) ([]byte, error) {
-			return s.backend.Synthesize(ctx, spec, &req)
-		})
+	id := obs.RunRecord{Kind: "synthesize", Topology: req.Topology, Layout: req.Layout,
+		Case: req.Case, Parent: parent, CacheKey: key, SpecDigest: specDigest(s.tech, spec),
+		Request: recordRequest(recReq)}
+	return id, s.queued("application/json", func(ctx context.Context) ([]byte, error) {
+		return s.backend.Synthesize(ctx, spec, &req)
+	})
 }
 
 func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
@@ -285,13 +294,11 @@ func (s *Server) handleTable1(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	info := runInfo{kind: "table1", key: req.cacheKey(s.tech, spec),
-		specDigest: specDigest(s.tech, spec),
-		request:    recordRequest(Table1Request{Spec: &spec})}
-	s.respond(w, info, "application/json",
-		func(ctx context.Context) ([]byte, error) {
+	s.respond(w, obs.RunRecord{Kind: "table1", CacheKey: req.cacheKey(s.tech, spec),
+		SpecDigest: specDigest(s.tech, spec), Request: recordRequest(Table1Request{Spec: &spec})},
+		s.queued("application/json", func(ctx context.Context) ([]byte, error) {
 			return s.backend.Table1(ctx, spec)
-		})
+		}))
 }
 
 func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
@@ -311,13 +318,12 @@ func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
 	}
 	recReq := req
 	recReq.Spec = &spec
-	info := runInfo{kind: "mc", topology: req.Topology, caseN: req.Case,
-		key: req.cacheKey(s.tech, spec), specDigest: specDigest(s.tech, spec),
-		request: recordRequest(recReq)}
-	s.respond(w, info, "application/json",
-		func(ctx context.Context) ([]byte, error) {
+	s.respond(w, obs.RunRecord{Kind: "mc", Topology: req.Topology, Case: req.Case,
+		CacheKey: req.cacheKey(s.tech, spec), SpecDigest: specDigest(s.tech, spec),
+		Request: recordRequest(recReq)},
+		s.queued("application/json", func(ctx context.Context) ([]byte, error) {
 			return s.backend.MC(ctx, spec, &req)
-		})
+		}))
 }
 
 // TopologiesReport is the GET /v1/topologies payload.
@@ -328,17 +334,10 @@ type TopologiesReport struct {
 
 func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	body, err := marshalJSON(TopologiesReport{
+	s.reply(w, TopologiesReport{
 		Default:    sizing.DefaultTopology,
 		Topologies: sizing.Topologies(),
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
+	}, true)
 }
 
 // LayoutsReport is the GET /v1/layouts payload: every registered layout
@@ -350,53 +349,40 @@ type LayoutsReport struct {
 
 func (s *Server) handleLayouts(w http.ResponseWriter, _ *http.Request) {
 	s.requests.Add(1)
-	body, err := marshalJSON(LayoutsReport{
+	s.reply(w, LayoutsReport{
 		Default: layout.DefaultBackend,
 		Layouts: layout.Backends(),
-	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-	s.served.Add(1)
+	}, true)
 }
 
 func (s *Server) handleLayoutSVG(w http.ResponseWriter, _ *http.Request) {
 	spec := sizing.Default65MHz()
-	info := runInfo{kind: "layout.svg", key: layoutCacheKey(s.tech, spec),
-		specDigest: specDigest(s.tech, spec)}
-	s.respond(w, info, "image/svg+xml",
-		func(ctx context.Context) ([]byte, error) {
+	s.respond(w, obs.RunRecord{Kind: "layout.svg", CacheKey: layoutCacheKey(s.tech, spec),
+		SpecDigest: specDigest(s.tech, spec)},
+		s.queued("image/svg+xml", func(ctx context.Context) ([]byte, error) {
 			return s.backend.LayoutSVG(ctx, spec)
-		})
+		}))
 }
 
-// respond is the one path every result endpoint takes:
-// cache → singleflight → bounded queue → backend → cache.
-//
-// Every pass through here is also one run: a span tree is recorded
-// (request → cache-lookup → queue-wait → <kind> → backend phases), the
-// finished obs.RunRecord lands in the run store and the ledger, and the
-// lifecycle is narrated on /v1/events. The outcome labels the path
-// taken: "cache-hit" (byte replay), "ok" (this request's leader closure
-// executed the backend), "dedup" (joined another request's in-flight
-// execution) or "error".
-func (s *Server) respond(w http.ResponseWriter, info runInfo, contentType string,
-	compute func(context.Context) ([]byte, error)) {
+// respond serves one keyed request — a result whose response is cached
+// under its content-addressed key — as one run: it opens the run for
+// the handler's identity, satisfies the request through executeKeyed,
+// finishes the run (store, ledger, run-end) and writes the response.
+// The run's outcome labels the path taken: "cache-hit" (byte replay),
+// "ok" (this request led and work ran), "dedup" (joined another
+// request's in-flight execution) or "error".
+func (s *Server) respond(w http.ResponseWriter, id obs.RunRecord, work func(*obs.Run) (Value, error)) {
 	start := time.Now()
 	s.requests.Add(1)
-	ar := s.beginRun(info, start)
-
-	v, outcome, err := s.executeKeyed(ar, contentType, compute)
+	run := s.beginRun(id)
+	v, outcome, err := s.executeKeyed(run, id.CacheKey, work)
 	if err != nil {
-		s.finishRun(ar, outcomeError, err, nil)
+		s.finishRun(run, outcomeError, err, nil)
 		s.fail(w, err)
 		return
 	}
-	s.finishRun(ar, outcome, nil, v.Body)
-	s.write(w, v, info.key, cacheSource(outcome), start)
+	s.finishRun(run, outcome, nil, v.Body)
+	s.write(w, v, id.CacheKey, cacheSource(outcome), start)
 }
 
 // cacheSource maps a run outcome to its X-Loas-Cache header value.
@@ -410,37 +396,23 @@ func cacheSource(outcome string) string {
 	return "miss"
 }
 
-// executeKeyed runs one content-addressed unit of work through the
-// cache → singleflight → bounded queue → backend → cache path and
-// reports how it was satisfied (outcomeCacheHit / outcomeOK /
-// outcomeDedup). It is the shared engine behind every result endpoint
-// and every batch item / exploration probe; ar carries the unit's own
-// run (span tree, live trace, content key).
-func (s *Server) executeKeyed(ar *activeRun, contentType string,
-	compute func(context.Context) ([]byte, error)) (Value, string, error) {
-	info := ar.info
-	lookup := ar.root.Child("cache-lookup")
-	v, ok := s.cache.Get(info.key)
+// executeKeyed is the one way a keyed request is satisfied — every
+// result endpoint, every batch item and every exploration probe: cache
+// lookup → flight (the singleflight group that collapses concurrent
+// identical requests into one execution) → lead. It reports how the
+// request was satisfied: outcomeCacheHit, outcomeOK or outcomeDedup.
+func (s *Server) executeKeyed(run *obs.Run, key string, work func(*obs.Run) (Value, error)) (Value, string, error) {
+	lookup := run.Root().Child("cache-lookup")
+	v, ok := s.cache.Get(key)
 	lookup.End()
 	if ok {
 		return v, outcomeCacheHit, nil
 	}
-
-	// Opened before Submit, ended at job start: the span (and the
-	// loas_queue_wait_seconds histogram) measure the real time this
-	// request's work sat behind the bounded queue.
-	queueWait := ar.root.Child("queue-wait")
 	var hit bool
-	v, err, shared := s.flight.Do(info.key, func() (v Value, err error) {
-		v, hit, err = s.lead(ar, contentType, queueWait, compute)
+	v, err, shared := s.flight.Do(key, func() (v Value, err error) {
+		v, hit, err = s.lead(run, key, work)
 		return v, err
 	})
-	// Idempotent close for the paths where the job never started
-	// (joiner, cache hit on the re-check, queue full, pool closed).
-	// Those spans measured waiting on someone else's execution, not this
-	// request's queue admission, so only the in-job End in lead feeds
-	// the histogram.
-	queueWait.End()
 	switch {
 	case err != nil:
 		return Value{}, outcomeError, err
@@ -452,56 +424,65 @@ func (s *Server) executeKeyed(ar *activeRun, contentType string,
 	return v, outcomeOK, nil
 }
 
-// lead is the flight leader's path for one keyed unit of work. It looks
-// the key up again first: a request that missed the cache just before
-// an earlier leader stored the result, and reached the flight just
-// after that leader left it, finds the result there instead of running
-// the backend a second time; hit reports it. On a miss it submits
-// compute to the pool and caches the body.
-func (s *Server) lead(ar *activeRun, contentType string, queueWait *obs.Span,
-	compute func(context.Context) ([]byte, error)) (v Value, hit bool, err error) {
-	info := ar.info
-	if v, ok := s.cache.recheck(info.key); ok {
+// lead is the flight leader's path for one keyed request. It looks the
+// key up again first: a request that missed the cache just before an
+// earlier leader stored the result, and reached the flight just after
+// that leader left it, finds the result there instead of running the
+// work a second time; hit reports it. On a miss it runs work for run
+// and caches the body.
+func (s *Server) lead(run *obs.Run, key string, work func(*obs.Run) (Value, error)) (v Value, hit bool, err error) {
+	if v, ok := s.cache.recheck(key); ok {
 		return v, true, nil
 	}
-	// Run under the daemon's own lifetime, not the first client's — if
-	// that client disconnects, joiners and the cache still get the
-	// result.
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-	defer cancel()
-	// Label the execution context so CPU/heap profile samples taken
-	// anywhere under this run — pool worker, corner sweep, MC fan-out —
-	// attribute to the request that caused them. The engine layers finer
-	// phase labels (sizing, layout-extract, ...) on top.
-	lay := info.layout
-	if lay == "" {
-		lay = layout.DefaultBackend
-	}
-	ctx = obs.LabelCtx(ctx,
-		"phase", info.kind,
-		"topology", info.topology,
-		"layout", lay,
-		"run_id", ar.id)
-	err = s.pool.Submit(ctx, func(ctx context.Context) error {
-		queueWait.End()
-		s.queueWait.Observe(queueWait.Duration().Seconds())
-		s.backendRuns.Add(1)
-		work := ar.root.Child(info.kind)
-		defer work.End()
-		ctx = obs.ContextWithSpan(ctx, work)
-		ctx = obs.ContextWithTrace(ctx, ar.trace)
-		body, cErr := compute(ctx)
-		if cErr != nil {
-			return cErr
-		}
-		v = Value{Body: body, ContentType: contentType}
-		s.cache.Put(info.key, v)
-		return nil
-	})
-	if err != nil {
+	if v, err = work(run); err != nil {
 		return Value{}, false, err
 	}
+	s.cache.Put(key, v)
 	return v, false, nil
+}
+
+// queued returns the work that runs compute for a run on the bounded
+// job queue. compute runs under the daemon's lifetime and timeout, not
+// the first client's: if that client disconnects, joiners and the cache
+// still get the result. Its context carries the run, a span named for
+// the run's kind, and pprof labels, so CPU/heap profile samples taken
+// anywhere under the run — pool worker, corner sweep, MC fan-out —
+// attribute to the request that caused them; the engine layers finer
+// phase labels (sizing, layout-extract, ...) on top. A queue-wait span
+// and the loas_queue_wait_seconds histogram time how long the job sat
+// behind the queue.
+func (s *Server) queued(contentType string, compute func(context.Context) ([]byte, error)) func(*obs.Run) (Value, error) {
+	return func(run *obs.Run) (Value, error) {
+		id := run.Identity()
+		lay := id.Layout
+		if lay == "" {
+			lay = layout.DefaultBackend
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
+		defer cancel()
+		ctx = obs.LabelCtx(ctx, "phase", id.Kind, "topology", id.Topology, "layout", lay, "run_id", id.ID)
+		// Opened before Submit, ended at job start (or when the queue
+		// refuses the job, or the deadline passes first).
+		queueWait := run.Root().Child("queue-wait")
+		defer queueWait.End()
+		// The job writes body only; it is read only once Submit has
+		// returned the job's own result, never after a deadline, while
+		// an abandoned job may still be running.
+		var body []byte
+		err := s.pool.Submit(ctx, func(ctx context.Context) (err error) {
+			queueWait.End()
+			s.queueWait.Observe(queueWait.Duration().Seconds())
+			s.backendRuns.Add(1)
+			span := run.Root().Child(id.Kind)
+			defer span.End()
+			body, err = compute(obs.ContextWithRun(obs.ContextWithSpan(ctx, span), run))
+			return err
+		})
+		if err != nil {
+			return Value{}, err
+		}
+		return Value{Body: body, ContentType: contentType}, nil
+	}
 }
 
 func (s *Server) write(w http.ResponseWriter, v Value, key, src string, start time.Time) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"loas/internal/explore"
 	"loas/internal/obs"
 	"loas/internal/sizing"
 	"loas/internal/techno"
@@ -134,41 +135,81 @@ func TestDedupConcurrentIdenticalRequests(t *testing.T) {
 	if st.DedupJoined != n-1 || st.Cache.Hits != 0 {
 		t.Fatalf("dedup %d (want %d), hits %d (want 0)", st.DedupJoined, n-1, st.Cache.Hits)
 	}
+	// Only the leader queued work, so only its run times a queue wait.
+	for _, rec := range s.runs.list(runFilter{}) {
+		waits := 0
+		for _, sp := range rec.Spans {
+			if sp.Name == "queue-wait" {
+				waits++
+			}
+		}
+		if want := map[string]int{outcomeOK: 1, outcomeDedup: 0}[rec.Outcome]; waits != want {
+			t.Fatalf("%s run has %d queue-wait spans, want %d", rec.Outcome, waits, want)
+		}
+	}
 }
 
 // TestLeaderRechecksCache pins the dedup race deterministically. A
 // request can miss the cache just before another leader stores the
 // result, then reach the flight just after that leader has left it, and
 // so lead with the result already cached. The leader path must find it
-// there: report a hit, run no backend and count the request once in the
+// there: report a hit, run no work — neither the backend nor an
+// exploration's orchestration — and count the request once in the
 // cache statistics.
 func TestLeaderRechecksCache(t *testing.T) {
 	stub := &stubBackend{}
 	s, _ := newStubServer(t, Config{}, stub)
-	info := runInfo{kind: "synthesize", key: "race-key"}
-	if _, ok := s.cache.Get(info.key); ok { // the late request's miss
-		t.Fatal("empty cache hit")
-	}
-	want := Value{Body: []byte("{\"kind\":\"earlier leader\"}\n"), ContentType: "application/json"}
-	s.cache.Put(info.key, want) // the earlier leader's result
-
-	ar := s.beginRun(info, time.Now())
-	v, hit, err := s.lead(ar, want.ContentType, ar.root.Child("queue-wait"),
-		func(context.Context) ([]byte, error) { return stub.do(info.kind) })
-	s.finishRun(ar, outcomeCacheHit, err, v.Body)
-	if err != nil {
+	spec := sizing.Default65MHz()
+	sreq := SynthesizeRequest{}
+	ereq := ExploreRequest{Axes: explore.Axes{GBW: []float64{4e7, 6.5e7}}}
+	if err := sreq.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if !hit || !bytes.Equal(v.Body, want.Body) {
-		t.Fatalf("lead = %q, hit %v; want the cached body as a hit", v.Body, hit)
+	if err := ereq.normalize(); err != nil {
+		t.Fatal(err)
 	}
-	if got := stub.calls.Load(); got != 0 {
-		t.Fatalf("backend ran %d times for a cached key, want 0", got)
+	bases := []sizing.OTASpec{spec}
+	synthID, synthWork := s.synthesize(sreq, spec, sreq.cacheKey(s.tech, spec), "")
+	explored := false
+	cases := []struct {
+		id   obs.RunRecord
+		work func(*obs.Run) (Value, error)
+	}{
+		{synthID, synthWork},
+		{obs.RunRecord{Kind: "explore", CacheKey: ereq.cacheKey(s.tech, bases)},
+			func(run *obs.Run) (Value, error) {
+				explored = true
+				return s.runExplore(run, &ereq, bases)
+			}},
 	}
-	st := s.Stats()
-	if st.BackendRuns != 0 || st.Cache.Hits != 1 || st.Cache.Misses != 0 {
-		t.Fatalf("backend runs %d, cache hits %d, misses %d; want 0, 1, 0",
-			st.BackendRuns, st.Cache.Hits, st.Cache.Misses)
+	for i, c := range cases {
+		key := c.id.CacheKey
+		if _, ok := s.cache.Get(key); ok { // the late request's miss
+			t.Fatalf("%s: empty cache hit", c.id.Kind)
+		}
+		want := Value{Body: []byte("{\"kind\":\"earlier leader\"}\n"), ContentType: "application/json"}
+		s.cache.Put(key, want) // the earlier leader's result
+
+		run := s.beginRun(c.id)
+		v, hit, err := s.lead(run, key, c.work)
+		s.finishRun(run, outcomeCacheHit, err, v.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit || !bytes.Equal(v.Body, want.Body) {
+			t.Fatalf("%s: lead = %q, hit %v; want the cached body as a hit", c.id.Kind, v.Body, hit)
+		}
+		if rec, _ := s.runs.get(run.Identity().ID); len(rec.Spans) != 1 {
+			t.Fatalf("%s: a re-check hit recorded spans %+v; want the request span alone", c.id.Kind, rec.Spans)
+		}
+		st := s.Stats()
+		if st.BackendRuns != 0 || st.Cache.Hits != int64(i+1) || st.Cache.Misses != 0 {
+			t.Fatalf("%s: backend runs %d, cache hits %d, misses %d; want 0, %d, 0",
+				c.id.Kind, st.BackendRuns, st.Cache.Hits, st.Cache.Misses, i+1)
+		}
+	}
+	if got := stub.calls.Load(); got != 0 || explored {
+		t.Fatalf("backend ran %d times, exploration ran %v, for cached keys; want neither", got, explored)
 	}
 }
 

@@ -62,13 +62,13 @@ func (s *acStamps) addEntry(i, j int, v float64) {
 }
 
 // compileAC linearizes the circuit at op. The stamp lists are sized once
-// from the element counts: a two-terminal stamp has at most 4 entries, a
-// source branch 6, and a MOSFET 8 partials and 5 capacitances.
+// from the element counts: a two-terminal stamp and a source branch have
+// at most 4 entries each, and a MOSFET 8 partials and 5 capacitances.
 func (e *Engine) compileAC(op *OPResult) acStamps {
 	s := acStamps{
 		g:   make([]acEntry, 0, 4*e.nRes),
 		c:   make([]acEntry, 0, 4*(e.nCap+5*e.nMOS)),
-		u:   make([]acEntry, 0, 6*e.nBranch+8*e.nMOS),
+		u:   make([]acEntry, 0, 4*e.nBranch+8*e.nMOS),
 		rhs: make([]complex128, e.size),
 	}
 	e.excitation(s.rhs)
@@ -93,16 +93,6 @@ func (e *Engine) compileAC(op *OPResult) acStamps {
 			s.addEntry(b, br, -1)
 			s.addEntry(br, a, 1)
 			s.addEntry(br, b, -1)
-
-		case *circuit.VCVS:
-			br := ei.br
-			a, b, ca, cb := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
-			s.addEntry(a, br, 1)
-			s.addEntry(b, br, -1)
-			s.addEntry(br, a, 1)
-			s.addEntry(br, b, -1)
-			s.addEntry(br, ca, -t.Gain)
-			s.addEntry(br, cb, t.Gain)
 
 		case *circuit.MOSFET:
 			d, g, srcU, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]

@@ -17,8 +17,8 @@ import (
 )
 
 // Engine binds a circuit to an unknown ordering: node voltages first
-// (ground excluded), then one branch current per voltage source and per
-// VCVS, in insertion order.
+// (ground excluded), then one branch current per voltage source, in
+// insertion order.
 //
 // An Engine owns scratch state (the Newton workspace below), so it is a
 // single-goroutine object: concurrent analyses need separate engines.
@@ -50,7 +50,7 @@ type Engine struct {
 
 // elemIdx is one element with its unknowns: u holds its terminals in
 // ElemNodes order (−1 = ground), br the branch unknown of a voltage
-// source or VCVS (−1 otherwise).
+// source (−1 otherwise).
 type elemIdx struct {
 	el circuit.Element
 	u  [4]int
@@ -68,7 +68,7 @@ func NewEngine(ckt *circuit.Circuit, temp float64) *Engine {
 			ei.u[i] = e.unknownOf(node)
 		}
 		switch el.(type) {
-		case *circuit.VSource, *circuit.VCVS:
+		case *circuit.VSource:
 			ei.br = e.nNodes + e.nBranch
 			e.nBranch++
 		case *circuit.Resistor:

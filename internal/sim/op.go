@@ -52,8 +52,8 @@ type OPResult struct {
 	// the source-stepping fallback when the ladder fails, and the polish.
 	Iterations int
 
-	// br holds the branch currents of the voltage sources and VCVSs in
-	// circuit order; positive current flows from Pos through the source
+	// br holds the branch currents of the voltage sources in circuit
+	// order; positive current flows from Pos through the source
 	// to Neg.
 	br []float64
 	e  *Engine
@@ -68,9 +68,9 @@ func (r *OPResult) Volt(ckt *circuit.Circuit, node string) float64 {
 	return r.V[i]
 }
 
-// BranchCurrent returns the branch current of the named voltage source
-// or VCVS, positive from Pos through the source to Neg, and whether the
-// circuit has such a source.
+// BranchCurrent returns the branch current of the named voltage source,
+// positive from Pos through the source to Neg, and whether the circuit
+// has such a source.
 func (r *OPResult) BranchCurrent(name string) (float64, bool) {
 	for k := range r.e.elems {
 		if ei := &r.e.elems[k]; ei.br >= 0 && ei.el.ElemName() == name {
@@ -202,31 +202,6 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 				val = t.Value(tNow)
 			}
 			f[br] += voltsAt(x, a) - voltsAt(x, b) - srcScale*val
-
-		case *circuit.VCVS:
-			br := ei.br
-			a, b, ca, cb := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
-			if a >= 0 {
-				j.Add(a, br, 1)
-				f[a] += x[br]
-			}
-			if b >= 0 {
-				j.Add(b, br, -1)
-				f[b] -= x[br]
-			}
-			if a >= 0 {
-				j.Add(br, a, 1)
-			}
-			if b >= 0 {
-				j.Add(br, b, -1)
-			}
-			if ca >= 0 {
-				j.Add(br, ca, -t.Gain)
-			}
-			if cb >= 0 {
-				j.Add(br, cb, t.Gain)
-			}
-			f[br] += voltsAt(x, a) - voltsAt(x, b) - t.Gain*(voltsAt(x, ca)-voltsAt(x, cb))
 
 		case *circuit.MOSFET:
 			d, g, s, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]

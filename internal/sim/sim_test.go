@@ -342,23 +342,6 @@ func TestTranPulseShape(t *testing.T) {
 	}
 }
 
-func TestVCVSIdealAmp(t *testing.T) {
-	c := circuit.New("vcvs")
-	c.Add(
-		&circuit.VSource{Name: "in", Pos: "a", Neg: "0", DC: 0.1},
-		&circuit.VCVS{Name: "e", Pos: "out", Neg: "0", CPos: "a", CNeg: "0", Gain: 10},
-		&circuit.Resistor{Name: "l", A: "out", B: "0", R: 1e3},
-	)
-	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := r.Volt(c, "out"); math.Abs(v-1.0) > 1e-9 {
-		t.Fatalf("VCVS output %g, want 1.0", v)
-	}
-}
-
 func TestOPNoConvergenceReportsError(t *testing.T) {
 	// Two ideal voltage sources fighting on one node → singular system.
 	c := circuit.New("conflict")
