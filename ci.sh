@@ -29,6 +29,17 @@ go build ./cmd/...
 go test -count=1 -run 'TestFingerprintGolden' ./internal/core
 go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 
+# Slew stop-rule lane. meas stops the slew transient once the output
+# has settled, and its slew rate keeps its bits only while the steepest
+# step lies inside the prefix it ran. Measure is held bit for bit to
+# RefMeasure, whose transient runs the full window, over the default
+# benches, two late-settling Miller benches (one takes the full-window
+# fallback) and a 24-synthesis population; a stopped Tran must be an
+# exact prefix of the full run. A slew drift fails here, early and by
+# name. No race detector, as for the golden lanes above.
+go test -count=1 -run 'TestMeasureMatchesReference' ./internal/meas
+go test -count=1 -run 'TestTranStopIsPrefix' ./internal/sim
+
 # Allocation-budget lane. The analyses allocate only what their callers
 # read: one Measure of the five-t default design, one EvalGBWPM and a
 # one-probe transient each have a byte and an allocation budget 1.25×

@@ -19,8 +19,10 @@ const Ground = "0"
 type Element interface {
 	// ElemName returns the instance name (unique within a circuit).
 	ElemName() string
-	// ElemNodes returns the connected node names in terminal order.
-	ElemNodes() []string
+	// ElemNodes returns the connected node names in terminal order: the
+	// first n entries of the array, which has room for the four of a
+	// MOSFET. An array, not a slice, so the call allocates nothing.
+	ElemNodes() (names [4]string, n int)
 	// Card returns the element's SPICE-like card for export.
 	Card() string
 }
@@ -36,7 +38,7 @@ type Resistor struct {
 func (r *Resistor) ElemName() string { return r.Name }
 
 // ElemNodes implements Element.
-func (r *Resistor) ElemNodes() []string { return []string{r.A, r.B} }
+func (r *Resistor) ElemNodes() ([4]string, int) { return [4]string{r.A, r.B}, 2 }
 
 // Card implements Element.
 func (r *Resistor) Card() string { return fmt.Sprintf("R%s %s %s %.6g", r.Name, r.A, r.B, r.R) }
@@ -52,7 +54,7 @@ type Capacitor struct {
 func (c *Capacitor) ElemName() string { return c.Name }
 
 // ElemNodes implements Element.
-func (c *Capacitor) ElemNodes() []string { return []string{c.A, c.B} }
+func (c *Capacitor) ElemNodes() ([4]string, int) { return [4]string{c.A, c.B}, 2 }
 
 // Card implements Element.
 func (c *Capacitor) Card() string { return fmt.Sprintf("C%s %s %s %.6g", c.Name, c.A, c.B, c.C) }
@@ -117,7 +119,7 @@ func (p *Pulse) At(t float64) float64 {
 func (v *VSource) ElemName() string { return v.Name }
 
 // ElemNodes implements Element.
-func (v *VSource) ElemNodes() []string { return []string{v.Pos, v.Neg} }
+func (v *VSource) ElemNodes() ([4]string, int) { return [4]string{v.Pos, v.Neg}, 2 }
 
 // Card implements Element.
 func (v *VSource) Card() string {
@@ -151,7 +153,7 @@ type ISource struct {
 func (i *ISource) ElemName() string { return i.Name }
 
 // ElemNodes implements Element.
-func (i *ISource) ElemNodes() []string { return []string{i.Pos, i.Neg} }
+func (i *ISource) ElemNodes() ([4]string, int) { return [4]string{i.Pos, i.Neg}, 2 }
 
 // Card implements Element.
 func (i *ISource) Card() string {
@@ -181,7 +183,7 @@ type MOSFET struct {
 func (m *MOSFET) ElemName() string { return m.Name }
 
 // ElemNodes implements Element.
-func (m *MOSFET) ElemNodes() []string { return []string{m.D, m.G, m.S, m.B} }
+func (m *MOSFET) ElemNodes() ([4]string, int) { return [4]string{m.D, m.G, m.S, m.B}, 4 }
 
 // Card implements Element.
 func (m *MOSFET) Card() string {
@@ -244,8 +246,9 @@ func (c *Circuit) Add(elems ...Element) *Circuit {
 				panic(fmt.Sprintf("circuit %q: duplicate element %q", c.Name, e.ElemName()))
 			}
 		}
-		for _, n := range e.ElemNodes() {
-			c.Node(n)
+		names, n := e.ElemNodes()
+		for _, name := range names[:n] {
+			c.Node(name)
 		}
 		c.Elements = append(c.Elements, e)
 	}

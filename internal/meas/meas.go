@@ -358,24 +358,48 @@ func (ol *openLoop) noise(ac *sim.ACSolver, p *sizing.Performance) error {
 	return nil
 }
 
+// The slew transient's grid and stop rule, in units of 1/GBW and of the
+// running maximum slope.
+const (
+	slewStep   = 0.02 // time step, in 1/GBW
+	slewWindow = 60   // the full window, in 1/GBW
+	slewSettle = 2    // settled stretch after the edge that ends the run, in 1/GBW
+	slewQuiet  = 1e-3 // a step is settled below this fraction of the running maximum slope
+)
+
 // slewRate steps a unity-gain buffer and measures the max output slope.
 func (b *Bench) slewRate(p *sizing.Performance) error {
 	if p.GBW <= 0 {
 		return fmt.Errorf("slew rate needs GBW first")
 	}
+	res, err := b.slewTran(p.GBW)
+	if err != nil {
+		return err
+	}
+	p.SlewRate, _ = res.MaxSlope(b.Out)
+	return nil
+}
+
+// slewTran runs the unity-gain step transient, probing the output. It
+// stops once the input edge has passed and every step of the last
+// slewSettle/GBW was settled; otherwise it runs the full slewWindow/GBW.
+// The steps lie on one grid, so a stopped run is a prefix of the full
+// one and its maximum slope keeps its bits whenever the steepest step
+// lies inside the prefix.
+func (b *Bench) slewTran(gbw float64) (*sim.TranResult, error) {
 	ckt := b.Build()
 	// Unity feedback: inn follows out. A 1 Ω resistor closes the
 	// unity-gain loop and keeps out and inn separate nodes, so the
 	// builder's netlist stays untouched.
 	step := 0.8
+	pulse := &circuit.Pulse{
+		V1: b.VicmDC - step/2, V2: b.VicmDC + step/2,
+		Delay: 4 / gbw, Rise: 1e-10,
+	}
 	ckt.Add(
 		&circuit.Resistor{Name: "tbfb", A: b.Out, B: b.InN, R: 1.0},
 		&circuit.VSource{Name: "tbstep", Pos: b.InP, Neg: circuit.Ground,
-			DC: b.VicmDC - step/2,
-			Pulse: &circuit.Pulse{
-				V1: b.VicmDC - step/2, V2: b.VicmDC + step/2,
-				Delay: 4 / p.GBW, Rise: 1e-10,
-			}},
+			DC: b.VicmDC - step/2, Pulse: pulse},
 		&circuit.Capacitor{Name: "tbload", A: b.Out, B: circuit.Ground, C: b.CL},
 	)
 	eng := sim.NewEngine(ckt, b.Temp)
@@ -383,13 +407,21 @@ func (b *Bench) slewRate(p *sizing.Performance) error {
 	ns[b.InP] = b.VicmDC - step/2
 	ns[b.InN] = b.VicmDC - step/2
 	ns[b.Out] = b.VicmDC - step/2
-	tstop := 60 / p.GBW
-	h := 0.02 / p.GBW
-	res, err := eng.Tran(tstop, h, sim.OPOptions{NodeSet: ns}, b.Out)
-	if err != nil {
-		return err
+
+	edge := pulse.Delay + pulse.Rise
+	var maxSlope float64
+	quiet := 0 // settled steps in a row since the edge
+	stop := func(r *sim.TranResult) bool {
+		k := len(r.T) - 1
+		w := r.V[0] // b.Out, the only probe
+		s := math.Abs(w[k]-w[k-1]) / (r.T[k] - r.T[k-1])
+		maxSlope = max(maxSlope, s)
+		if r.T[k] <= edge || s >= slewQuiet*maxSlope {
+			quiet = 0
+			return false
+		}
+		quiet++
+		return quiet >= slewSettle/slewStep
 	}
-	slope, _ := res.MaxSlope(b.Out)
-	p.SlewRate = slope
-	return nil
+	return eng.Tran(slewWindow/gbw, slewStep/gbw, sim.OPOptions{NodeSet: ns}, stop, b.Out)
 }

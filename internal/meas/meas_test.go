@@ -166,6 +166,16 @@ func TestMeasureRejectsBrokenBench(t *testing.T) {
 	}
 }
 
+// SlewEnd runs Measure's slew transient of b at unity frequency gbw and
+// returns where it ended, in units of 1/gbw.
+func SlewEnd(b Bench, gbw float64) (float64, error) {
+	res, err := b.slewTran(gbw)
+	if err != nil {
+		return 0, err
+	}
+	return res.T[len(res.T)-1] * gbw, nil
+}
+
 // RefMeasure is the measurement path as it stood before Measure shared
 // one open-loop bench: one fresh netlist and engine per offset probe
 // and per measurement, full AC sweeps, a second AC sweep for the noise
@@ -423,7 +433,7 @@ func (b *Bench) refSlewRate(p *sizing.Performance) error {
 	ns[b.InN] = b.VicmDC - step/2
 	ns[b.Out] = b.VicmDC - step/2
 	// Every node's waveform, as the transient stored it before probes.
-	res, err := eng.Tran(60/p.GBW, 0.02/p.GBW, sim.OPOptions{NodeSet: ns}, ckt.Nodes()...)
+	res, err := eng.Tran(60/p.GBW, 0.02/p.GBW, sim.OPOptions{NodeSet: ns}, nil, ckt.Nodes()...)
 	if err != nil {
 		return err
 	}

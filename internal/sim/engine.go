@@ -64,7 +64,8 @@ func NewEngine(ckt *circuit.Circuit, temp float64) *Engine {
 	e.elems = make([]elemIdx, len(ckt.Elements))
 	for k, el := range ckt.Elements {
 		ei := elemIdx{el: el, br: -1}
-		for i, node := range el.ElemNodes() {
+		names, n := el.ElemNodes()
+		for i, node := range names[:n] {
 			ei.u[i] = e.unknownOf(node)
 		}
 		switch el.(type) {

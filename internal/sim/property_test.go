@@ -160,7 +160,7 @@ func TestTranSettlesToDC(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("n%d", i+1)
 		}
-		res, err := eng.Tran(1e-8, 1e-10, OPOptions{}, nodes...)
+		res, err := eng.Tran(1e-8, 1e-10, OPOptions{}, nil, nodes...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -303,6 +303,86 @@ func TestNoiseKTOverC(t *testing.T) {
 	}
 }
 
+// TestTranStopIsPrefix: a transient that its stop hook ends at step k
+// equals the first k+1 points of the run to tstop, bit for bit, in T and
+// in every probed waveform, and each waveform has len(T) points. A hook
+// that never stops gives the nil hook's run: ceil(tstop/h)+1 points on
+// the grid t = k·h. The 5T OTA's positive input steps by 100 mV at 20 ns
+// so that the probed nodes move.
+func TestTranStopIsPrefix(t *testing.T) {
+	tech := techno.Default060()
+	const tstop, h = 300e-9, 1e-9
+	probes := []string{"out", "x", "tail"}
+	run := func(stop func(*TranResult) bool) *TranResult {
+		t.Helper()
+		c, seeds := fiveTransistorOTA(tech)
+		for _, v := range c.VSources() {
+			if v.Name == "inp" {
+				v.Pulse = &circuit.Pulse{V1: v.DC, V2: v.DC + 0.1, Delay: 20e-9, Rise: 1e-9}
+			}
+		}
+		res, err := NewEngine(c, techno.TempNominal).Tran(tstop, h, OPOptions{NodeSet: seeds}, stop, probes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sameBits := func(name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %x, want %x", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	full := run(nil)
+	nSteps := int(math.Ceil(tstop / h))
+	if len(full.T) != nSteps+1 {
+		t.Fatalf("nil hook: %d points, want %d", len(full.T), nSteps+1)
+	}
+	for k, tk := range full.T {
+		if tk != float64(k)*h {
+			t.Fatalf("T[%d] = %g, want %g", k, tk, float64(k)*h)
+		}
+	}
+	if lo, hi := full.Waveform("out")[0], full.Waveform("out")[nSteps]; math.Abs(hi-lo) < 1e-3 {
+		t.Fatalf("out moved only %g V: the step does not drive the prefix check", hi-lo)
+	}
+
+	never := run(func(r *TranResult) bool { return false })
+	sameBits("never-stop T", never.T, full.T)
+	for _, p := range probes {
+		sameBits("never-stop "+p, never.Waveform(p), full.Waveform(p))
+	}
+
+	for _, k := range []int{1, 19, 21, 150, nSteps} {
+		calls := 0
+		got := run(func(r *TranResult) bool {
+			calls++
+			if len(r.T) != calls+1 {
+				t.Fatalf("hook call %d sees %d points, want %d", calls, len(r.T), calls+1)
+			}
+			for j := range r.V {
+				if len(r.V[j]) != len(r.T) {
+					t.Fatalf("hook call %d: waveform %d has %d points for %d times", calls, j, len(r.V[j]), len(r.T))
+				}
+			}
+			return len(r.T)-1 == k
+		})
+		if calls != k {
+			t.Fatalf("stop at step %d: hook called %d times", k, calls)
+		}
+		sameBits("T", got.T, full.T[:k+1])
+		for _, p := range probes {
+			sameBits(p, got.Waveform(p), full.Waveform(p)[:k+1])
+		}
+	}
+}
+
 func TestTranRCStep(t *testing.T) {
 	c := circuit.New("rcstep")
 	c.Add(
@@ -313,7 +393,7 @@ func TestTranRCStep(t *testing.T) {
 	)
 	e := NewEngine(c, techno.TempNominal)
 	tau := 1e-6
-	res, err := e.Tran(5*tau, tau/100, OPOptions{}, "b")
+	res, err := e.Tran(5*tau, tau/100, OPOptions{}, nil, "b")
 	if err != nil {
 		t.Fatal(err)
 	}

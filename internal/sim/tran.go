@@ -61,7 +61,12 @@ type capState struct {
 // (piecewise-constant within a step), which is accurate enough for
 // slewing and settling measurements while keeping the Newton loop linear
 // in the capacitances.
-func (e *Engine) Tran(tstop, h float64, opts OPOptions, probes ...string) (*TranResult, error) {
+//
+// A non-nil stop is called after each recorded step with the result so
+// far; when it returns true the transient ends there. Step k always
+// lands on t = k·h whatever tstop is, so a stopped run is an exact
+// prefix of the run to tstop. A nil stop runs to tstop.
+func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) bool, probes ...string) (*TranResult, error) {
 	if h <= 0 || tstop <= 0 {
 		return nil, fmt.Errorf("sim: transient needs positive tstop and step, got %g, %g", tstop, h)
 	}
@@ -96,18 +101,19 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, probes ...string) (*Tran
 		}
 	}
 
-	// The waveforms live in one backing array, one row per probe.
+	// The waveforms live in one backing array, one row per probe. Each
+	// row grows with T inside its own slot, so a stopped run's
+	// waveforms have len(T) points too.
 	nSteps := int(math.Ceil(tstop / h))
 	nt := nSteps + 1
 	wave := make([]float64, nt*len(probes))
 	res := &TranResult{T: make([]float64, 0, nt), V: make([][]float64, len(probes)), probes: probes}
 	for j := range res.V {
-		res.V[j] = wave[j*nt : (j+1)*nt : (j+1)*nt]
+		res.V[j] = wave[j*nt : j*nt : (j+1)*nt]
 	}
 	record := func(t float64) {
-		k := len(res.T)
 		for j, u := range pu {
-			res.V[j][k] = voltsAt(x, u)
+			res.V[j] = append(res.V[j], voltsAt(x, u))
 		}
 		res.T = append(res.T, t)
 	}
@@ -158,6 +164,9 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, probes ...string) (*Tran
 			cs.iPrev = geq*v - (geq*cs.vPrev + cs.iPrev)
 		}
 		record(t)
+		if stop != nil && stop(res) {
+			break
+		}
 	}
 	return res, nil
 }

@@ -172,7 +172,7 @@ func TestTranAllocBudget(t *testing.T) {
 	e := NewEngine(c, techno.TempNominal)
 	opts := OPOptions{NodeSet: seeds}
 	bytes, allocs := allocPerRun(5, func() {
-		if _, err := e.Tran(300e-9, 1e-9, opts, "out"); err != nil {
+		if _, err := e.Tran(300e-9, 1e-9, opts, nil, "out"); err != nil {
 			t.Fatal(err)
 		}
 	})
