@@ -519,8 +519,8 @@ func BenchmarkModelCardEval(b *testing.B) {
 }
 
 // BenchmarkModelCardEvalID: the ID-only evaluation (1 core solve
-// instead of 7); the DC Jacobian's EvalIDStencil assembles nine of these
-// from shared pieces.
+// instead of 7); the DC Jacobian's EvalIDStencil assembles up to nine
+// of these from shared pieces.
 func BenchmarkModelCardEvalID(b *testing.B) {
 	tech := techno.Default060()
 	m := device.MOS{Card: &tech.N, W: 50e-6, L: 1e-6}

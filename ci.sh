@@ -40,17 +40,33 @@ go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 go test -count=1 -run 'TestMeasureMatchesReference' ./internal/meas
 go test -count=1 -run 'TestTranStopIsPrefix' ./internal/sim
 
-# Allocation-budget lane. The analyses allocate only what their callers
-# read: one Measure of the five-t default design, one EvalGBWPM and a
-# one-probe transient each have a byte and an allocation budget 1.25×
-# above their measured values, so a per-probe netlist and engine, a
-# per-point map or a stored all-node waveform fails here by name. One
-# POST /v1/synthesize cache hit through the daemon's handler, ledger
-# on, has a budget 1.05× above its measured value (internal/serve), so
-# SSE frames rendered for no subscriber or a second copy of the run
-# record fail here too. The lane runs without the race detector, whose
-# instrumented build need not allocate the same.
-go test -count=1 -run 'AllocBudget' ./internal/sim ./internal/sizing ./internal/meas ./internal/serve
+# Reuse lane. A sizing pass rebinds one engine and relinearizes one AC
+# solver for each evaluation, and stack.Generate scores its candidates
+# in one reused buffer. Both are held bit for bit to fresh objects: an
+# engine rebound onto other circuits and back, with its solver, against
+# a new engine and PrepareAC (OP, stamps and phasors); Generate against
+# the reference path that builds a Pattern per candidate, over a grid of
+# stack specs. A drift fails here, early and by name. No race detector,
+# as for the golden lanes above.
+go test -count=1 -run 'TestRebindBitIdentical' ./internal/sim
+go test -count=1 -run 'TestGenerateMatchesReference' ./internal/layout/stack
+
+# Allocation-budget lane. The analyses and the layout plan allocate
+# only what their callers read: one Measure of the five-t default
+# design, one warm evaluation through a sizing pass's reused evaluator,
+# a one-probe transient, one stack.Generate of the Fig. 3 mirror and one
+# layout Plan of the five-t default design each have a byte and an
+# allocation budget 1.25× above their measured values, so a per-probe
+# netlist and engine, a per-evaluation engine or solver, a per-point
+# map, a stored all-node waveform, a Pattern per stack candidate or a
+# cell grown shape by shape fails here by name. One POST /v1/synthesize
+# cache hit through the daemon's handler, ledger on, has a budget 1.05×
+# above its measured value (internal/serve), so SSE frames rendered for
+# no subscriber or a second copy of the run record fail here too. The
+# lane runs without the race detector, whose instrumented build need
+# not allocate the same.
+go test -count=1 -run 'AllocBudget' ./internal/sim ./internal/sizing ./internal/meas ./internal/serve \
+    ./internal/layout/stack ./internal/layout/cairo
 
 # Verification fan-out lane. core.Synthesize runs its two verification
 # passes on two goroutines: drive the fan-out with stub passes (errors,
@@ -81,9 +97,10 @@ go test -race -run '^$' -fuzz 'FuzzCanonicalKey$' -fuzztime 5s ./internal/serve
 # sensitivity, and per-item ulp sensitivity.
 go test -race -run '^$' -fuzz FuzzBatchCanonicalKey -fuzztime 5s ./internal/serve
 
-# Fuzz the shared MOS stencil: at any terminal voltages, EvalIDStencil
-# must match nine EvalID calls and CapsAt must match Caps(Eval(…)), bit
-# for bit, on both device polarities.
+# Fuzz the shared MOS stencil: at any terminal voltages and under any
+# probe set, every probe EvalIDStencil computes must match its EvalID
+# call and CapsAt must match Caps(Eval(…)), bit for bit, on both device
+# polarities.
 go test -race -run '^$' -fuzz FuzzEvalIDStencil -fuzztime 5s ./internal/device
 
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the

@@ -289,17 +289,34 @@ type IDStencil struct {
 	DUp, DDn, GUp, GDn, SUp, SDn, BUp, BDn float64
 }
 
-// EvalIDStencil returns EvalID at the nine points a central-difference
-// Jacobian needs: the base point (vg, vd, vs, vb) and each terminal moved
-// by ±h. Every value is bit-identical to the EvalID call at that point,
-// because each is assembled from idsCore's own pieces — pinchOff, the
-// two lnHalf terms and idsFrom — fed the same operands. The drain and
-// source probes leave vgb unchanged, so they reuse the base point's
-// pinch-off, and each keeps the lnHalf of the terminal it does not move:
-// 5 of 9 pinchOff and 14 of 18 lnHalf evaluations. An lnHalf depends on
-// one terminal only, so a probe that swaps drain and source (vd crossing
-// vs) merely exchanges which term is forward and needs no fallback.
-func (m *MOS) EvalIDStencil(vg, vd, vs, vb, h, temp float64) (st IDStencil) {
+// Probes selects the terminals whose ±h probes EvalIDStencil computes,
+// one bit per terminal.
+type Probes uint8
+
+// The terminals' probe bits.
+const (
+	ProbeD Probes = 1 << iota
+	ProbeG
+	ProbeS
+	ProbeB
+	ProbeAll = ProbeD | ProbeG | ProbeS | ProbeB
+)
+
+// EvalIDStencil returns EvalID at the points a central-difference
+// Jacobian needs: the base point (vg, vd, vs, vb) and each terminal in
+// probes moved by ±h. A terminal outside probes keeps zero in both of
+// its probe fields: a simulator leaves out the probes of a grounded
+// terminal, whose partial it never stamps. Every value computed is
+// bit-identical to the EvalID call at that point, because each is
+// assembled from idsCore's own pieces — pinchOff, the two lnHalf terms
+// and idsFrom — fed the same operands. The drain and source probes
+// leave vgb unchanged, so they reuse the base point's pinch-off, and
+// each keeps the lnHalf of the terminal it does not move: 5 of 9
+// pinchOff and 14 of 18 lnHalf evaluations for all four terminals. An
+// lnHalf depends on one terminal only, so a probe that swaps drain and
+// source (vd crossing vs) merely exchanges which term is forward and
+// needs no fallback.
+func (m *MOS) EvalIDStencil(vg, vd, vs, vb, h, temp float64, probes Probes) (st IDStencil) {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
 	sign := c.VTSign()
@@ -326,18 +343,25 @@ func (m *MOS) EvalIDStencil(vg, vd, vs, vb, h, temp float64) (st IDStencil) {
 	ld, ls := lnHalf(vp, vdb, vt), lnHalf(vp, vsb, vt)
 	st.Base = at(n, vdb, vsb, ld, ls)
 
-	vdUp, vdDn := sign*((vd+h)-vb), sign*((vd-h)-vb)
-	st.DUp = at(n, vdUp, vsb, lnHalf(vp, vdUp, vt), ls)
-	st.DDn = at(n, vdDn, vsb, lnHalf(vp, vdDn, vt), ls)
-	vsUp, vsDn := sign*((vs+h)-vb), sign*((vs-h)-vb)
-	st.SUp = at(n, vdb, vsUp, ld, lnHalf(vp, vsUp, vt))
-	st.SDn = at(n, vdb, vsDn, ld, lnHalf(vp, vsDn, vt))
-
-	st.GUp = full(sign*((vg+h)-vb), vdb, vsb)
-	st.GDn = full(sign*((vg-h)-vb), vdb, vsb)
-	bUp, bDn := vb+h, vb-h
-	st.BUp = full(sign*(vg-bUp), sign*(vd-bUp), sign*(vs-bUp))
-	st.BDn = full(sign*(vg-bDn), sign*(vd-bDn), sign*(vs-bDn))
+	if probes&ProbeD != 0 {
+		vdUp, vdDn := sign*((vd+h)-vb), sign*((vd-h)-vb)
+		st.DUp = at(n, vdUp, vsb, lnHalf(vp, vdUp, vt), ls)
+		st.DDn = at(n, vdDn, vsb, lnHalf(vp, vdDn, vt), ls)
+	}
+	if probes&ProbeS != 0 {
+		vsUp, vsDn := sign*((vs+h)-vb), sign*((vs-h)-vb)
+		st.SUp = at(n, vdb, vsUp, ld, lnHalf(vp, vsUp, vt))
+		st.SDn = at(n, vdb, vsDn, ld, lnHalf(vp, vsDn, vt))
+	}
+	if probes&ProbeG != 0 {
+		st.GUp = full(sign*((vg+h)-vb), vdb, vsb)
+		st.GDn = full(sign*((vg-h)-vb), vdb, vsb)
+	}
+	if probes&ProbeB != 0 {
+		bUp, bDn := vb+h, vb-h
+		st.BUp = full(sign*(vg-bUp), sign*(vd-bUp), sign*(vs-bUp))
+		st.BDn = full(sign*(vg-bDn), sign*(vd-bDn), sign*(vs-bDn))
+	}
 	return st
 }
 

@@ -20,31 +20,39 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-// checkStencil compares EvalIDStencil with the nine EvalID calls it
-// replaces.
-func checkStencil(t *testing.T, m *MOS, vg, vd, vs, vb float64) {
+// checkStencil compares EvalIDStencil with the EvalID calls it replaces:
+// every probe in probes must equal EvalID at its point, and every probe
+// outside it must be left zero.
+func checkStencil(t *testing.T, m *MOS, vg, vd, vs, vb float64, probes Probes) {
 	t.Helper()
 	const h, temp = stencilH, techno.TempNominal
-	st := m.EvalIDStencil(vg, vd, vs, vb, h, temp)
+	st := m.EvalIDStencil(vg, vd, vs, vb, h, temp, probes)
 	for _, p := range []struct {
 		name           string
 		got            float64
+		terminal       Probes // 0: the base point, always computed
 		vg, vd, vs, vb float64
 	}{
-		{"base", st.Base, vg, vd, vs, vb},
-		{"d+", st.DUp, vg, vd + h, vs, vb},
-		{"d-", st.DDn, vg, vd - h, vs, vb},
-		{"g+", st.GUp, vg + h, vd, vs, vb},
-		{"g-", st.GDn, vg - h, vd, vs, vb},
-		{"s+", st.SUp, vg, vd, vs + h, vb},
-		{"s-", st.SDn, vg, vd, vs - h, vb},
-		{"b+", st.BUp, vg, vd, vs, vb + h},
-		{"b-", st.BDn, vg, vd, vs, vb - h},
+		{"base", st.Base, 0, vg, vd, vs, vb},
+		{"d+", st.DUp, ProbeD, vg, vd + h, vs, vb},
+		{"d-", st.DDn, ProbeD, vg, vd - h, vs, vb},
+		{"g+", st.GUp, ProbeG, vg + h, vd, vs, vb},
+		{"g-", st.GDn, ProbeG, vg - h, vd, vs, vb},
+		{"s+", st.SUp, ProbeS, vg, vd, vs + h, vb},
+		{"s-", st.SDn, ProbeS, vg, vd, vs - h, vb},
+		{"b+", st.BUp, ProbeB, vg, vd, vs, vb + h},
+		{"b-", st.BDn, ProbeB, vg, vd, vs, vb - h},
 	} {
+		if p.terminal != 0 && probes&p.terminal == 0 {
+			if math.Float64bits(p.got) != 0 {
+				t.Fatalf("%s card, probes %04b: skipped probe %s = %x, want 0", m.Card.Type, probes, p.name, p.got)
+			}
+			continue
+		}
 		want := m.EvalID(p.vg, p.vd, p.vs, p.vb, temp)
 		if !sameBits(p.got, want) {
-			t.Fatalf("%s card at (vg %g, vd %g, vs %g, vb %g): stencil %s = %x, EvalID = %x",
-				m.Card.Type, vg, vd, vs, vb, p.name, p.got, want)
+			t.Fatalf("%s card at (vg %g, vd %g, vs %g, vb %g), probes %04b: stencil %s = %x, EvalID = %x",
+				m.Card.Type, vg, vd, vs, vb, probes, p.name, p.got, want)
 		}
 	}
 }
@@ -96,10 +104,14 @@ var stencilBiases = []struct {
 	{"accumulation", -1.0, 1.0, 0.2, 0.1, false},
 }
 
+// TestEvalIDStencilBitIdentical checks every bias under every probe
+// set, from the base point alone to all four terminals.
 func TestEvalIDStencilBitIdentical(t *testing.T) {
 	for _, m := range stencilDevices() {
 		for _, b := range stencilBiases {
-			checkStencil(t, m, b.vg, b.vd, b.vs, b.vb)
+			for probes := Probes(0); probes <= ProbeAll; probes++ {
+				checkStencil(t, m, b.vg, b.vd, b.vs, b.vb, probes)
+			}
 		}
 	}
 }
@@ -135,20 +147,22 @@ func TestCapsAtBitIdentical(t *testing.T) {
 }
 
 // FuzzEvalIDStencil checks the stencil (and CapsAt) against the plain
-// evaluations at arbitrary finite terminal voltages on both cards.
+// evaluations at arbitrary finite terminal voltages on both cards, under
+// an arbitrary probe set (the low four bits of probes).
 func FuzzEvalIDStencil(f *testing.F) {
-	for _, b := range stencilBiases {
-		f.Add(b.vg, b.vd, b.vs, b.vb)
+	for i, b := range stencilBiases {
+		f.Add(b.vg, b.vd, b.vs, b.vb, uint8(ProbeAll))
+		f.Add(b.vg, b.vd, b.vs, b.vb, uint8(i)&uint8(ProbeAll))
 	}
 	devs := stencilDevices()
-	f.Fuzz(func(t *testing.T, vg, vd, vs, vb float64) {
+	f.Fuzz(func(t *testing.T, vg, vd, vs, vb float64, probes uint8) {
 		for _, v := range [4]float64{vg, vd, vs, vb} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip("non-finite terminal voltage")
 			}
 		}
 		for _, m := range devs {
-			checkStencil(t, m, vg, vd, vs, vb)
+			checkStencil(t, m, vg, vd, vs, vb, Probes(probes)&ProbeAll)
 			checkCapsAt(t, m, vg, vd, vs, vb)
 		}
 	})

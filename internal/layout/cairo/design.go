@@ -121,6 +121,26 @@ func widenGaps(t *Tree, need int64) *Tree {
 	return &c
 }
 
+// routeShapesPerPort is the top-cell room TopCell leaves per module
+// port for the router's wires: the branch, rail extension and via1 of a
+// routed port, with each net's trunk, trunk vias and spine spread over
+// its ports.
+const routeShapesPerPort = 4
+
+// TopCell returns the empty top cell of a plan, reserved for the shapes
+// and ports of the placed builds and for the wires the router adds to
+// them, so that merging and routing grow it at most rarely.
+func TopCell(name string, placed []*Built) *geom.Cell {
+	var shapes, ports int
+	for _, b := range placed {
+		shapes += len(b.Cell.Shapes)
+		ports += len(b.Cell.Ports)
+	}
+	top := geom.NewCell(name)
+	top.Reserve(shapes+routeShapesPerPort*ports, ports)
+	return top
+}
+
 // layoutPlans counts layout-tool invocations process-wide — the
 // CAIRO-side half of the loasd /metrics convergence picture (plans per
 // synthesis ≈ the paper's "three calls of the layout tool").
@@ -142,22 +162,26 @@ func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
 		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
 	}
 
-	top := geom.NewCell(d.Name)
-	par := extract.New()
-	choices := map[string]int{}
-
 	// Deterministic module order.
-	var names []string
+	names := make([]string, 0, len(fp.Placed))
 	for name := range fp.Placed {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
+	placed := make([]*Built, len(names))
+	for i, name := range names {
 		pl := fp.Placed[name]
-		b := builds[name][pl.Choice]
-		if b == nil {
+		if placed[i] = builds[name][pl.Choice]; placed[i] == nil {
 			return nil, fmt.Errorf("cairo: missing build for %s choice %d", name, pl.Choice)
 		}
+	}
+
+	top := TopCell(d.Name, placed)
+	par := extract.New()
+	choices := make(map[string]int, len(names))
+	for i, name := range names {
+		pl := fp.Placed[name]
+		b := placed[i]
 		choices[name] = pl.Choice
 		bb := b.Cell.BBox()
 		top.Merge(b.Cell, pl.Rect.L-bb.L, pl.Rect.B-bb.B)
@@ -177,7 +201,7 @@ func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
 
 	// Routing channels: the module-free horizontal bands of the
 	// floorplan, plus margins above and below.
-	var obstacles []geom.Rect
+	obstacles := make([]geom.Rect, 0, len(names))
 	for _, name := range names {
 		obstacles = append(obstacles, fp.Placed[name].Rect)
 	}

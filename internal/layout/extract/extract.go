@@ -11,6 +11,7 @@ package extract
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -92,19 +93,21 @@ func (p *Parasitics) TotalFolds() int {
 // (the worst-case grounded approximation the sizing plan lumps onto a
 // node). Pairs are summed in sorted order: this sum feeds the sizing
 // evaluation, so its float result must not depend on map iteration
-// order.
+// order. The pairs are sorted in a stack buffer, which holds the few
+// pairs one net has without a heap allocation.
 func (p *Parasitics) CouplingTo(net string) float64 {
-	var pairs []route.NetPair
+	var buf [16]route.NetPair
+	pairs := buf[:0]
 	for pair := range p.Coupling {
 		if pair.A == net || pair.B == net {
 			pairs = append(pairs, pair)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
+	slices.SortFunc(pairs, func(a, b route.NetPair) int {
+		if c := strings.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return pairs[i].B < pairs[j].B
+		return strings.Compare(a.B, b.B)
 	})
 	var c float64
 	for _, pair := range pairs {

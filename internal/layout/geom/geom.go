@@ -134,6 +134,26 @@ type Cell struct {
 // NewCell creates an empty cell.
 func NewCell(name string) *Cell { return &Cell{Name: name} }
 
+// Reserve grows the cell's capacity so that shapes more shapes and ports
+// more ports append without reallocating. A generator that knows its
+// counts reserves them once instead of growing the slices shape by
+// shape.
+func (c *Cell) Reserve(shapes, ports int) {
+	c.Shapes = reserve(c.Shapes, shapes)
+	c.Ports = reserve(c.Ports, ports)
+}
+
+// reserve returns s with room for n more elements, copied into one new
+// array when its capacity is short.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	grown := make([]T, len(s), len(s)+n)
+	copy(grown, s)
+	return grown
+}
+
 // Add appends a shape.
 func (c *Cell) Add(layer techno.Layer, r Rect, net string) {
 	c.Shapes = append(c.Shapes, Shape{Layer: layer, R: r, Net: net})

@@ -186,6 +186,18 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 	srcRailT := yActiveB - polyExt - r.Metal1Space
 	srcRailB := srcRailT - railW
 
+	fit := contactFit(r, fwNM)
+	ncont := ContactsForCurrent(tech, perStripDrain, fit)
+	nTaps := int(totalW / (2 * (r.ContactSize + r.ContactSpace)))
+	if nTaps < 1 {
+		nTaps = 1
+	}
+	// Room for every shape below: active, fingers, gate bar, gate
+	// contact and metal, each strip's contacts and strap, two rails,
+	// implant, tap active, tap metal, tap contacts and a PMOS well; and
+	// the four ports.
+	cell.Reserve(nf+(nf+1)*(ncont+1)+nTaps+10, 4)
+
 	// Active area: one rectangle spanning all strips and channels.
 	cell.Add(techno.LayerActive, geom.Rect{L: 0, B: yActiveB, R: totalW, T: yActiveT}, "")
 
@@ -207,8 +219,6 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 	cell.AddPort("G", spec.GateNet, techno.LayerMetal1, gMet)
 
 	// Diffusion strips: contacts, straps, rail hookup.
-	fit := contactFit(r, fwNM)
-	ncont := ContactsForCurrent(tech, perStripDrain, fit)
 	railCap := map[string]float64{}
 	addWireCap := func(net string, rect geom.Rect) {
 		railCap[net] += geom.WireCapM(rect, tech.Wire.CAreaM1, tech.Wire.CFringeM1)
@@ -264,10 +274,6 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 	tapMet := tapRect
 	cell.Add(techno.LayerMetal1, tapMet, spec.BulkNet)
 	cell.AddPort("B", spec.BulkNet, techno.LayerMetal1, tapMet)
-	nTaps := int(totalW / (2 * (r.ContactSize + r.ContactSpace)))
-	if nTaps < 1 {
-		nTaps = 1
-	}
 	for k := 0; k < nTaps; k++ {
 		cx := r.SnapDownNM(totalW * int64(2*k+1) / int64(2*nTaps))
 		cell.Add(techno.LayerContact,

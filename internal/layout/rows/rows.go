@@ -363,11 +363,17 @@ func realize(tech *techno.Tech, d *cairo.Design, slots []moduleSlot, order, poli
 		return nil, fmt.Errorf("rows: design %s has no modules", d.Name)
 	}
 
-	top := geom.NewCell(d.Name)
+	var builds []*cairo.Built
+	for _, pr := range rows {
+		for _, slot := range pr.slots {
+			builds = append(builds, slot.builds[pr.chosen[slot.name]])
+		}
+	}
+	top := cairo.TopCell(d.Name, builds)
 	par := extract.New()
-	choices := map[string]int{}
-	placed := map[string]slicing.Placed{}
-	var obstacles []geom.Rect
+	choices := make(map[string]int, len(builds))
+	placed := make(map[string]slicing.Placed, len(builds))
+	obstacles := make([]geom.Rect, 0, len(builds))
 
 	var y int64
 	for ri, pr := range rows {

@@ -151,6 +151,47 @@ func Build(tech *techno.Tech, p *Pattern, spec BuildSpec) (*Stack, error) {
 		railCap[net] += geom.WireCapM(rect, tech.Wire.CPolyArea, tech.Wire.CPolyFringe)
 	}
 
+	sourceNet := p.Spec.SourceNet
+	// stripCurrent is the current one strip of net carries: the net's
+	// current, the source rail's being the total, shared among its strips.
+	stripCurrent := func(net string) float64 {
+		cur := spec.Currents[net]
+		if net == sourceNet {
+			cur = totalI
+		}
+		if k := stripCountForNet(p, net); k > 0 {
+			cur /= float64(k)
+		}
+		return cur
+	}
+	fit := contactFitStack(r, wuNM)
+	nTaps := int(totalW / (2 * (r.ContactSize + r.ContactSpace)))
+	if nTaps < 1 {
+		nTaps = 1
+	}
+	// Room for every shape below: the active row, the top gate bar with
+	// its contact and pad, the source rail, implant, tap row and tap
+	// metal, a PMOS well, a finger per unit and a tie contact per dummy,
+	// each strip's contacts, strap and (drain strips) via, the drain
+	// rails, the tap contacts and a second gate net's bar, stub and pad;
+	// and the ports.
+	shapes := 9 + len(p.Units) + len(drainNets) + nTaps
+	for _, u := range p.Units {
+		if u.IsDummy() {
+			shapes++
+		}
+	}
+	for _, net := range p.Strips {
+		shapes += motif.ContactsForCurrent(tech, stripCurrent(net), fit) + 2
+		if net == sourceNet {
+			shapes--
+		}
+	}
+	if len(gateNets) == 2 {
+		shapes += 5
+	}
+	cell.Reserve(shapes, len(drainNets)+4)
+
 	// Active row.
 	cell.Add(techno.LayerActive, geom.Rect{L: 0, B: yActiveB, R: totalW, T: yActiveT}, "")
 
@@ -158,7 +199,6 @@ func Build(tech *techno.Tech, p *Pattern, spec BuildSpec) (*Stack, error) {
 	// source strip, so VGS = 0 keeps them off); fingers of the first
 	// gate net rise to the top bar, of the second net drop to the bottom
 	// bar, and everything else stops PolySpace clear of both bars.
-	sourceNet := p.Spec.SourceNet
 	var botSpanL, botSpanR int64 = 1 << 62, -(1 << 62)
 	for i, u := range p.Units {
 		if u.IsDummy() {
@@ -240,19 +280,10 @@ func Build(tech *techno.Tech, p *Pattern, spec BuildSpec) (*Stack, error) {
 	}
 
 	// Strips: contacts + straps to rails.
-	fit := contactFitStack(r, wuNM)
 	for i := 0; i <= n; i++ {
 		net := p.Strips[i]
 		cx := r.SnapDownNM(stripX[i] + stripW/2)
-		stripCur := spec.Currents[net]
-		if net == sourceNet {
-			stripCur = totalI
-		}
-		nStrips := stripCountForNet(p, net)
-		perStrip := stripCur
-		if nStrips > 0 {
-			perStrip = stripCur / float64(nStrips)
-		}
+		perStrip := stripCurrent(net)
 		ncont := motif.ContactsForCurrent(tech, perStrip, fit)
 		pitch := r.ContactSize + r.ContactSpace
 		colH := int64(ncont)*pitch - r.ContactSpace
@@ -306,10 +337,6 @@ func Build(tech *techno.Tech, p *Pattern, spec BuildSpec) (*Stack, error) {
 	cell.Add(techno.LayerActive, tapRect, spec.BulkNet)
 	cell.Add(techno.LayerMetal1, tapRect, spec.BulkNet)
 	cell.AddPort("B", spec.BulkNet, techno.LayerMetal1, tapRect)
-	nTaps := int(totalW / (2 * (r.ContactSize + r.ContactSpace)))
-	if nTaps < 1 {
-		nTaps = 1
-	}
 	for k := 0; k < nTaps; k++ {
 		cx := r.SnapDownNM(totalW * int64(2*k+1) / int64(2*nTaps))
 		ct := geom.XYWH(cx-r.ContactSize/2, tapB+r.ContactActiveEnc, r.ContactSize, r.ContactSize)

@@ -68,6 +68,10 @@ type Pattern struct {
 //  3. A deterministic all-pairs-swap hill climb minimizes the weighted sum
 //     of inserted dummies, per-device centroid error and current-direction
 //     imbalance.
+//
+// Every candidate is walked and scored in place, in one reused unit and
+// strip buffer (walker), and the one Pattern returned is copied out of
+// it at the end: the climb allocates nothing per candidate.
 func Generate(spec PatternSpec) (*Pattern, error) {
 	if len(spec.Devices) == 0 {
 		return nil, fmt.Errorf("stack: no devices")
@@ -87,16 +91,17 @@ func Generate(spec PatternSpec) (*Pattern, error) {
 		}
 	}
 
-	best := realize(spec, seedMirroredPairs(spec))
-	bestScore := patternScore(best)
+	w := newWalker(spec)
+	seq := seedMirroredPairs(spec)
+	bestScore := w.score(seq)
 	for _, seed := range [][]int{seedMirroredUnits(spec), seedLeftoversOutside(spec)} {
-		if p := realize(spec, seed); patternScore(p) < bestScore {
-			best, bestScore = p, patternScore(p)
+		if s := w.score(seed); s < bestScore {
+			seq, bestScore = seed, s
 		}
 	}
 
-	// Hill climb on the best seed's device sequence.
-	seq := deviceSequence(best)
+	// Hill climb on the best seed's device sequence. A kept swap leaves
+	// seq at the best sequence so far, so seq ends as the best one.
 	for pass := 0; pass < 12; pass++ {
 		improved := false
 		for i := 0; i < len(seq); i++ {
@@ -105,8 +110,8 @@ func Generate(spec PatternSpec) (*Pattern, error) {
 					continue
 				}
 				seq[i], seq[j] = seq[j], seq[i]
-				if p := realize(spec, seq); patternScore(p) < bestScore {
-					best, bestScore = p, patternScore(p)
+				if s := w.score(seq); s < bestScore {
+					bestScore = s
 					improved = true
 				} else {
 					seq[i], seq[j] = seq[j], seq[i]
@@ -117,7 +122,8 @@ func Generate(spec PatternSpec) (*Pattern, error) {
 			break
 		}
 	}
-	return best, nil
+	w.walk(seq)
+	return w.pattern(), nil
 }
 
 // seedMirroredPairs pairs up each device's units (pairs share their drain
@@ -231,27 +237,48 @@ func seedMirroredPairsEvenOnly(spec PatternSpec) []int {
 	return inner
 }
 
-// deviceSequence recovers the non-dummy device order of a pattern.
-func deviceSequence(p *Pattern) []int {
-	var seq []int
-	for _, u := range p.Units {
-		if !u.IsDummy() {
-			seq = append(seq, u.Dev)
-		}
-	}
-	return seq
+// walker realizes device sequences into reused unit and strip buffers
+// and scores them there. Its walk is the orientation walk: it shares a
+// diffusion strip whenever abutting terminals carry the same net and
+// inserts an isolation dummy where they cannot.
+type walker struct {
+	spec     PatternSpec
+	units    []Unit
+	strips   []string
+	inserted int
 }
 
-// realize runs the orientation walk over a device sequence, inserting
+// newWalker sizes the buffers for the longest walk: every unit, one
+// isolation dummy before each, and the two end dummies.
+func newWalker(spec PatternSpec) *walker {
+	units := 0
+	for _, d := range spec.Devices {
+		units += d.Units
+	}
+	return &walker{
+		spec:   spec,
+		units:  make([]Unit, 0, 2*units+2),
+		strips: make([]string, 0, 2*units+3),
+	}
+}
+
+// walk runs the orientation walk over a device sequence, inserting
 // isolation dummies and end dummies.
-func realize(spec PatternSpec, seq []int) *Pattern {
-	p := &Pattern{Spec: spec}
-	var strips []string
-	var units []Unit
+func (w *walker) walk(seq []int) {
+	spec := &w.spec
+	units, strips := w.units[:0], w.strips[:0]
+	w.inserted = 0
+	if spec.EndDummies {
+		// Dummies abut the end strips; the outermost strips tie to the
+		// common source net (dummy gates are off, so an exposed drain
+		// next to a dummy stays isolated from the outer strip).
+		units = append(units, Unit{Dev: -1})
+		strips = append(strips, spec.SourceNet)
+	}
 	cur := spec.SourceNet // leftmost strip defaults to the common net
 	strips = append(strips, cur)
 	for _, dev := range seq {
-		d := spec.Devices[dev]
+		d := &spec.Devices[dev]
 		switch cur {
 		case spec.SourceNet:
 			units = append(units, Unit{Dev: dev, Flip: false})
@@ -264,42 +291,49 @@ func realize(spec PatternSpec, seq []int) *Pattern {
 			// whose right strip restarts at the common net.
 			units = append(units, Unit{Dev: -1})
 			strips = append(strips, spec.SourceNet)
-			p.InsertedDummies++
+			w.inserted++
 			units = append(units, Unit{Dev: dev, Flip: false})
 			cur = d.DrainNet
 		}
 		strips = append(strips, cur)
 	}
-
 	if spec.EndDummies {
-		// Dummies abut the end strips; the outermost strips tie to the
-		// common source net (dummy gates are off, so an exposed drain
-		// next to a dummy stays isolated from the outer strip).
-		units = append([]Unit{{Dev: -1}}, units...)
-		strips = append([]string{spec.SourceNet}, strips...)
 		units = append(units, Unit{Dev: -1})
 		strips = append(strips, spec.SourceNet)
 	}
-	p.Units = units
-	p.Strips = strips
-	if len(p.Strips) != len(p.Units)+1 {
-		panic("stack: strip/unit bookkeeping out of sync")
-	}
-	return p
+	w.units, w.strips = units, strips
 }
 
-// patternScore is the weighted analog-constraint cost minimized by
-// Generate: dummies cost area, centroid error costs systematic mismatch,
-// orientation imbalance costs current-direction mismatch.
-func patternScore(p *Pattern) float64 {
-	s := 1.0 * float64(p.InsertedDummies)
-	for _, e := range p.CentroidError() {
-		s += 2.0 * e
+// score walks seq and returns its weighted analog-constraint cost, the
+// one Generate minimizes: dummies cost area, centroid error costs
+// systematic mismatch, orientation imbalance costs current-direction
+// mismatch. The terms are summed in device order, so the score does not
+// depend on map iteration order.
+func (w *walker) score(seq []int) float64 {
+	w.walk(seq)
+	s := 1.0 * float64(w.inserted)
+	for i := range w.spec.Devices {
+		if c, ok := centroidOffset(w.units, i); ok {
+			s += 2.0 * math.Abs(c)
+		}
 	}
-	for _, b := range p.OrientationImbalance() {
-		s += 0.25 * float64(b)
+	for i := range w.spec.Devices {
+		s += 0.25 * float64(imbalance(w.units, i))
 	}
 	return s
+}
+
+// pattern copies the last walk out as a Pattern.
+func (w *walker) pattern() *Pattern {
+	if len(w.strips) != len(w.units)+1 {
+		panic("stack: strip/unit bookkeeping out of sync")
+	}
+	return &Pattern{
+		Spec:            w.spec,
+		Units:           append([]Unit(nil), w.units...),
+		Strips:          append([]string(nil), w.strips...),
+		InsertedDummies: w.inserted,
+	}
 }
 
 // UnitCount returns how many non-dummy units device dev has in the pattern.
@@ -319,18 +353,9 @@ func (p *Pattern) UnitCount(dev int) int {
 // difference — the coupling the Monte-Carlo package exploits.
 func (p *Pattern) SignedCentroid() map[string]float64 {
 	out := map[string]float64{}
-	centre := float64(len(p.Units)-1) / 2
 	for i, d := range p.Spec.Devices {
-		var sum float64
-		var n int
-		for pos, u := range p.Units {
-			if u.Dev == i {
-				sum += float64(pos)
-				n++
-			}
-		}
-		if n > 0 {
-			out[d.Name] = sum/float64(n) - centre
+		if c, ok := centroidOffset(p.Units, i); ok {
+			out[d.Name] = c
 		}
 	}
 	return out
@@ -340,18 +365,9 @@ func (p *Pattern) SignedCentroid() map[string]float64 {
 // centre, in gate pitches. Perfectly common-centroid devices return 0.
 func (p *Pattern) CentroidError() map[string]float64 {
 	out := map[string]float64{}
-	centre := float64(len(p.Units)-1) / 2
 	for i, d := range p.Spec.Devices {
-		var sum float64
-		var n int
-		for pos, u := range p.Units {
-			if u.Dev == i {
-				sum += float64(pos)
-				n++
-			}
-		}
-		if n > 0 {
-			out[d.Name] = math.Abs(sum/float64(n) - centre)
+		if c, ok := centroidOffset(p.Units, i); ok {
+			out[d.Name] = math.Abs(c)
 		}
 	}
 	return out
@@ -363,22 +379,46 @@ func (p *Pattern) CentroidError() map[string]float64 {
 func (p *Pattern) OrientationImbalance() map[string]int {
 	out := map[string]int{}
 	for i, d := range p.Spec.Devices {
-		bal := 0
-		for _, u := range p.Units {
-			if u.Dev == i {
-				if u.Flip {
-					bal--
-				} else {
-					bal++
-				}
-			}
-		}
-		if bal < 0 {
-			bal = -bal
-		}
-		out[d.Name] = bal
+		out[d.Name] = imbalance(p.Units, i)
 	}
 	return out
+}
+
+// centroidOffset returns device dev's signed centroid offset from the
+// centre of units, in gate pitches, its positions summed left to right;
+// ok is false when dev has no unit.
+func centroidOffset(units []Unit, dev int) (c float64, ok bool) {
+	var sum float64
+	var n int
+	for pos, u := range units {
+		if u.Dev == dev {
+			sum += float64(pos)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum/float64(n) - float64(len(units)-1)/2, true
+}
+
+// imbalance returns |units of device dev flowing left − units flowing
+// right|.
+func imbalance(units []Unit, dev int) int {
+	bal := 0
+	for _, u := range units {
+		if u.Dev == dev {
+			if u.Flip {
+				bal--
+			} else {
+				bal++
+			}
+		}
+	}
+	if bal < 0 {
+		bal = -bal
+	}
+	return bal
 }
 
 // String renders the pattern like the figures in the paper, e.g.

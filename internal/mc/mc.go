@@ -95,14 +95,20 @@ type OffsetConfig struct {
 const searchMV = 25.0
 
 // SimulateOffset nulls the output by bisection on the differential input
-// for one mismatch sample and returns the input-referred offset.
+// for one mismatch sample and returns the input-referred offset. It
+// solves a freshly built netlist, as simulateOffset does.
 func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
-	// Build the sample's netlist and engine once and sweep only the
-	// input sources across the bisection. The engine holds structure,
-	// source DC values are read when stamping, and OP restarts from the
-	// node set every call, so each probe solves the system a freshly
-	// built netlist would.
-	ckt := cfg.Build()
+	return simulateOffset(cfg, cfg.Build(), s)
+}
+
+// simulateOffset is SimulateOffset on ckt, a freshly built netlist: it
+// applies the sample to ckt and adds the input sources.
+func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, error) {
+	// Build the sample's engine once and sweep only the input sources
+	// across the bisection. The engine holds structure, source DC values
+	// are read when stamping, and OP restarts from the node set every
+	// call, so each probe solves the system a freshly built netlist
+	// would.
 	s.Apply(ckt)
 	vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
 	vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
@@ -210,9 +216,11 @@ func OffsetSamples(cfg OffsetConfig, start, n int, seed int64) ([]OffsetSample, 
 			defer span.End()
 			var out OffsetSample
 			obs.Phase(sctx, "mc-sample", func() {
-				base := cfg.Build()
-				s := Draw(rand.New(rand.NewSource(sampleSeed(seed, idx))), base)
-				off, err := SimulateOffset(cfg, s)
+				// One netlist per sample: the draw reads its devices
+				// before the sample is applied to it and solved.
+				ckt := cfg.Build()
+				s := Draw(rand.New(rand.NewSource(sampleSeed(seed, idx))), ckt)
+				off, err := simulateOffset(cfg, ckt, s)
 				mcSamples.Inc()
 				if err != nil {
 					out = OffsetSample{Index: idx}

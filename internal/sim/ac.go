@@ -61,16 +61,15 @@ func (s *acStamps) addEntry(i, j int, v float64) {
 	s.u = append(s.u, acEntry{i, j, v})
 }
 
-// compileAC linearizes the circuit at op. The stamp lists are sized once
-// from the element counts: a two-terminal stamp and a source branch have
-// at most 4 entries each, and a MOSFET 8 partials and 5 capacitances.
-func (e *Engine) compileAC(op *OPResult) acStamps {
-	s := acStamps{
-		g:   make([]acEntry, 0, 4*e.nRes),
-		c:   make([]acEntry, 0, 4*(e.nCap+5*e.nMOS)),
-		u:   make([]acEntry, 0, 4*e.nBranch+8*e.nMOS),
-		rhs: make([]complex128, e.size),
-	}
+// compileAC linearizes the circuit at op into s. The stamp lists are
+// sized from the element counts: a two-terminal stamp and a source
+// branch have at most 4 entries each, and a MOSFET 8 partials and 5
+// capacitances. Lists with that capacity already are refilled in place.
+func (e *Engine) compileAC(s *acStamps, op *OPResult) {
+	s.g = resize(s.g, 4*e.nRes)[:0]
+	s.c = resize(s.c, 4*(e.nCap+5*e.nMOS))[:0]
+	s.u = resize(s.u, 4*e.nBranch+8*e.nMOS)[:0]
+	s.rhs = resize(s.rhs, e.size)
 	e.excitation(s.rhs)
 	// op.V is indexed by node, i.e. by unknown+1 (ground = 0).
 	volt := func(u int) float64 { return op.V[u+1] }
@@ -97,7 +96,7 @@ func (e *Engine) compileAC(op *OPResult) acStamps {
 		case *circuit.MOSFET:
 			d, g, srcU, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			vd, vg, vs, vb := volt(d), volt(g), volt(srcU), volt(bk)
-			_, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
+			_, dd, dg, ds, db := mosPartials(t, &ei.u, vd, vg, vs, vb, e.Temp)
 			// Drain current linearization: i_d = dd·vd + dg·vg + ds·vs + db·vb,
 			// entering the drain and leaving the source.
 			for _, tm := range [4]struct {
@@ -125,7 +124,6 @@ func (e *Engine) compileAC(op *OPResult) acStamps {
 			panic(fmt.Sprintf("sim: unsupported element %T", t))
 		}
 	}
-	return s
 }
 
 // excitation writes the AC right-hand side the sources' ACMag and
@@ -210,13 +208,26 @@ type ACSolver struct {
 	x  []complex128
 }
 
-// PrepareAC linearizes the circuit at op once, for repeated Solve calls.
+// PrepareAC linearizes the circuit at op once, for repeated Solve calls:
+// a new solver relinearized at op.
 func (e *Engine) PrepareAC(op *OPResult) *ACSolver {
-	return &ACSolver{
-		e: e, op: op, st: e.compileAC(op),
-		y: linalg.Complex{N: e.size, A: make([]complex128, e.size*e.size)},
-		x: make([]complex128, e.size),
-	}
+	s := &ACSolver{}
+	s.Relinearize(op)
+	return s
+}
+
+// Relinearize linearizes op's circuit at op into the solver, in place of
+// whatever it held: its stamp lists, MNA matrix, pivots and solution
+// vector are reused where their capacity suffices. It then solves bit
+// for bit as PrepareAC(op) would, since each solve restamps the matrix
+// from the lists and overwrites the vector. op may come from any
+// engine; the solver reads that engine from then on.
+func (s *ACSolver) Relinearize(op *OPResult) {
+	e := op.e
+	s.e, s.op = e, op
+	e.compileAC(&s.st, op)
+	s.y = linalg.Complex{N: e.size, A: resize(s.y.A, e.size*e.size)}
+	s.x = resize(s.x, e.size)
 }
 
 // ReadExcitation reloads the excitation from the sources' ACMag and

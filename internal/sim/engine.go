@@ -22,8 +22,9 @@ import (
 //
 // An Engine owns scratch state (the Newton workspace below), so it is a
 // single-goroutine object: concurrent analyses need separate engines.
-// The circuit's structure is fixed at NewEngine; element values (source
-// levels, device cards) may change between analyses.
+// The circuit's structure is fixed from one binding (NewEngine or
+// Rebind) to the next; element values (source levels, device cards) may
+// change between analyses.
 type Engine struct {
 	Ckt  *circuit.Circuit
 	Temp float64 // K
@@ -39,8 +40,9 @@ type Engine struct {
 	elems []elemIdx
 
 	// Newton workspace, reused by every iteration, gmin rung, polish,
-	// source-stepping step, transient step and OP call on the engine.
-	jac    *linalg.Real
+	// source-stepping step, transient step and OP call on the engine,
+	// and by the next binding when its capacity suffices.
+	jac    linalg.Real
 	res    []float64 // residual f(x), negated in place for the solve
 	dx     []float64 // Newton step
 	backup []float64 // polish's fallback point
@@ -57,11 +59,29 @@ type elemIdx struct {
 	br int
 }
 
-// NewEngine prepares an engine for the circuit at temperature temp (K).
+// NewEngine prepares an engine for the circuit at temperature temp (K):
+// a new engine bound by Rebind.
 func NewEngine(ckt *circuit.Circuit, temp float64) *Engine {
-	e := &Engine{Ckt: ckt, Temp: temp}
+	e := &Engine{Temp: temp}
+	e.Rebind(ckt)
+	return e
+}
+
+// Rebind binds the engine to ckt, which may differ from the circuit it
+// held in structure and size: the element index is derived again from
+// ckt, and the Newton workspace is kept where its capacity suffices.
+// Every analysis after the call solves exactly as on a new engine for
+// ckt, because the workspace is cleared or overwritten before each use.
+//
+// An OPResult or ACSolver reads the engine that produced it, so every
+// one obtained before the call is invalid after it: their accessors
+// would read ckt's index. Only an owner that holds no such result, like
+// a sizing pass's evaluator between evaluations, may rebind.
+func (e *Engine) Rebind(ckt *circuit.Circuit) {
+	e.Ckt = ckt
 	e.nNodes = ckt.NumNodes() - 1
-	e.elems = make([]elemIdx, len(ckt.Elements))
+	e.nBranch, e.nRes, e.nCap, e.nMOS = 0, 0, 0, 0
+	e.elems = resize(e.elems, len(ckt.Elements))
 	for k, el := range ckt.Elements {
 		ei := elemIdx{el: el, br: -1}
 		names, n := el.ElemNodes()
@@ -82,12 +102,20 @@ func NewEngine(ckt *circuit.Circuit, temp float64) *Engine {
 		e.elems[k] = ei
 	}
 	e.size = e.nNodes + e.nBranch
-	e.jac = linalg.NewReal(e.size)
-	e.res = make([]float64, e.size)
-	e.dx = make([]float64, e.size)
-	e.backup = make([]float64, e.size)
-	e.x = make([]float64, e.size)
-	return e
+	e.jac = linalg.Real{N: e.size, A: resize(e.jac.A, e.size*e.size)}
+	e.res = resize(e.res, e.size)
+	e.dx = resize(e.dx, e.size)
+	e.backup = resize(e.backup, e.size)
+	e.x = resize(e.x, e.size)
+}
+
+// resize returns s resliced to length n, reallocating only when its
+// capacity is short. The contents are stale: callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Size returns the MNA system dimension.

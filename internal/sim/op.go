@@ -108,11 +108,20 @@ func (e *Engine) mosOP(m *circuit.MOSFET, u *[4]int, v []float64) device.OP {
 // its partial derivatives with respect to the four terminal voltages,
 // using central differences on the full device model. This sidesteps all
 // polarity/swap bookkeeping: whatever the model does, the Jacobian matches
-// it exactly. The nine model values come from one EvalIDStencil call,
-// bit-identical to nine EvalID calls but sharing their sub-expressions.
-func mosPartials(m *circuit.MOSFET, vd, vg, vs, vb, temp float64) (id, dd, dg, ds, db float64) {
+// it exactly. The model values come from one EvalIDStencil call,
+// bit-identical to the EvalID calls it replaces but sharing their
+// sub-expressions. u holds the terminals' unknowns (D, G, S, B): a
+// grounded one (−1) is never stamped, so its probes are skipped and its
+// partial reads 0.
+func mosPartials(m *circuit.MOSFET, u *[4]int, vd, vg, vs, vb, temp float64) (id, dd, dg, ds, db float64) {
 	const h = 1e-6
-	st := m.Dev.EvalIDStencil(vg, vd, vs, vb, h, temp)
+	var probes device.Probes
+	for i, p := range [4]device.Probes{device.ProbeD, device.ProbeG, device.ProbeS, device.ProbeB} {
+		if u[i] >= 0 {
+			probes |= p
+		}
+	}
+	st := m.Dev.EvalIDStencil(vg, vd, vs, vb, h, temp, probes)
 	id = st.Base
 	dd = (st.DUp - st.DDn) / (2 * h)
 	dg = (st.GUp - st.GDn) / (2 * h)
@@ -206,7 +215,7 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 		case *circuit.MOSFET:
 			d, g, s, bk := ei.u[0], ei.u[1], ei.u[2], ei.u[3]
 			vd, vg, vs, vb := voltsAt(x, d), voltsAt(x, g), voltsAt(x, s), voltsAt(x, bk)
-			id, dd, dg, ds, db := mosPartials(t, vd, vg, vs, vb, e.Temp)
+			id, dd, dg, ds, db := mosPartials(t, &ei.u, vd, vg, vs, vb, e.Temp)
 			// Current id enters the drain node and leaves the source node.
 			terms := [4]struct {
 				u int
@@ -244,7 +253,7 @@ func (e *Engine) newtonSolve(x []float64, gmin, srcScale float64, opts *OPOption
 // through the extra callback. It works in the engine's Newton workspace,
 // so a warm solve allocates nothing.
 func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), opts *OPOptions) (int, error) {
-	j, f, dx := e.jac, e.res, e.dx
+	j, f, dx := &e.jac, e.res, e.dx
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		e.stampDC(x, gmin, srcScale, tNow, j, f)
 		if extra != nil {
@@ -355,7 +364,7 @@ func (e *Engine) finishOP(x []float64, iters int) *OPResult {
 // by tests to assert physical consistency of converged points.
 func (e *Engine) KCLResidual(r *OPResult) float64 {
 	x := e.packSolution(r)
-	e.stampDC(x, 0, 1.0, -1, e.jac, e.res)
+	e.stampDC(x, 0, 1.0, -1, &e.jac, e.res)
 	var norm float64
 	for _, v := range e.res[:e.nNodes] { // node KCL rows only
 		norm = math.Max(norm, math.Abs(v))

@@ -103,9 +103,15 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) b
 
 	// The waveforms live in one backing array, one row per probe. Each
 	// row grows with T inside its own slot, so a stopped run's
-	// waveforms have len(T) points too.
+	// waveforms have len(T) points too. Without a stop hook the slots
+	// hold the whole window. A run that may stop starts them at a
+	// quarter of it, and a row that outgrows its slot moves out to a
+	// larger array by append; storage never enters the arithmetic.
 	nSteps := int(math.Ceil(tstop / h))
 	nt := nSteps + 1
+	if stop != nil {
+		nt = nt/4 + 1
+	}
 	wave := make([]float64, nt*len(probes))
 	res := &TranResult{T: make([]float64, 0, nt), V: make([][]float64, len(probes)), probes: probes}
 	for j := range res.V {

@@ -60,7 +60,8 @@ func TestBiasGenDrivesTheOTA(t *testing.T) {
 		)
 		ns := d.NodeSet()
 		ns[NetInP], ns[NetInN] = vcm, vcm
-		gbw, pm, err := EvalGBWPM(tech, ckt, NetOut, ns)
+		var ev evaluator
+		gbw, pm, err := ev.gbwPM(tech, ckt, NetOut, ns)
 		if err != nil {
 			t.Fatal(err)
 		}

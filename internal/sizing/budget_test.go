@@ -24,10 +24,13 @@ func allocPerRun(runs int, f func()) (bytes, allocs float64) {
 		float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestEvalGBWPMAllocBudget pins what one EvalGBWPM of the five-t default
-// design's evaluation bench allocates. The budgets sit 1.25× above the
-// measured values, so a probe that returns every node's phasor, or a
-// bracketing sweep that keeps its points, fails here.
+// TestEvalGBWPMAllocBudget pins what one warm evaluation through a
+// sizing pass's reused evaluator allocates, on the five-t default
+// design's evaluation bench: with the engine and AC solver rebound, only
+// the operating point and the sweep's frequency list remain. The budgets
+// sit 1.25× above the measured values, so a per-evaluation engine or
+// solver, a probe that returns every node's phasor, or a bracketing
+// sweep that keeps its points, fails here.
 func TestEvalGBWPMAllocBudget(t *testing.T) {
 	tech := techno.Default060()
 	ps, _ := Case(1)
@@ -35,8 +38,8 @@ func TestEvalGBWPMAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bench evalGBWPM attaches, built once: EvalGBWPM leaves it as
-	// it finds it.
+	// The bench evalGBWPM attaches, built once: an evaluation leaves it
+	// as it finds it.
 	ckt := d.AssumedNetlist("budget")
 	vcm := d.NodeEst[NetInP]
 	ckt.Add(
@@ -45,13 +48,14 @@ func TestEvalGBWPMAllocBudget(t *testing.T) {
 		&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: d.Spec.CL},
 	)
 	ns := d.NodeSet()
+	var ev evaluator
 	bytes, allocs := allocPerRun(5, func() {
-		if _, _, err := EvalGBWPM(tech, ckt, NetOut, ns); err != nil {
+		if _, _, err := ev.gbwPM(tech, ckt, NetOut, ns); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const maxBytes, maxAllocs = 12600, 36 // measured 10,112 B in 29
+	const maxBytes, maxAllocs = 600, 3 // measured 480 B in 3
 	if bytes > maxBytes || allocs > maxAllocs {
-		t.Fatalf("EvalGBWPM allocates %.0f B in %.0f allocations, budget %d B in %d", bytes, allocs, maxBytes, maxAllocs)
+		t.Fatalf("a warm evaluation allocates %.0f B in %.0f allocations, budget %d B in %d", bytes, allocs, maxBytes, maxAllocs)
 	}
 }

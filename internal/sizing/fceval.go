@@ -24,12 +24,27 @@ func (d *FoldedCascode) AssumedNetlist(name string) *circuit.Circuit {
 		NetOut, NetFN1, NetFN2, NetMO1, NetN3, NetN4, NetTail, NetInP, NetInN)
 }
 
-// EvalGBWPM measures the unity-gain frequency and phase margin of a
-// prepared differential testbench circuit (AC drive and load already
-// attached). Shared by every design plan's evaluation step.
-func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[string]float64) (gbw, pm float64, err error) {
-	eng := sim.NewEngine(ckt, tech.Temp)
-	op, err := eng.OP(sim.OPOptions{NodeSet: nodeset})
+// evaluator is the simulation workspace of one sizing pass: one engine
+// and one AC solver, rebound to each evaluation netlist in turn, so an
+// evaluation allocates neither. Rebinding keeps the bits, because an
+// analysis clears or overwrites the workspace before it reads it. Each
+// sizing call owns its evaluator: the calls of Table 1 run concurrently,
+// and an engine is a single-goroutine object. Nothing outside the pass
+// holds it, so its workspace is garbage when the pass returns.
+type evaluator struct {
+	eng    sim.Engine
+	solver sim.ACSolver
+}
+
+// gbwPM measures the unity-gain frequency and phase margin of a prepared
+// differential testbench circuit (AC drive and load already attached).
+// Shared by every design plan's evaluation step. It rebinds the engine,
+// which invalidates the previous evaluation's operating point and
+// solver; nothing keeps them past the call.
+func (ev *evaluator) gbwPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[string]float64) (gbw, pm float64, err error) {
+	ev.eng.Temp = tech.Temp
+	ev.eng.Rebind(ckt)
+	op, err := ev.eng.OP(sim.OPOptions{NodeSet: nodeset})
 	if err != nil {
 		return 0, 0, fmt.Errorf("sizing: evaluation OP: %w", err)
 	}
@@ -37,7 +52,8 @@ func EvalGBWPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[
 	// One linearization serves the sweep and every bisection probe, and
 	// each probe solves for the output phasor alone. The bracketing
 	// sweep stops at the first point below unity: no later point is read.
-	solver := eng.PrepareAC(op)
+	solver := &ev.solver
+	solver.Relinearize(op)
 	freqs := sim.LogSpace(1e6, 3e9, 40)
 	var fLo, fHi float64
 	for i, f := range freqs {

@@ -87,7 +87,7 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 			return fmt.Errorf("sizing: MF5: %w", err)
 		}
 
-		d = &FiveT{ota: newOTA(tech, spec, ps, itail)}
+		d = &FiveT{ota: newOTA(tech, spec, ps, itail, 5, 6)}
 		d.add(MF1, techno.PMOS, w1, l, veff1, id1, 0)
 		d.add(MF2, techno.PMOS, w1, l, veff1, id1, 0)
 		d.add(MF3, techno.NMOS, w3, l, veff3, id1, 0)
@@ -115,6 +115,7 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 	}
 
 	var gbw, pm float64
+	var ev evaluator // the pass's one engine and AC solver
 	for iter := 0; iter < 12; iter++ {
 		if err := build(); err != nil {
 			return nil, err
@@ -123,7 +124,7 @@ func SizeFiveT(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*FiveT, erro
 		// capacitance into the evaluation, closing the routing-awareness
 		// feedback under case 4 just like the folded-cascode plan.
 		var err error
-		gbw, pm, err = d.evalGBWPM(d.AssumedNetlist("5t-eval"))
+		gbw, pm, err = d.evalGBWPM(&ev, d.AssumedNetlist("5t-eval"))
 		if err != nil {
 			return nil, err
 		}

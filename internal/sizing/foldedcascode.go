@@ -106,7 +106,8 @@ type plan struct {
 
 	d               *FoldedCascode
 	iters           int
-	lastGBW, lastPM float64 // from the simulated evaluation
+	lastGBW, lastPM float64   // from the simulated evaluation
+	ev              evaluator // the pass's one engine and AC solver
 }
 
 // SizeFoldedCascode runs the design plan. The paper's procedure: fix
@@ -212,7 +213,7 @@ func (p *plan) pmAt(lc float64) (float64, error) {
 		if err := p.size(); err != nil {
 			return 0, err
 		}
-		gbw, pm, err := p.d.evalGBWPM(p.d.AssumedNetlist("sizing-eval"))
+		gbw, pm, err := p.d.evalGBWPM(&p.ev, p.d.AssumedNetlist("sizing-eval"))
 		if err != nil {
 			return 0, err
 		}
@@ -275,7 +276,7 @@ func (p *plan) size() error {
 			return fmt.Errorf("sizing: MP5: %w", err)
 		}
 
-		d = &FoldedCascode{ota: newOTA(tech, spec, p.ps, itail), Icasc: icasc, Lc: p.lc}
+		d = &FoldedCascode{ota: newOTA(tech, spec, p.ps, itail, 11, 10), Icasc: icasc, Lc: p.lc}
 		d.add(MP1, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
 		d.add(MP2, techno.PMOS, w1, p.l1, p.veff1, id1, 0)
 		d.add(MP5, techno.PMOS, wp5, p.lc, p.vtl, itail, 0)

@@ -27,11 +27,12 @@ type ota struct {
 	Predicted Performance
 }
 
-// newOTA starts a design with empty device and node tables; the plan
-// fills them and sets Bias.
-func newOTA(tech *techno.Tech, spec OTASpec, ps ParasiticState, itail float64) ota {
+// newOTA starts a design with empty device and node tables, sized for
+// the topology's devices and estimated nodes; the plan fills them and
+// sets Bias.
+func newOTA(tech *techno.Tech, spec OTASpec, ps ParasiticState, itail float64, devices, nodes int) ota {
 	return ota{Tech: tech, Spec: spec, Par: ps, Itail: itail,
-		Devices: map[string]DeviceSize{}, NodeEst: map[string]float64{}}
+		Devices: make(map[string]DeviceSize, devices), NodeEst: make(map[string]float64, nodes)}
 }
 
 // PredictedPerf exposes the plan's performance prediction (Design).
@@ -105,20 +106,21 @@ func (d *ota) tailBias(tech *techno.Tech, tail string) (float64, error) {
 	return d.Spec.VDD - vgs, nil
 }
 
-// evalGBWPM is the plans' small-signal evaluation of a sizing point. It
-// drives ckt, an evaluation copy of the assumed netlist, with a
-// differential AC input at the estimated common mode, loads it with the
-// specified CL, and locates the unity-gain frequency and phase margin
-// from a DC operating point and an AC sweep. This replaces closed-form
-// pole counting — the plans evaluate performance on the exact same
-// engine and models the verification uses, which is the paper's stated
-// accuracy recipe taken to its conclusion.
-func (d *ota) evalGBWPM(ckt *circuit.Circuit) (gbw, pm float64, err error) {
+// evalGBWPM is the plans' small-signal evaluation of a sizing point, on
+// the plan's evaluator ev. It drives ckt, an evaluation copy of the
+// assumed netlist, with a differential AC input at the estimated common
+// mode, loads it with the specified CL, and locates the unity-gain
+// frequency and phase margin from a DC operating point and an AC sweep.
+// This replaces closed-form pole counting — the plans evaluate
+// performance on the exact same engine and models the verification
+// uses, which is the paper's stated accuracy recipe taken to its
+// conclusion.
+func (d *ota) evalGBWPM(ev *evaluator, ckt *circuit.Circuit) (gbw, pm float64, err error) {
 	vcm := d.NodeEst[NetInP]
 	ckt.Add(
 		&circuit.VSource{Name: "szp", Pos: NetInP, Neg: circuit.Ground, DC: vcm, ACMag: 0.5},
 		&circuit.VSource{Name: "szn", Pos: NetInN, Neg: circuit.Ground, DC: vcm, ACMag: 0.5, ACPhase: 180},
 		&circuit.Capacitor{Name: "szload", A: NetOut, B: circuit.Ground, C: d.Spec.CL},
 	)
-	return EvalGBWPM(d.Tech, ckt, NetOut, d.NodeSet())
+	return ev.gbwPM(d.Tech, ckt, NetOut, d.NodeSet())
 }

@@ -125,7 +125,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 			return fmt.Errorf("sizing: MT7: %w", err)
 		}
 
-		d = &TwoStage{ota: newOTA(tech, spec, ps, itail), I6: i6, CC: cc, RZ: 1 / gm6}
+		d = &TwoStage{ota: newOTA(tech, spec, ps, itail, 7, 8), I6: i6, CC: cc, RZ: 1 / gm6}
 		d.add(MT1, techno.PMOS, w1, l, veff1, id1, 0)
 		d.add(MT2, techno.PMOS, w1, l, veff1, id1, 0)
 		d.add(MT3, techno.NMOS, w3, l, veff3, id1, 0)
@@ -160,6 +160,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 	}
 
 	var gbw, pm float64
+	var ev evaluator // the pass's one engine and AC solver
 	for iter := 0; iter < 25; iter++ {
 		if err := build(); err != nil {
 			return nil, err
@@ -169,7 +170,7 @@ func SizeTwoStage(tech *techno.Tech, spec OTASpec, ps ParasiticState) (*TwoStage
 		// (case 4) the plan reacts to its own layout — the same feedback
 		// the folded-cascode plan gets.
 		var err error
-		gbw, pm, err = d.evalGBWPM(d.AssumedNetlist("ts-eval"))
+		gbw, pm, err = d.evalGBWPM(&ev, d.AssumedNetlist("ts-eval"))
 		if err != nil {
 			return nil, err
 		}
