@@ -36,9 +36,13 @@ go test -count=1 -run 'Golden' . ./internal/repro ./internal/serve
 # benches, two late-settling Miller benches (one takes the full-window
 # fallback) and a 24-synthesis population; a stopped Tran must be an
 # exact prefix of the full run. A slew drift fails here, early and by
-# name. No race detector, as for the golden lanes above.
-go test -count=1 -run 'TestMeasureMatchesReference' ./internal/meas
-go test -count=1 -run 'TestTranStopIsPrefix' ./internal/sim
+# name. The same lane runs the two searches sizing, meas and mc share:
+# sim's UnityCrossing on an RC low-pass, meas' NullInput at each of its
+# exits, and each caller's own failure text. No race detector, as for
+# the golden lanes above.
+go test -count=1 -run 'TestMeasureMatchesReference|TestMeasureRejectsBrokenBench|TestNullInput' ./internal/meas
+go test -count=1 -run 'TestTranStopIsPrefix|TestUnityCrossing' ./internal/sim
+go test -count=1 -run 'TestUnityCrossing|TestNullInput' ./internal/sizing ./internal/mc
 
 # Reuse lane. A sizing pass rebinds one engine and relinearizes one AC
 # solver for each evaluation, and stack.Generate scores its candidates
@@ -89,6 +93,11 @@ awk -v t="$total" -v f="$COVER_FLOOR" 'BEGIN {
     if (t + 0 < f + 0) { printf "coverage %.1f%% below floor %.1f%%\n", t, f; exit 1 }
     printf "coverage %.1f%% (floor %.1f%%)\n", t, f
 }'
+
+# Size report, not a gate: Go lines outside loasbench, without and with
+# the tests, so that code moved into a test file stays visible.
+find . -name '*.go' ! -name '*_test.go' ! -path './loasbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
+find . -name '*.go' ! -path './loasbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # Brief fuzz run of the canonical-key corpus under the race detector.
 go test -race -run '^$' -fuzz 'FuzzCanonicalKey$' -fuzztime 5s ./internal/serve

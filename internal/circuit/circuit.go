@@ -230,9 +230,6 @@ func (c *Circuit) NodeIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// NodeName returns the name of node index i.
-func (c *Circuit) NodeName(i int) string { return c.nodeNames[i] }
-
 // NumNodes returns the node count including ground.
 func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 

@@ -19,7 +19,7 @@ func TestNodeInterning(t *testing.T) {
 	if c.NumNodes() != 2 { // ground + a
 		t.Fatalf("NumNodes = %d", c.NumNodes())
 	}
-	if c.NodeName(0) != Ground {
+	if c.nodeNames[0] != Ground {
 		t.Fatal("node 0 must be ground")
 	}
 	if _, ok := c.NodeIndex("missing"); ok {

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"loas/internal/circuit"
@@ -131,11 +130,6 @@ type Result struct {
 	Refine *RefineReport
 }
 
-// metricName makes a topology name safe for a Prometheus metric name.
-func metricName(topology string) string {
-	return strings.NewReplacer("-", "_", ".", "_").Replace(topology)
-}
-
 // Synthesize runs the layout-oriented flow for the topology named in
 // opts (default: the paper's folded-cascode OTA).
 //
@@ -173,7 +167,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	if err != nil {
 		return nil, err
 	}
-	obs.Default.Counter("loas_synth_runs_"+metricName(plan.Name)+"_total",
+	obs.Default.Counter("loas_synth_runs_"+layout.MetricName(plan.Name)+"_total",
 		"Synthesis runs for topology "+plan.Name+".").Inc()
 
 	ctx := opts.ctx()
@@ -265,7 +259,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 	res.Synthesized = design.PredictedPerf()
 
 	if !opts.SkipVerify {
-		var synth *meas.Report
+		var synth sizing.Performance
 		var perf *sizing.Performance
 		var ckt *circuit.Circuit
 		err = verifyBoth(ctx, span,
@@ -286,7 +280,7 @@ func synthesizeOnce(tech *techno.Tech, spec sizing.OTASpec, opts Options, round 
 		if err != nil {
 			return nil, err
 		}
-		res.Synthesized = synth.Perf
+		res.Synthesized = synth
 		res.Synthesized.Offset = 0 // by construction of a symmetric schematic
 		res.Extracted = *perf
 		res.ExtractedCkt = ckt
@@ -391,11 +385,11 @@ func VerifyExtracted(tech *techno.Tech, spec sizing.OTASpec, d sizing.Design, pa
 	bench := OTABench(tech, spec, d, func() *circuit.Circuit {
 		return ExtractedNetlist(tech, d, par)
 	})
-	rep, err := meas.Measure(bench)
+	perf, err := meas.Measure(bench)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &rep.Perf, ExtractedNetlist(tech, d, par), nil
+	return &perf, ExtractedNetlist(tech, d, par), nil
 }
 
 // TraditionalResult reports the Fig. 1(a) baseline run.

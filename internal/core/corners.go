@@ -42,11 +42,11 @@ func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizi
 		}
 		return ckt
 	}
-	rep, err := meas.Measure(OTABench(tech, res.Spec, res.Design, build))
+	perf, err := meas.Measure(OTABench(tech, res.Spec, res.Design, build))
 	if err != nil {
 		return nil, fmt.Errorf("core: corner %s: %w", corner, err)
 	}
-	return &rep.Perf, nil
+	return &perf, nil
 }
 
 // CornerSweep verifies the design at all five corners concurrently. Each

@@ -102,22 +102,6 @@ func (c *CapModule) Build(tech *techno.Tech, choice int) (*Built, error) {
 	return b, nil
 }
 
-// RealizedCap returns the capacitance the snapped geometry actually
-// implements for a given choice — the analogue of the fold-snap feedback
-// for passives.
-func (c *CapModule) RealizedCap(tech *techno.Tech, choice int) (float64, error) {
-	b, err := c.Build(tech, choice)
-	if err != nil {
-		return 0, err
-	}
-	for _, s := range b.Cell.Shapes {
-		if s.Layer == techno.LayerPoly2 {
-			return s.R.AreaM2() * tech.Wire.CPolyPoly, nil
-		}
-	}
-	return 0, fmt.Errorf("cairo: cap %s built no plate", c.Inst)
-}
-
 // ResistorModule generates a straight poly resistor bar.
 type ResistorModule struct {
 	Inst string
@@ -175,18 +159,4 @@ func (m *ResistorModule) Build(tech *techno.Tech, choice int) (*Built, error) {
 	b.RailCap[m.ANet] += half
 	b.RailCap[m.BNet] += half
 	return b, nil
-}
-
-// RealizedRes returns the resistance the snapped bar implements.
-func (m *ResistorModule) RealizedRes(tech *techno.Tech) (float64, error) {
-	b, err := m.Build(tech, 0)
-	if err != nil {
-		return 0, err
-	}
-	for _, s := range b.Cell.Shapes {
-		if s.Layer == techno.LayerPoly {
-			return tech.Wire.RSheetPoly * float64(s.R.W()) / float64(s.R.H()), nil
-		}
-	}
-	return 0, fmt.Errorf("cairo: resistor %s built no bar", m.Inst)
 }

@@ -1,6 +1,7 @@
 package cairo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -97,4 +98,34 @@ func TestPassivesOnGrid(t *testing.T) {
 	if err := br.Cell.CheckGrid(tech.Rules.Grid); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RealizedCap returns the capacitance the snapped geometry actually
+// implements for a given choice — the analogue of the fold-snap feedback
+// for passives.
+func (c *CapModule) RealizedCap(tech *techno.Tech, choice int) (float64, error) {
+	b, err := c.Build(tech, choice)
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range b.Cell.Shapes {
+		if s.Layer == techno.LayerPoly2 {
+			return s.R.AreaM2() * tech.Wire.CPolyPoly, nil
+		}
+	}
+	return 0, fmt.Errorf("cairo: cap %s built no plate", c.Inst)
+}
+
+// RealizedRes returns the resistance the snapped bar implements.
+func (m *ResistorModule) RealizedRes(tech *techno.Tech) (float64, error) {
+	b, err := m.Build(tech, 0)
+	if err != nil {
+		return 0, err
+	}
+	for _, s := range b.Cell.Shapes {
+		if s.Layer == techno.LayerPoly {
+			return tech.Wire.RSheetPoly * float64(s.R.W()) / float64(s.R.H()), nil
+		}
+	}
+	return 0, fmt.Errorf("cairo: resistor %s built no bar", m.Inst)
 }

@@ -8,7 +8,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 
 	"loas/internal/techno"
 )
@@ -317,14 +316,4 @@ func CouplingCapM(a, b Rect, cCouple float64, minSpaceNM int64) float64 {
 		scale = 1
 	}
 	return cCouple * float64(run) * 1e-9 * scale
-}
-
-// SnapRect snaps all rectangle edges outwards onto the grid.
-func SnapRect(r Rect, grid int64) Rect {
-	if grid <= 1 {
-		return r
-	}
-	snapDn := func(v int64) int64 { return int64(math.Floor(float64(v)/float64(grid))) * grid }
-	snapUp := func(v int64) int64 { return int64(math.Ceil(float64(v)/float64(grid))) * grid }
-	return Rect{L: snapDn(r.L), B: snapDn(r.B), R: snapUp(r.R), T: snapUp(r.T)}
 }

@@ -173,13 +173,6 @@ func TestCouplingCap(t *testing.T) {
 	}
 }
 
-func TestSnapRectOutward(t *testing.T) {
-	r := SnapRect(Rect{L: 12, B: -12, R: 88, T: 37}, 25)
-	if r.L != 0 || r.B != -25 || r.R != 100 || r.T != 50 {
-		t.Fatalf("snap = %v", r)
-	}
-}
-
 func TestLayerAreaAndNetShapes(t *testing.T) {
 	c := NewCell("c")
 	c.Add(techno.LayerMetal1, XYWH(0, 0, 1000, 1000), "x")

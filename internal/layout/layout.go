@@ -65,8 +65,9 @@ const DefaultBackend = "slicing"
 
 var registry = map[string]Backend{}
 
-// metricName makes a backend name safe for a Prometheus metric name.
-func metricName(name string) string {
+// MetricName makes a backend or topology name safe for a Prometheus
+// metric name.
+func MetricName(name string) string {
 	return strings.NewReplacer("-", "_", ".", "_").Replace(name)
 }
 
@@ -96,7 +97,7 @@ func Register(b Backend) {
 	}
 	registry[info.Name] = counted{
 		Backend: b,
-		plans: obs.Default.Counter("loas_layout_plans_"+metricName(info.Name)+"_total",
+		plans: obs.Default.Counter("loas_layout_plans_"+MetricName(info.Name)+"_total",
 			"layout plan calls through the "+info.Name+" backend"),
 	}
 }

@@ -53,7 +53,7 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 func TestMetricName(t *testing.T) {
-	if got := metricName("a-b.c"); got != "a_b_c" {
-		t.Fatalf("metricName = %q", got)
+	if got := MetricName("a-b.c"); got != "a_b_c" {
+		t.Fatalf("MetricName = %q", got)
 	}
 }

@@ -212,18 +212,3 @@ func Optimize(root Node, c Constraint) (*Floorplan, error) {
 	o.realize(0, 0, fp.Placed)
 	return fp, nil
 }
-
-// MinAreaOption returns the minimum-area point of a shape function; used
-// by tests and reports.
-func MinAreaOption(sf ShapeFn) (Option, error) {
-	if len(sf) == 0 {
-		return Option{}, fmt.Errorf("slicing: empty shape function")
-	}
-	best, bestArea := 0, math.Inf(1)
-	for i, o := range sf {
-		if a := float64(o.W) * float64(o.H); a < bestArea {
-			best, bestArea = i, a
-		}
-	}
-	return sf[best], nil
-}

@@ -178,20 +178,6 @@ func TestCombineAreaLowerBoundProperty(t *testing.T) {
 	}
 }
 
-func TestMinAreaOption(t *testing.T) {
-	sf := Pareto([]Option{{W: 10, H: 10}, {W: 20, H: 4}, {W: 50, H: 3}})
-	o, err := MinAreaOption(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.W != 20 || o.H != 4 {
-		t.Fatalf("min area = %dx%d", o.W, o.H)
-	}
-	if _, err := MinAreaOption(nil); err == nil {
-		t.Fatal("empty shape function accepted")
-	}
-}
-
 func TestFloorplanArea(t *testing.T) {
 	fp, err := Optimize(leaf("m", [2]int64{2000, 3000}), Constraint{})
 	if err != nil {

@@ -4,12 +4,6 @@
 // perturbs every transistor's threshold and current factor with
 // Pelgrom-scaled random mismatch (σ ∝ 1/√(W·L)), re-simulates the DC
 // operating point, and extracts the input-referred offset distribution.
-//
-// A deterministic linear process-gradient model complements the random
-// part: the signed centroid of each device in its stack converts a VT
-// gradient along the die directly into systematic offset — which is
-// exactly the mismatch mechanism the common-centroid layout style of the
-// paper's Fig. 3/Fig. 5 exists to cancel.
 package mc
 
 import (
@@ -20,7 +14,7 @@ import (
 	"strconv"
 
 	"loas/internal/circuit"
-	"loas/internal/layout/stack"
+	"loas/internal/meas"
 	"loas/internal/obs"
 	"loas/internal/parallel"
 	"loas/internal/sim"
@@ -94,15 +88,10 @@ type OffsetConfig struct {
 // differential input to ±searchMV millivolts.
 const searchMV = 25.0
 
-// SimulateOffset nulls the output by bisection on the differential input
-// for one mismatch sample and returns the input-referred offset. It
-// solves a freshly built netlist, as simulateOffset does.
-func SimulateOffset(cfg OffsetConfig, s Sample) (float64, error) {
-	return simulateOffset(cfg, cfg.Build(), s)
-}
-
-// simulateOffset is SimulateOffset on ckt, a freshly built netlist: it
-// applies the sample to ckt and adds the input sources.
+// simulateOffset nulls the output by bisection on the differential
+// input for one mismatch sample and returns the input-referred offset.
+// It applies the sample to ckt, a freshly built netlist, and adds the
+// input sources.
 func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, error) {
 	// Build the sample's engine once and sweep only the input sources
 	// across the bisection. The engine holds structure, source DC values
@@ -118,7 +107,7 @@ func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, 
 	for k, v := range cfg.NodeSet {
 		ns[k] = v
 	}
-	solve := func(vid float64) (float64, error) {
+	vid, ok, err := meas.NullInput(func(vid float64) (float64, error) {
 		vp.DC = cfg.VicmDC + vid/2
 		vn.DC = cfg.VicmDC - vid/2
 		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
@@ -126,33 +115,11 @@ func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, 
 			return 0, err
 		}
 		return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
+	}, searchMV*1e-3, 18, 0)
+	if err == nil && !ok {
+		err = fmt.Errorf("mc: offset outside ±%.0f mV search window", searchMV)
 	}
-	lo, hi := -searchMV*1e-3, searchMV*1e-3
-	fLo, err := solve(lo)
-	if err != nil {
-		return 0, err
-	}
-	fHi, err := solve(hi)
-	if err != nil {
-		return 0, err
-	}
-	if math.Signbit(fLo) == math.Signbit(fHi) {
-		return 0, fmt.Errorf("mc: offset outside ±%.0f mV search window", searchMV)
-	}
-	var vid float64
-	for i := 0; i < 18; i++ {
-		vid = 0.5 * (lo + hi)
-		f, err := solve(vid)
-		if err != nil {
-			return 0, err
-		}
-		if math.Signbit(f) == math.Signbit(fLo) {
-			lo = vid
-		} else {
-			hi = vid
-		}
-	}
-	return vid, nil
+	return vid, err
 }
 
 // OffsetStats summarizes a Monte-Carlo offset run. The JSON tags are
@@ -287,24 +254,4 @@ func EstimateOffsetSigma(card *techno.MOSCard, wPair, lPair float64,
 	sPair := card.AVT / math.Sqrt(wPair*lPair)
 	sLoad := loadCard.AVT / math.Sqrt(wLoad*lLoad)
 	return math.Sqrt(sPair*sPair + gmRatio*gmRatio*sLoad*sLoad)
-}
-
-// GradientVTShift converts a linear VT process gradient along a stack
-// (volts per gate pitch) into per-device threshold shifts using the
-// pattern's signed centroids. Perfect common-centroid devices get zero —
-// the quantitative payoff of the paper's matched-stack style.
-func GradientVTShift(p *stack.Pattern, voltsPerPitch float64) map[string]float64 {
-	out := map[string]float64{}
-	for name, c := range p.SignedCentroid() {
-		out[name] = c * voltsPerPitch
-	}
-	return out
-}
-
-// GradientPairOffset returns the input-referred offset a VT gradient
-// induces on a differential pair laid out as the given stack: the
-// difference of the two devices' gradient shifts.
-func GradientPairOffset(p *stack.Pattern, a, b string, voltsPerPitch float64) float64 {
-	sh := GradientVTShift(p, voltsPerPitch)
-	return sh[a] - sh[b]
 }

@@ -277,6 +277,21 @@ func TestSampleSeedStreamsIndependent(t *testing.T) {
 	}
 }
 
+// TestNullInputWindowError: an output no input can move escapes the
+// ±25 mV search window, with mc's text.
+func TestNullInputWindowError(t *testing.T) {
+	cfg := OffsetConfig{
+		Build: func() *circuit.Circuit {
+			return circuit.New("pinned").Add(&circuit.VSource{Name: "o", Pos: "out", Neg: circuit.Ground, DC: 1})
+		},
+		InP: "inp", InN: "inn", Out: "out", VicmDC: 1, VoutMid: 2, Temp: techno.TempNominal,
+	}
+	_, err := simulateOffset(cfg, cfg.Build(), Sample{})
+	if want := "mc: offset outside ±25 mV search window"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 func TestEstimateOffsetSigma(t *testing.T) {
 	tech := techno.Default060()
 	// Bigger devices → smaller offset.
@@ -290,6 +305,26 @@ func TestEstimateOffsetSigma(t *testing.T) {
 	if loadHeavy <= small {
 		t.Fatal("larger gm ratio should worsen the load contribution")
 	}
+}
+
+// gradientVTShift converts a linear VT process gradient along a stack
+// (volts per gate pitch) into per-device threshold shifts using the
+// pattern's signed centroids: the systematic offset the common-centroid
+// style of the paper's Fig. 3 and Fig. 5 cancels. No flow applies it.
+func gradientVTShift(p *stack.Pattern, voltsPerPitch float64) map[string]float64 {
+	out := map[string]float64{}
+	for name, c := range p.SignedCentroid() {
+		out[name] = c * voltsPerPitch
+	}
+	return out
+}
+
+// gradientPairOffset returns the input-referred offset a VT gradient
+// induces on a differential pair laid out as the given stack: the
+// difference of the two devices' gradient shifts.
+func gradientPairOffset(p *stack.Pattern, a, b string, voltsPerPitch float64) float64 {
+	sh := gradientVTShift(p, voltsPerPitch)
+	return sh[a] - sh[b]
 }
 
 func TestGradientRewardsCommonCentroid(t *testing.T) {
@@ -307,11 +342,9 @@ func TestGradientRewardsCommonCentroid(t *testing.T) {
 		t.Fatal(err)
 	}
 	const grad = 1e-3 // 1 mV per gate pitch
-	offGood := math.Abs(GradientPairOffset(good, "A", "B", grad))
+	offGood := math.Abs(gradientPairOffset(good, "A", "B", grad))
 
 	// Naive AABB: centroids differ by 2 pitches → 2 mV offset.
-	sc := good.SignedCentroid()
-	_ = sc
 	offNaive := 2 * grad
 	if offGood >= offNaive {
 		t.Fatalf("optimized stack offset %.3g V should beat AABB %.3g V", offGood, offNaive)
@@ -332,7 +365,7 @@ func TestGradientShiftSigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := GradientVTShift(p, 1e-3)
+	sh := gradientVTShift(p, 1e-3)
 	// Two single units: one sits left of centre, one right — equal and
 	// opposite shifts.
 	if math.Abs(sh["L"]+sh["R"]) > 1e-12 {

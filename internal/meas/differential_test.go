@@ -88,10 +88,10 @@ func TestMeasureMatchesReference(t *testing.T) {
 
 	for _, bc := range benches {
 		got := sameAsReference(t, bc.name, bc.b)
-		if bisected := got.Perf.Offset != 0; bisected != bc.bisects {
-			t.Fatalf("%s: offset %g; want the search to bisect: %v", bc.name, got.Perf.Offset, bc.bisects)
+		if bisected := got.Offset != 0; bisected != bc.bisects {
+			t.Fatalf("%s: offset %g; want the search to bisect: %v", bc.name, got.Offset, bc.bisects)
 		}
-		end, err := meas.SlewEnd(bc.b, got.Perf.GBW)
+		end, err := meas.SlewEnd(bc.b, got.GBW)
 		if err != nil {
 			t.Fatalf("%s: slew transient: %v", bc.name, err)
 		}
@@ -159,15 +159,15 @@ func TestMeasureMatchesReferencePopulation(t *testing.T) {
 
 // sameAsReference measures b with Measure and with RefMeasure, reports
 // every Performance field whose bits differ, and returns Measure's
-// report.
-func sameAsReference(t *testing.T, name string, b meas.Bench) *meas.Report {
+// result.
+func sameAsReference(t *testing.T, name string, b meas.Bench) sizing.Performance {
 	t.Helper()
 	got, err := meas.Measure(b)
 	want, refErr := meas.RefMeasure(b)
 	if err != nil || refErr != nil {
 		t.Fatalf("%s: Measure error %v, reference error %v", name, err, refErr)
 	}
-	g, w := reflect.ValueOf(got.Perf), reflect.ValueOf(want.Perf)
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < g.NumField(); i++ {
 		gv, wv := g.Field(i).Float(), w.Field(i).Float()
 		if math.Float64bits(gv) != math.Float64bits(wv) {

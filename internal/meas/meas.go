@@ -36,14 +36,9 @@ type Bench struct {
 	NodeSet       map[string]float64
 }
 
-// Report is the measured Performance.
-type Report struct {
-	Perf sizing.Performance
-}
-
 // Measure runs the full suite.
-func Measure(b Bench) (*Report, error) {
-	rep := &Report{}
+func Measure(b Bench) (sizing.Performance, error) {
+	var p sizing.Performance
 
 	// 1. Systematic offset: differential input voltage that centres the
 	// output. Everything small-signal is measured at that bias, through
@@ -51,37 +46,37 @@ func Measure(b Bench) (*Report, error) {
 	ol := b.openLoop()
 	voff, op, err := ol.findOffset()
 	if err != nil {
-		return nil, fmt.Errorf("meas: offset search: %w", err)
+		return p, fmt.Errorf("meas: offset search: %w", err)
 	}
-	rep.Perf.Offset = voff
-	rep.Perf.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ol.ckt, b.SupplyName)
+	p.Offset = voff
+	p.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ol.ckt, b.SupplyName)
 	ac := ol.eng.PrepareAC(op)
 
 	// 2. Differential AC: gain, GBW, phase margin.
-	if err := ol.acGainSweep(ac, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: AC: %w", err)
+	if err := ol.acGainSweep(ac, &p); err != nil {
+		return p, fmt.Errorf("meas: AC: %w", err)
 	}
 
 	// 3. CMRR at low frequency.
-	if err := ol.cmrr(ac, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: CMRR: %w", err)
+	if err := ol.cmrr(ac, &p); err != nil {
+		return p, fmt.Errorf("meas: CMRR: %w", err)
 	}
 
 	// 4. Output resistance.
-	if err := ol.rout(ac, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: Rout: %w", err)
+	if err := ol.rout(ac, &p); err != nil {
+		return p, fmt.Errorf("meas: Rout: %w", err)
 	}
 
 	// 5. Noise.
-	if err := ol.noise(ac, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: noise: %w", err)
+	if err := ol.noise(ac, &p); err != nil {
+		return p, fmt.Errorf("meas: noise: %w", err)
 	}
 
 	// 6. Slew rate (unity-gain step).
-	if err := b.slewRate(&rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: slew rate: %w", err)
+	if err := b.slewRate(&p); err != nil {
+		return p, fmt.Errorf("meas: slew rate: %w", err)
 	}
-	return rep, nil
+	return p, nil
 }
 
 func supplyVoltage(ckt *circuit.Circuit, name string) float64 {
@@ -177,38 +172,51 @@ func (b *Bench) nodeSet() map[string]float64 {
 // findOffset bisects the differential input for V(out) = VoutMid and
 // returns it with the operating point there, where it leaves the inputs.
 func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
-	b := ol.b
-	f := func(op *sim.OPResult) float64 {
-		return op.Volt(ol.ckt, b.Out) - b.VoutMid
-	}
-	lo, hi := -20e-3, 20e-3
-	opLo, err := ol.solve(lo)
+	var op *sim.OPResult
+	vid, ok, err := NullInput(func(vid float64) (float64, error) {
+		var err error
+		if op, err = ol.solve(vid); err != nil {
+			return 0, err
+		}
+		return op.Volt(ol.ckt, ol.b.Out) - ol.b.VoutMid, nil
+	}, 20e-3, 40, 1e-4)
 	if err != nil {
 		return 0, nil, err
 	}
-	opHi, err := ol.solve(hi)
-	if err != nil {
-		return 0, nil, err
-	}
-	fLo, fHi := f(opLo), f(opHi)
-	if math.Signbit(fLo) == math.Signbit(fHi) {
+	if !ok {
 		// Gain polarity or extreme offset: report the midpoint result
 		// rather than failing (the numbers will say what is wrong).
-		op, err := ol.solve(0)
+		op, err = ol.solve(0)
 		return 0, op, err
 	}
-	// With V(out) monotone in vid (positive gain through InP), bisect.
-	var op *sim.OPResult
-	vid := 0.0
-	for i := 0; i < 40; i++ {
+	// The last probe was at vid, so op is the operating point there.
+	return vid, op, nil
+}
+
+// NullInput bisects f, a function of the differential input vid that is
+// monotone over [−window, window], for its zero. It probes both ends
+// first and returns ok = false after those two probes when f has one
+// sign at both. Otherwise it probes up to steps midpoints, stopping
+// early once |f| < tol (tol = 0 never stops early) or the bracket is
+// narrower than 1 nV, and returns the last midpoint it probed. An error
+// from f ends the search and is returned as is.
+func NullInput(f func(vid float64) (float64, error), window float64, steps int, tol float64) (vid float64, ok bool, err error) {
+	lo, hi := -window, window
+	fLo, err := f(lo)
+	if err != nil {
+		return 0, false, err
+	}
+	fHi, err := f(hi)
+	if err != nil || math.Signbit(fLo) == math.Signbit(fHi) {
+		return 0, false, err
+	}
+	for i := 0; i < steps; i++ {
 		vid = 0.5 * (lo + hi)
-		var err error
-		op, err = ol.solve(vid)
+		fm, err := f(vid)
 		if err != nil {
-			return 0, nil, err
+			return 0, false, err
 		}
-		fm := f(op)
-		if math.Abs(fm) < 1e-4 || hi-lo < 1e-9 {
+		if math.Abs(fm) < tol || hi-lo < 1e-9 {
 			break
 		}
 		if math.Signbit(fm) == math.Signbit(fLo) {
@@ -217,11 +225,13 @@ func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 			hi = vid
 		}
 	}
-	return vid, op, nil
+	return vid, true, nil
 }
 
 // acGainSweep measures DC gain, GBW and phase margin from the
-// differential AC response, probing the output phasor alone.
+// differential AC response, probing the output phasor alone. The unity
+// crossing is bracketed on a 130-point log sweep from 1 kHz, where the
+// gain must still be above unity, and bisected 50 times.
 func (ol *openLoop) acGainSweep(ac *sim.ACSolver, p *sizing.Performance) error {
 	out := ol.b.Out
 	ol.drive(ac, diffDrive)
@@ -231,54 +241,21 @@ func (ol *openLoop) acGainSweep(ac *sim.ACSolver, p *sizing.Performance) error {
 	}
 	p.DCGainDB = sizing.DB(cmplx.Abs(h0))
 
-	// Bracket the unity crossing on a log sweep, then bisect. The sweep
-	// stops at the first point below unity: no later point is read.
 	freqs := sim.LogSpace(1e3, 3e9, 130)
-	var fLo, fHi, g float64
-	for i, f := range freqs {
-		h, err := ac.Phasor(f, out)
-		if err != nil {
-			return err
-		}
-		g = cmplx.Abs(h)
-		if i == 0 && g < 1 {
-			return fmt.Errorf("gain already below unity at %g Hz (|H| = %g)", f, g)
-		}
-		if i > 0 && g < 1 {
-			fLo, fHi = freqs[i-1], f
-			break
-		}
-	}
-	if fHi == 0 {
-		return fmt.Errorf("no unity crossing below 3 GHz (|H(3G)| = %g)", g)
-	}
-	for i := 0; i < 50; i++ {
-		mid := math.Sqrt(fLo * fHi)
-		h, err := ac.Phasor(mid, out)
-		if err != nil {
-			return err
-		}
-		if cmplx.Abs(h) >= 1 {
-			fLo = mid
-		} else {
-			fHi = mid
-		}
-	}
-	fu := math.Sqrt(fLo * fHi)
-	p.GBW = fu
-	hU, err := ac.Phasor(fu, out)
+	h, err := ac.Phasor(freqs[0], out)
 	if err != nil {
 		return err
 	}
+	if g := cmplx.Abs(h); g < 1 {
+		return fmt.Errorf("gain already below unity at %g Hz (|H| = %g)", freqs[0], g)
+	}
 	// Differential drive is +0.5/−0.5 so phase(H) at DC is 0° for the
 	// non-inverting path; PM = 180° + phase at unity.
-	ph := cmplx.Phase(hU) * 180 / math.Pi
-	pm := 180 + ph
-	for pm > 180 {
-		pm -= 360
+	p.GBW, p.PhaseDeg, err = ac.UnityCrossing(out, freqs, 50)
+	if nc, ok := err.(*sim.NoCrossingError); ok {
+		return fmt.Errorf("no unity crossing below 3 GHz (|H(3G)| = %g)", nc.Gain)
 	}
-	p.PhaseDeg = pm
-	return nil
+	return err
 }
 
 // cmrr measures Adm/Acm at 1 kHz: the differential and the common-mode

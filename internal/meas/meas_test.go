@@ -20,11 +20,11 @@ import (
 var (
 	once    sync.Once
 	design  *sizing.FoldedCascode
-	report  *Report
+	report  sizing.Performance
 	measErr error
 )
 
-func measured(t *testing.T) (*sizing.FoldedCascode, *Report) {
+func measured(t *testing.T) (*sizing.FoldedCascode, sizing.Performance) {
 	t.Helper()
 	once.Do(func() {
 		tech := techno.Default060()
@@ -59,31 +59,31 @@ func TestMeasureAgreesWithSizingEvaluation(t *testing.T) {
 	d, rep := measured(t)
 	// GBW and PM were *simulated* by the sizing plan on the same
 	// netlist; the harness must agree closely.
-	if rel := math.Abs(rep.Perf.GBW-d.Predicted.GBW) / d.Predicted.GBW; rel > 0.02 {
+	if rel := math.Abs(rep.GBW-d.Predicted.GBW) / d.Predicted.GBW; rel > 0.02 {
 		t.Fatalf("GBW: harness %.2f MHz vs plan %.2f MHz",
-			rep.Perf.GBW/1e6, d.Predicted.GBW/1e6)
+			rep.GBW/1e6, d.Predicted.GBW/1e6)
 	}
-	if math.Abs(rep.Perf.PhaseDeg-d.Predicted.PhaseDeg) > 1.0 {
+	if math.Abs(rep.PhaseDeg-d.Predicted.PhaseDeg) > 1.0 {
 		t.Fatalf("PM: harness %.2f° vs plan %.2f°",
-			rep.Perf.PhaseDeg, d.Predicted.PhaseDeg)
+			rep.PhaseDeg, d.Predicted.PhaseDeg)
 	}
 }
 
 func TestMeasureGainAndRout(t *testing.T) {
 	_, rep := measured(t)
-	if rep.Perf.DCGainDB < 60 || rep.Perf.DCGainDB > 90 {
-		t.Fatalf("gain %.1f dB outside the folded-cascode ballpark", rep.Perf.DCGainDB)
+	if rep.DCGainDB < 60 || rep.DCGainDB > 90 {
+		t.Fatalf("gain %.1f dB outside the folded-cascode ballpark", rep.DCGainDB)
 	}
-	if rep.Perf.Rout < 0.5e6 || rep.Perf.Rout > 20e6 {
-		t.Fatalf("Rout %.2f MΩ implausible", rep.Perf.Rout/1e6)
+	if rep.Rout < 0.5e6 || rep.Rout > 20e6 {
+		t.Fatalf("Rout %.2f MΩ implausible", rep.Rout/1e6)
 	}
 	// Self-consistency: Av ≈ gm1·Rout within a factor ~2 (gm1 from the
 	// unity frequency: gm1 = 2π·GBW·CL plus internal caps).
-	gmEst := 2 * math.Pi * rep.Perf.GBW * 3e-12
-	avEst := sizing.DB(gmEst * rep.Perf.Rout)
-	if math.Abs(avEst-rep.Perf.DCGainDB) > 6 {
+	gmEst := 2 * math.Pi * rep.GBW * 3e-12
+	avEst := sizing.DB(gmEst * rep.Rout)
+	if math.Abs(avEst-rep.DCGainDB) > 6 {
 		t.Fatalf("gain %.1f dB inconsistent with gm·Rout %.1f dB",
-			rep.Perf.DCGainDB, avEst)
+			rep.DCGainDB, avEst)
 	}
 }
 
@@ -91,14 +91,13 @@ func TestMeasureOffsetTiny(t *testing.T) {
 	_, rep := measured(t)
 	// The schematic is symmetric: only second-order systematic offset
 	// remains.
-	if math.Abs(rep.Perf.Offset) > 2e-3 {
-		t.Fatalf("offset %.3f mV too large for a symmetric OTA", rep.Perf.Offset*1e3)
+	if math.Abs(rep.Offset) > 2e-3 {
+		t.Fatalf("offset %.3f mV too large for a symmetric OTA", rep.Offset*1e3)
 	}
 }
 
 func TestMeasureNoiseOrdering(t *testing.T) {
-	_, rep := measured(t)
-	p := rep.Perf
+	_, p := measured(t)
 	if p.NoiseTh <= 0 || p.NoiseFl1 <= 0 || p.NoiseRMS <= 0 {
 		t.Fatal("noise figures missing")
 	}
@@ -116,53 +115,91 @@ func TestMeasureNoiseOrdering(t *testing.T) {
 
 func TestMeasureSlewRate(t *testing.T) {
 	d, rep := measured(t)
-	if rep.Perf.SlewRate <= 0 {
+	if rep.SlewRate <= 0 {
 		t.Fatal("slew rate not measured")
 	}
 	// Bounded by the theoretical tail-current limit.
 	limit := d.Itail / d.Spec.CL
-	if rep.Perf.SlewRate > 1.2*limit {
+	if rep.SlewRate > 1.2*limit {
 		t.Fatalf("SR %.1f V/µs above the Itail/CL bound %.1f",
-			rep.Perf.SlewRate/1e6, limit/1e6)
+			rep.SlewRate/1e6, limit/1e6)
 	}
-	if rep.Perf.SlewRate < 0.3*limit {
+	if rep.SlewRate < 0.3*limit {
 		t.Fatalf("SR %.1f V/µs suspiciously far below Itail/CL %.1f",
-			rep.Perf.SlewRate/1e6, limit/1e6)
+			rep.SlewRate/1e6, limit/1e6)
 	}
 }
 
 func TestMeasureCMRRAndPower(t *testing.T) {
 	d, rep := measured(t)
-	if rep.Perf.CMRRDB < 60 {
-		t.Fatalf("CMRR %.1f dB too low", rep.Perf.CMRRDB)
+	if rep.CMRRDB < 60 {
+		t.Fatalf("CMRR %.1f dB too low", rep.CMRRDB)
 	}
 	wantP := d.Spec.VDD * (d.Itail + 2*d.Icasc)
-	if math.Abs(rep.Perf.Power-wantP)/wantP > 0.05 {
+	if math.Abs(rep.Power-wantP)/wantP > 0.05 {
 		t.Fatalf("power %.3f mW vs budget %.3f mW",
-			rep.Perf.Power*1e3, wantP*1e3)
+			rep.Power*1e3, wantP*1e3)
 	}
 }
 
+// TestMeasureRejectsBrokenBench: an output a source pins, with no gain
+// path from the inputs, fails the unity-crossing search with meas' texts
+// at 0 V and at 10 V of AC.
 func TestMeasureRejectsBrokenBench(t *testing.T) {
-	tech := techno.Default060()
-	b := Bench{
-		Build: func() *circuit.Circuit {
-			// An amplifier with no gain path: input floating.
-			c := circuit.New("broken")
-			c.Add(
-				&circuit.VSource{Name: "dd", Pos: "vdd", Neg: "0", DC: 3.3},
-				&circuit.Resistor{Name: "r", A: "out", B: "0", R: 1e3},
-				&circuit.Resistor{Name: "ri", A: "inp", B: "0", R: 1e6},
-				&circuit.Resistor{Name: "rn", A: "inn", B: "0", R: 1e6},
-			)
-			return c
-		},
-		InP: "inp", InN: "inn", Out: "out",
-		SupplyName: "dd", CL: 1e-12, VicmDC: 1, VoutMid: 1,
-		Temp: tech.Temp,
+	for _, c := range []struct {
+		acMag float64
+		want  string
+	}{
+		{0, "meas: AC: gain already below unity at 1000 Hz (|H| = 0)"},
+		{10, "meas: AC: no unity crossing below 3 GHz (|H(3G)| = 10)"},
+	} {
+		b := Bench{
+			Build: func() *circuit.Circuit {
+				return circuit.New("pinned").Add(&circuit.VSource{Name: "o", Pos: "out", Neg: "0", ACMag: c.acMag})
+			},
+			InP: "inp", InN: "inn", Out: "out", CL: 1e-12, VicmDC: 1, VoutMid: 1, Temp: techno.TempNominal,
+		}
+		if _, err := Measure(b); err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
 	}
-	if _, err := Measure(b); err == nil {
-		t.Fatal("gainless circuit should fail the unity-crossing search")
+}
+
+// TestNullInput drives the offset bisection on straight lines: a window
+// without a null, the step bound, the early exit, the 1 nV resolution
+// stop (27 of findOffset's 40 steps) and a failing probe.
+func TestNullInput(t *testing.T) {
+	var probes []float64
+	line := func(zero float64) func(float64) (float64, error) {
+		probes = nil
+		return func(v float64) (float64, error) {
+			probes = append(probes, v)
+			return v - zero, nil
+		}
+	}
+	for _, c := range []struct {
+		name              string
+		zero, window, tol float64
+		steps, probes     int
+		ok                bool
+	}{
+		{"one sign", 0.5, 0.1, 0, 40, 2, false},
+		{"steps bound", 0.3e-3, 1e-3, 0, 5, 7, true},
+		{"tol exits early", 0.26e-3, 1e-3, 2e-5, 40, 5, true},
+		{"1 nV resolution", 1e-3 / 3, 20e-3, 0, 40, 29, true},
+	} {
+		vid, ok, err := NullInput(line(c.zero), c.window, c.steps, c.tol)
+		last := 0.0
+		if ok {
+			last = probes[len(probes)-1]
+		}
+		if err != nil || ok != c.ok || len(probes) != c.probes || vid != last {
+			t.Errorf("%s: vid %g (last probe %g), ok %v, err %v after %d probes", c.name, vid, last, ok, err, len(probes))
+		}
+	}
+	fail := fmt.Errorf("no DC")
+	if _, ok, err := NullInput(func(float64) (float64, error) { return 0, fail }, 1, 40, 0); ok || err != fail {
+		t.Fatalf("failing probe: ok %v, err %v", ok, err)
 	}
 }
 
@@ -181,28 +218,28 @@ func SlewEnd(b Bench, gbw float64) (float64, error) {
 // and per measurement, full AC sweeps, a second AC sweep for the noise
 // gain, and the slew rate from the full waveform. It stays as the
 // reference that the differential test holds Measure to, bit for bit.
-func RefMeasure(b Bench) (*Report, error) {
-	rep := &Report{}
+func RefMeasure(b Bench) (sizing.Performance, error) {
+	var rep sizing.Performance
 	voff, op, eng, ckt, err := b.refFindOffset()
 	if err != nil {
-		return nil, fmt.Errorf("meas: offset search: %w", err)
+		return rep, fmt.Errorf("meas: offset search: %w", err)
 	}
-	rep.Perf.Offset = voff
-	rep.Perf.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ckt, b.SupplyName)
-	if err := b.refACGainSweep(eng, ckt, op, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: AC: %w", err)
+	rep.Offset = voff
+	rep.Power = op.SupplyCurrent(b.SupplyName) * supplyVoltage(ckt, b.SupplyName)
+	if err := b.refACGainSweep(eng, ckt, op, &rep); err != nil {
+		return rep, fmt.Errorf("meas: AC: %w", err)
 	}
-	if err := b.refCMRR(voff, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: CMRR: %w", err)
+	if err := b.refCMRR(voff, &rep); err != nil {
+		return rep, fmt.Errorf("meas: CMRR: %w", err)
 	}
-	if err := b.refRout(voff, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: Rout: %w", err)
+	if err := b.refRout(voff, &rep); err != nil {
+		return rep, fmt.Errorf("meas: Rout: %w", err)
 	}
-	if err := b.refNoise(eng, ckt, op, &rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: noise: %w", err)
+	if err := b.refNoise(eng, ckt, op, &rep); err != nil {
+		return rep, fmt.Errorf("meas: noise: %w", err)
 	}
-	if err := b.refSlewRate(&rep.Perf); err != nil {
-		return nil, fmt.Errorf("meas: slew rate: %w", err)
+	if err := b.refSlewRate(&rep); err != nil {
+		return rep, fmt.Errorf("meas: slew rate: %w", err)
 	}
 	return rep, nil
 }

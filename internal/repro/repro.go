@@ -56,11 +56,10 @@ func Fig2Text(maxFolds int) string {
 
 // Fig3Result is the generated current-mirror stack of the paper's Fig. 3.
 type Fig3Result struct {
-	Pattern      *stack.Pattern
-	Stack        *stack.Stack
-	CentroidErr  map[string]float64
-	OrientImbal  map[string]int
-	ContactsNote string
+	Pattern     *stack.Pattern
+	Stack       *stack.Stack
+	CentroidErr map[string]float64
+	OrientImbal map[string]int
 }
 
 // Fig3 builds the M1:M2:M3 = 1:3:6 current mirror with dummies,

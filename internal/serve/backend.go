@@ -165,12 +165,11 @@ func (r *MCRequest) cacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
 // MCReport is the serializable Monte-Carlo result shared by
 // `loas mc -json` and POST /v1/mc.
 type MCReport struct {
-	Topology        string         `json:"topology,omitempty"`
-	Case            int            `json:"case"`
-	Seed            int64          `json:"seed"`
-	Stats           mc.OffsetStats `json:"stats"`
-	AnalyticSigmaV  float64        `json:"analytic_sigma_v"`
-	GradientCancels bool           `json:"gradient_cancels,omitempty"`
+	Topology       string         `json:"topology,omitempty"`
+	Case           int            `json:"case"`
+	Seed           int64          `json:"seed"`
+	Stats          mc.OffsetStats `json:"stats"`
+	AnalyticSigmaV float64        `json:"analytic_sigma_v"`
 }
 
 func layoutCacheKey(tech *techno.Tech, spec sizing.OTASpec) string {
@@ -295,15 +294,9 @@ func RunMC(ctx context.Context, tech *techno.Tech, spec sizing.OTASpec, topology
 	if err != nil {
 		return nil, err
 	}
-	card := func(t techno.MOSType) *techno.MOSCard {
-		if t == techno.PMOS {
-			return &tech.P
-		}
-		return &tech.N
-	}
 	pair, load, gmRatio := d.OffsetRefs()
-	est := mc.EstimateOffsetSigma(card(pair.Type), pair.W, pair.L,
-		card(load.Type), load.W, load.L, gmRatio)
+	est := mc.EstimateOffsetSigma(tech.Card(pair.Type), pair.W, pair.L,
+		tech.Card(load.Type), load.W, load.L, gmRatio)
 	return &MCReport{Topology: plan.Name, Case: caseN, Seed: seed,
 		Stats: *stats, AnalyticSigmaV: est}, nil
 }

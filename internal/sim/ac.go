@@ -295,6 +295,64 @@ func (s *ACSolver) Phasor(f float64, node string) (complex128, error) {
 	return x[s.e.nodeUnknown(i)], nil
 }
 
+// NoCrossingError reports a sweep whose gain at the probed node never
+// fell below unity. Gain is |H| at the sweep's last frequency.
+type NoCrossingError struct {
+	Gain float64
+}
+
+func (e *NoCrossingError) Error() string {
+	return fmt.Sprintf("sim: no unity crossing (|H| = %g at the last frequency)", e.Gain)
+}
+
+// UnityCrossing finds the unity-gain frequency fu of the phasor at node
+// and the phase margin there, PM = 180° + ∠H(fu) wrapped to at most
+// 180°. It solves freqs in order and brackets the crossing between the
+// first point after freqs[0] whose gain is below unity and the point
+// before it; no later point is solved. It then bisects the bracket
+// geometrically steps times and takes fu at the bracket's geometric
+// mean. A sweep that never falls below unity returns a bare
+// *NoCrossingError, which callers match by type assertion; a solve's
+// error is returned as is.
+func (s *ACSolver) UnityCrossing(node string, freqs []float64, steps int) (fu, pm float64, err error) {
+	var fLo, fHi, g float64
+	for i, f := range freqs {
+		h, err := s.Phasor(f, node)
+		if err != nil {
+			return 0, 0, err
+		}
+		if g = cmplx.Abs(h); i > 0 && g < 1 {
+			fLo, fHi = freqs[i-1], f
+			break
+		}
+	}
+	if fHi == 0 {
+		return 0, 0, &NoCrossingError{Gain: g}
+	}
+	for i := 0; i < steps; i++ {
+		mid := math.Sqrt(fLo * fHi)
+		h, err := s.Phasor(mid, node)
+		if err != nil {
+			return 0, 0, err
+		}
+		if cmplx.Abs(h) >= 1 {
+			fLo = mid
+		} else {
+			fHi = mid
+		}
+	}
+	fu = math.Sqrt(fLo * fHi)
+	h, err := s.Phasor(fu, node)
+	if err != nil {
+		return 0, 0, err
+	}
+	pm = 180 + cmplx.Phase(h)*180/math.Pi
+	for pm > 180 {
+		pm -= 360
+	}
+	return fu, pm, nil
+}
+
 // AC runs a small-signal analysis at the operating point over the given
 // frequencies (Hz). The sources' ACMag/ACPhase fields define the
 // excitation.

@@ -250,6 +250,35 @@ func TestACRCLowpass(t *testing.T) {
 	}
 }
 
+// TestUnityCrossing: an RC low-pass driven at 10 V crosses unity at
+// √99/(2πRC) with PM = 180° − atan √99; a sweep that ends above unity
+// reports the gain at its last point.
+func TestUnityCrossing(t *testing.T) {
+	c := circuit.New("rc")
+	c.Add(
+		&circuit.VSource{Name: "in", Pos: "a", Neg: "0", ACMag: 10},
+		&circuit.Resistor{Name: "r", A: "a", B: "b", R: 1e3},
+		&circuit.Capacitor{Name: "c", A: "b", B: "0", C: 1e-9},
+	)
+	e := NewEngine(c, techno.TempNominal)
+	r, err := e.OP(OPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := e.PrepareAC(r)
+	fu, pm, err := ac.UnityCrossing("b", LogSpace(1e3, 1e8, 50), 40)
+	wantFu := math.Sqrt(99) / (2 * math.Pi * 1e-6)
+	wantPM := 180 - math.Atan(math.Sqrt(99))*180/math.Pi
+	if err != nil || math.Abs(fu/wantFu-1) > 1e-9 || math.Abs(pm-wantPM) > 1e-6 {
+		t.Fatalf("fu %g Hz, PM %g°, err %v; want %g Hz, %g°", fu, pm, err, wantFu, wantPM)
+	}
+	_, _, err = ac.UnityCrossing("b", LogSpace(1e3, 1e5, 20), 40)
+	nc, ok := err.(*NoCrossingError)
+	if want := 10 / math.Hypot(1, 2*math.Pi*1e5*1e-6); !ok || math.Abs(nc.Gain-want) > 1e-9 {
+		t.Fatalf("no-crossing sweep: err %v, want gain %g", err, want)
+	}
+}
+
 func TestNoiseResistorMatchesTheory(t *testing.T) {
 	// Output noise of an RC lowpass: S = 4kTR/(1+(f/fc)²).
 	c := circuit.New("rcnoise")

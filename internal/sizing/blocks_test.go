@@ -1,14 +1,132 @@
 package sizing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"loas/internal/circuit"
+	"loas/internal/device"
 	"loas/internal/layout/cairo"
+	"loas/internal/layout/stack"
 	"loas/internal/sim"
 	"loas/internal/techno"
 )
+
+// The ratioed current mirror is one of the "fixed routines … for
+// frequently used building blocks" of the knowledge-based tool, the
+// hierarchy the paper credits for making new topologies cheap to add.
+// No design plan calls it yet, so it lives beside the tests that size,
+// simulate and lay it out.
+
+// MirrorSpec sizes a ratioed current mirror.
+type MirrorSpec struct {
+	Type techno.MOSType
+	// IRef is the reference (diode) branch current (A).
+	IRef float64
+	// Ratios lists output-branch multiples of IRef (e.g. {3, 6} builds
+	// the paper's Fig. 3 with the 1× diode).
+	Ratios []int
+	// Veff sets the mirror overdrive (compliance = accuracy trade);
+	// default 0.25 V.
+	Veff float64
+	// L sets the channel length; longer = better matching and higher
+	// output resistance. Default 2 µm.
+	L float64
+}
+
+// Mirror is a sized ratioed current mirror.
+type Mirror struct {
+	Spec MirrorSpec
+	tech *techno.Tech
+	// WUnit is the unit (diode) device width; branch i has width
+	// WUnit·Ratios[i] realized as Ratios[i] stacked units.
+	WUnit float64
+	// Compliance is the minimum output voltage for saturation (≈ Veff
+	// plus margin).
+	Compliance float64
+}
+
+// SizeMirror sizes the unit device on the exact model.
+func SizeMirror(tech *techno.Tech, spec MirrorSpec) (*Mirror, error) {
+	if spec.IRef <= 0 {
+		return nil, fmt.Errorf("sizing: mirror needs positive reference current")
+	}
+	if spec.Veff <= 0 {
+		spec.Veff = 0.25
+	}
+	if spec.L <= 0 {
+		spec.L = 2 * techno.Micron
+	}
+	for _, r := range spec.Ratios {
+		if r < 1 {
+			return nil, fmt.Errorf("sizing: mirror ratio %d must be ≥ 1", r)
+		}
+	}
+	card := tech.Card(spec.Type)
+	w, err := device.SizeForCurrent(card, spec.L, spec.Veff, 0, spec.IRef,
+		tech.Temp, techno.NMToMeters(tech.Rules.ActiveWidth), 10000*techno.Micron)
+	if err != nil {
+		return nil, fmt.Errorf("sizing: mirror unit: %w", err)
+	}
+	return &Mirror{Spec: spec, tech: tech, WUnit: w, Compliance: spec.Veff + 0.1}, nil
+}
+
+// StackModule renders the mirror as a matched-stack layout module: the
+// diode is device 0, branches follow, all interleaved with end dummies —
+// the Fig. 3 generator as a reusable block.
+func (m *Mirror) StackModule(label, refNet string, outNets []string, sourceNet, bulkNet string) (*cairo.MatchedStack, error) {
+	if len(outNets) != len(m.Spec.Ratios) {
+		return nil, fmt.Errorf("sizing: mirror has %d branches, %d nets given",
+			len(m.Spec.Ratios), len(outNets))
+	}
+	gate := refNet
+	devs := []stack.Device{{Name: label + "_ref", Units: 1, DrainNet: refNet, GateNet: gate}}
+	currents := map[string]float64{refNet: m.Spec.IRef}
+	for i, r := range m.Spec.Ratios {
+		devs = append(devs, stack.Device{
+			Name: fmt.Sprintf("%s_o%d", label, i+1), Units: r,
+			DrainNet: outNets[i], GateNet: gate,
+		})
+		currents[outNets[i]] = float64(r) * m.Spec.IRef
+	}
+	return &cairo.MatchedStack{
+		Label: label, Type: m.Spec.Type,
+		Devices:          devs,
+		SourceNet:        sourceNet,
+		BulkNet:          bulkNet,
+		WidthPerBaseUnit: m.WUnit,
+		L:                m.Spec.L,
+		Currents:         currents,
+		EndDummies:       true,
+		Splits:           []int{1, 2},
+	}, nil
+}
+
+// Netlist builds the mirror circuit with the reference current source.
+func (m *Mirror) Netlist(name, vddNet, refNet string, outNets []string) (*circuit.Circuit, error) {
+	if len(outNets) != len(m.Spec.Ratios) {
+		return nil, fmt.Errorf("sizing: mirror has %d branches, %d nets given",
+			len(m.Spec.Ratios), len(outNets))
+	}
+	c := circuit.New(name)
+	card := m.tech.Card(m.Spec.Type)
+	src, bulk := circuit.Ground, circuit.Ground
+	if m.Spec.Type == techno.PMOS {
+		src, bulk = vddNet, vddNet
+	}
+	c.Add(&circuit.MOSFET{
+		Name: name + "_ref", D: refNet, G: refNet, S: src, B: bulk,
+		Dev: device.MOS{Card: card, W: m.WUnit, L: m.Spec.L},
+	})
+	for i, r := range m.Spec.Ratios {
+		c.Add(&circuit.MOSFET{
+			Name: fmt.Sprintf("%s_o%d", name, i+1), D: outNets[i], G: refNet, S: src, B: bulk,
+			Dev: device.MOS{Card: card, W: m.WUnit * float64(r), L: m.Spec.L},
+		})
+	}
+	return c, nil
+}
 
 func TestSizeMirrorRoundTrip(t *testing.T) {
 	tech := techno.Default060()

@@ -2,8 +2,6 @@ package sizing
 
 import (
 	"fmt"
-	"math"
-	"math/cmplx"
 
 	"loas/internal/circuit"
 	"loas/internal/device"
@@ -50,48 +48,13 @@ func (ev *evaluator) gbwPM(tech *techno.Tech, ckt *circuit.Circuit, out string, 
 	}
 
 	// One linearization serves the sweep and every bisection probe, and
-	// each probe solves for the output phasor alone. The bracketing
-	// sweep stops at the first point below unity: no later point is read.
-	solver := &ev.solver
-	solver.Relinearize(op)
-	freqs := sim.LogSpace(1e6, 3e9, 40)
-	var fLo, fHi float64
-	for i, f := range freqs {
-		h, err := solver.Phasor(f, out)
-		if err != nil {
-			return 0, 0, err
-		}
-		if i > 0 && cmplx.Abs(h) < 1 {
-			fLo, fHi = freqs[i-1], f
-			break
-		}
-	}
-	if fHi == 0 {
+	// each probe solves for the output phasor alone.
+	ev.solver.Relinearize(op)
+	gbw, pm, err = ev.solver.UnityCrossing(out, sim.LogSpace(1e6, 3e9, 40), 25)
+	if _, ok := err.(*sim.NoCrossingError); ok {
 		return 0, 0, fmt.Errorf("sizing: no unity crossing below 3 GHz")
 	}
-	for i := 0; i < 25; i++ {
-		mid := math.Sqrt(fLo * fHi)
-		h, err := solver.Phasor(mid, out)
-		if err != nil {
-			return 0, 0, err
-		}
-		if cmplx.Abs(h) >= 1 {
-			fLo = mid
-		} else {
-			fHi = mid
-		}
-	}
-	fu := math.Sqrt(fLo * fHi)
-	h, err := solver.Phasor(fu, out)
-	if err != nil {
-		return 0, 0, err
-	}
-	phase := cmplx.Phase(h) * 180 / math.Pi
-	pm = 180 + phase
-	for pm > 180 {
-		pm -= 360
-	}
-	return fu, pm, nil
+	return gbw, pm, err
 }
 
 // BiasFor computes the four bias voltages on the exact model of tech for

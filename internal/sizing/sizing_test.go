@@ -352,3 +352,15 @@ func TestDBHelper(t *testing.T) {
 		t.Fatal("DB should use magnitude")
 	}
 }
+
+// TestUnityCrossingErrorText: an evaluation bench whose output a source
+// pins at 10 V of AC never crosses unity, and the plan says so in its
+// own words.
+func TestUnityCrossingErrorText(t *testing.T) {
+	ckt := circuit.New("pinned").Add(&circuit.VSource{Name: "o", Pos: NetOut, Neg: circuit.Ground, ACMag: 10})
+	var ev evaluator
+	_, _, err := ev.gbwPM(techno.Default060(), ckt, NetOut, nil)
+	if want := "sizing: no unity crossing below 3 GHz"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}

@@ -9,7 +9,6 @@ package techeval
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"loas/internal/device"
 	"loas/internal/techno"
@@ -126,21 +125,4 @@ func (c *Characteristics) Summary() string {
 	return fmt.Sprintf("%s: VTcc %.3f V, gm/ID max %.1f 1/V, fT(0.2 V) %.2f GHz, A0(1 µm) %.0f (%.1f dB)",
 		c.Type, c.VTcc, c.GmIDMax, c.FTStrong/1e9, c.A0PerUm,
 		20*math.Log10(c.A0PerUm))
-}
-
-// Compare renders a side-by-side comparison of two technologies — the
-// "helps to choose the most suitable technology" use case.
-func Compare(a, b *techno.Tech) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "technology comparison: %s vs %s\n", a.Name, b.Name)
-	for _, mt := range []techno.MOSType{techno.NMOS, techno.PMOS} {
-		ca := Characterize(a, mt)
-		cb := Characterize(b, mt)
-		fmt.Fprintf(&sb, "  %s\n", mt)
-		fmt.Fprintf(&sb, "    VTcc      %8.3f V    %8.3f V\n", ca.VTcc, cb.VTcc)
-		fmt.Fprintf(&sb, "    gm/ID max %8.1f /V   %8.1f /V\n", ca.GmIDMax, cb.GmIDMax)
-		fmt.Fprintf(&sb, "    fT(0.2V)  %8.2f GHz  %8.2f GHz\n", ca.FTStrong/1e9, cb.FTStrong/1e9)
-		fmt.Fprintf(&sb, "    A0(1um)   %8.0f      %8.0f\n", ca.A0PerUm, cb.A0PerUm)
-	}
-	return sb.String()
 }

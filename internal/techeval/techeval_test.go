@@ -1,6 +1,7 @@
 package techeval
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -110,4 +111,23 @@ func TestSummaryAndCompare(t *testing.T) {
 	if cFast.FTStrong <= cSlow.FTStrong {
 		t.Fatal("shorter channel should be faster")
 	}
+}
+
+// Compare renders a side-by-side comparison of two technologies — the
+// "helps to choose the most suitable technology" use case. No command
+// prints it; TestSummaryAndCompare runs it on the 0.6 µm card against a
+// hypothetical 0.35 µm one.
+func Compare(a, b *techno.Tech) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "technology comparison: %s vs %s\n", a.Name, b.Name)
+	for _, mt := range []techno.MOSType{techno.NMOS, techno.PMOS} {
+		ca := Characterize(a, mt)
+		cb := Characterize(b, mt)
+		fmt.Fprintf(&sb, "  %s\n", mt)
+		fmt.Fprintf(&sb, "    VTcc      %8.3f V    %8.3f V\n", ca.VTcc, cb.VTcc)
+		fmt.Fprintf(&sb, "    gm/ID max %8.1f /V   %8.1f /V\n", ca.GmIDMax, cb.GmIDMax)
+		fmt.Fprintf(&sb, "    fT(0.2V)  %8.2f GHz  %8.2f GHz\n", ca.FTStrong/1e9, cb.FTStrong/1e9)
+		fmt.Fprintf(&sb, "    A0(1um)   %8.0f      %8.0f\n", ca.A0PerUm, cb.A0PerUm)
+	}
+	return sb.String()
 }
