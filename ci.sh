@@ -50,10 +50,19 @@ go test -count=1 -run 'TestUnityCrossing|TestNullInput' ./internal/sizing ./inte
 # engine rebound onto other circuits and back, with its solver, against
 # a new engine and PrepareAC (OP, stamps and phasors); Generate against
 # the reference path that builds a Pattern per candidate, over a grid of
-# stack specs. A drift fails here, early and by name. No race detector,
-# as for the golden lanes above.
+# stack specs. The kernels under every evaluation are held to the dense
+# or unhoisted code they replaced: the LU that skips never-written
+# entries against the dense elimination (random sparse matrices filled
+# every way, at sizes either side of a 64-column pattern word), and the
+# sizing bisections, which compute their bias point once and stop when
+# the bracket stops, against the 80-step loops on the full model, over a
+# grid of cards, lengths, biases, targets and temperatures. A drift
+# fails here, early and by name. No race detector, as for the golden
+# lanes above.
 go test -count=1 -run 'TestRebindBitIdentical' ./internal/sim
 go test -count=1 -run 'TestGenerateMatchesReference' ./internal/layout/stack
+go test -count=1 -run 'TestFactorMatchesDense|TestFactorSetNegativeZero' ./internal/linalg
+go test -count=1 -run 'Test(SizeForCurrent|SizeForGm|VGSForCurrent|Model)MatchesReference' ./internal/device
 
 # Allocation-budget lane. The analyses and the layout plan allocate
 # only what their callers read: one Measure of the five-t default
@@ -108,9 +117,15 @@ go test -race -run '^$' -fuzz FuzzBatchCanonicalKey -fuzztime 5s ./internal/serv
 
 # Fuzz the shared MOS stencil: at any terminal voltages and under any
 # probe set, every probe EvalIDStencil computes must match its EvalID
-# call and CapsAt must match Caps(Eval(…)), bit for bit, on both device
-# polarities.
+# call, CapsAt must match Caps(Eval(…)), and EvalID, IDSat and GmAt
+# must match the model with every factor recomputed, bit for bit, on
+# both device polarities.
 go test -race -run '^$' -fuzz FuzzEvalIDStencil -fuzztime 5s ./internal/device
+
+# Fuzz the LU: at any size, density and fill (Add, Set or straight into
+# A, transposed, with NaN, Inf and −0 entries, singular), Factor must
+# give the dense elimination's factors, pivots, solution and error.
+go test -race -run '^$' -fuzz FuzzFactorMatchesDense -fuzztime 5s ./internal/linalg
 
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.

@@ -103,11 +103,3 @@ func junctionCap(c *techno.MOSCard, a, p, vrev float64) float64 {
 	}
 	return a*grade(c.CJ, c.MJ) + p*grade(c.CJSW, c.MJSW)
 }
-
-// GateCap returns the total gate capacitance (CGS+CGD+CGB) in strong
-// inversion saturation, the quantity the sizing tool uses for quick
-// loading estimates before a full bias point exists.
-func (m *MOS) GateCap() float64 {
-	c := m.Card
-	return (2.0/3.0)*c.Cox*m.W*m.Leff()*m.M() + (c.CGSO+c.CGDO)*m.W*m.M() + c.CGBO*m.L*m.M()
-}

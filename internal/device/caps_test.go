@@ -108,6 +108,14 @@ func TestCapsAllNonNegative(t *testing.T) {
 	}
 }
 
+// GateCap returns the total gate capacitance (CGS+CGD+CGB) in strong
+// inversion saturation, the quantity the sizing tool uses for quick
+// loading estimates before a full bias point exists.
+func (m *MOS) GateCap() float64 {
+	c := m.Card
+	return (2.0/3.0)*c.Cox*m.W*m.Leff()*m.M() + (c.CGSO+c.CGDO)*m.W*m.M() + c.CGBO*m.L*m.M()
+}
+
 func TestGateCapScalesWithArea(t *testing.T) {
 	tech := techno.Default060()
 	a := (&MOS{Card: &tech.N, W: 10 * um, L: 1 * um}).GateCap()

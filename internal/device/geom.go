@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"math"
 
 	"loas/internal/techno"
 )
@@ -154,22 +153,4 @@ func OneFoldGeom(tech *techno.Tech, w float64) DiffGeom {
 		AD: w * e, PD: 2*e + w,
 		AS: w * e, PS: 2*e + w,
 	}
-}
-
-// FoldsForHeight returns the fold count that keeps the finger width at or
-// under maxFinger, always at least 1. When evenPreferred is set the count
-// is rounded up to even so the preferred net can be fully internal — the
-// parasitic control the paper applies to frequency-critical nets.
-func FoldsForHeight(w, maxFinger float64, evenPreferred bool) int {
-	if maxFinger <= 0 {
-		return 1
-	}
-	nf := int(math.Ceil(w / maxFinger))
-	if nf < 1 {
-		nf = 1
-	}
-	if evenPreferred && nf > 1 && nf%2 == 1 {
-		nf++
-	}
-	return nf
 }

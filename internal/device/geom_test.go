@@ -135,6 +135,24 @@ func TestOneFoldGeomWorstCase(t *testing.T) {
 	}
 }
 
+// FoldsForHeight returns the fold count that keeps the finger width at or
+// under maxFinger, always at least 1. When evenPreferred is set the count
+// is rounded up to even so the preferred net can be fully internal — the
+// parasitic control the paper applies to frequency-critical nets.
+func FoldsForHeight(w, maxFinger float64, evenPreferred bool) int {
+	if maxFinger <= 0 {
+		return 1
+	}
+	nf := int(math.Ceil(w / maxFinger))
+	if nf < 1 {
+		nf = 1
+	}
+	if evenPreferred && nf > 1 && nf%2 == 1 {
+		nf++
+	}
+	return nf
+}
+
 func TestFoldsForHeight(t *testing.T) {
 	if nf := FoldsForHeight(100*um, 20*um, false); nf != 5 {
 		t.Fatalf("100/20 = %d folds, want 5", nf)

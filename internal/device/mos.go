@@ -132,53 +132,84 @@ func lnOnePlusExp(x float64) float64 {
 	return math.Log1p(math.Exp(x))
 }
 
+// model is the drain-current model of one device at one temperature,
+// with the factors no terminal voltage moves computed once: KP·W·M/Leff,
+// the Early voltage VAL·Leff, γ·√φ and (γ/2)². A call that evaluates
+// several bias points builds one. Each factor keeps the operands, and
+// their order, that it has in the per-point formula, and amd64 does not
+// fuse the operations, so the shared value is the one every point would
+// compute for itself.
+type model struct {
+	c                      *techno.MOSCard
+	vt                     float64 // thermal voltage
+	beta0                  float64 // KP·W·M/Leff, before mobility degradation
+	va                     float64 // VAL·Leff
+	gammaSqrtPhi, half, hh float64 // γ·√φ, γ/2 and (γ/2)²
+}
+
+// model returns m's model at thermal voltage vt.
+func (m *MOS) model(vt float64) model {
+	c := m.Card
+	half := c.Gamma / 2
+	return model{
+		c: c, vt: vt,
+		beta0:        m.beta0(),
+		va:           c.VAL * m.Leff(),
+		gammaSqrtPhi: c.Gamma * math.Sqrt(c.Phi),
+		half:         half, hh: half * half,
+	}
+}
+
+// beta0 is the current factor KP·W·M/Leff, before mobility degradation.
+func (m *MOS) beta0() float64 { return m.Card.KP * m.W * m.M() / m.Leff() }
+
 // pinchOff returns the EKV pinch-off voltage VP and slope factor n for a
 // gate-bulk voltage vgb (NMOS convention).
-func pinchOff(c *techno.MOSCard, vgb float64) (vp, n float64) {
+func (k *model) pinchOff(vgb float64) (vp, n float64) {
+	c := k.c
 	// vgp is the "effective" gate voltage; clamped smoothly at 0 so the
 	// model stays defined (and smooth) deep in accumulation.
-	vgp := vgb - c.VT0 + c.Phi + c.Gamma*math.Sqrt(c.Phi)
+	vgp := vgb - c.VT0 + c.Phi + k.gammaSqrtPhi
 	vgp = softPlus(vgp, 1e-6)
-	half := c.Gamma / 2
-	vp = vgp - c.Phi - c.Gamma*(math.Sqrt(vgp+half*half)-half)
+	vp = vgp - c.Phi - c.Gamma*(math.Sqrt(vgp+k.hh)-k.half)
 	n = 1 + c.Gamma/(2*math.Sqrt(vp+c.Phi+1e-3))
 	return vp, n
 }
 
 // idsCore evaluates the raw drain current for NMOS-convention bulk-referred
-// terminal voltages. vt is the thermal voltage.
-func (m *MOS) idsCore(vgb, vdb, vsb, vt float64) float64 {
-	vp, n := pinchOff(m.Card, vgb)
-	return m.idsFrom(n, vdb, vsb, lnHalf(vp, vsb, vt), lnHalf(vp, vdb, vt), vt)
+// terminal voltages.
+func (k *model) idsCore(vgb, vdb, vsb float64) float64 {
+	vp, n := k.pinchOff(vgb)
+	return k.idsFrom(n, vdb, vsb, k.lnHalf(vp, vsb), k.lnHalf(vp, vdb))
 }
 
 // lnHalf is one of idsCore's two EKV inversion terms, ln(1+e^((vp−vxb)/2vt)),
 // for the terminal at bulk-referred voltage vxb: the source gives the
 // forward term, the drain the reverse one. Each depends on one terminal
 // only, which is what lets EvalIDStencil share them between probes.
-func lnHalf(vp, vxb, vt float64) float64 {
-	return lnOnePlusExp((vp - vxb) / (2 * vt))
+func (k *model) lnHalf(vp, vxb float64) float64 {
+	return lnOnePlusExp((vp - vxb) / (2 * k.vt))
 }
 
 // idsFrom is idsCore after the pinch-off and the two lnHalf terms: lf is the
-// forward (source) term, lr the reverse (drain) term.
-func (m *MOS) idsFrom(n, vdb, vsb, lf, lr, vt float64) float64 {
-	c := m.Card
+// forward (source) term, lr the reverse (drain) term. Only it reads the
+// device's size, through beta0 and va.
+func (k *model) idsFrom(n, vdb, vsb, lf, lr float64) float64 {
+	c := k.c
+	vt := k.vt
 	iff := lf * lf
 	irr := lr * lr
 
-	beta := c.KP * m.W * m.M() / m.Leff()
 	// Mobility degradation keyed on the forward inversion voltage, the
 	// continuous analogue of Veff = VGS − VTH.
 	veff := 2 * vt * lf
-	beta /= 1 + c.Theta*veff
+	beta := k.beta0 / (1 + c.Theta*veff)
 
 	id := 2 * n * beta * vt * vt * (iff - irr)
 
 	// Channel-length modulation as a constant Early voltage per unit
 	// length, applied to the magnitude so the model stays symmetric.
-	va := c.VAL * m.Leff()
-	id *= 1 + math.Abs(vdb-vsb)/va
+	id *= 1 + math.Abs(vdb-vsb)/k.va
 	return id
 }
 
@@ -209,29 +240,30 @@ func thresholdAt(c *techno.MOSCard, vsb float64) float64 {
 func (m *MOS) Eval(vg, vd, vs, vb, temp float64) OP {
 	c := m.Card
 	vt := techno.ThermalVoltage(temp)
+	k := m.model(vt)
 	sign := c.VTSign()
 	vgb, vdb, vsb, swapped := m.bulkRef(vg, vd, vs, vb)
 
-	id := m.idsCore(vgb, vdb, vsb, vt)
+	id := k.idsCore(vgb, vdb, vsb)
 
 	// Numerical conductances (central differences). The model is smooth
 	// by construction, making this both simple and dependable.
-	gm := (m.idsCore(vgb+dv, vdb, vsb, vt) - m.idsCore(vgb-dv, vdb, vsb, vt)) / (2 * dv)
-	gds := (m.idsCore(vgb, vdb+dv, vsb, vt) - m.idsCore(vgb, vdb-dv, vsb, vt)) / (2 * dv)
+	gm := (k.idsCore(vgb+dv, vdb, vsb) - k.idsCore(vgb-dv, vdb, vsb)) / (2 * dv)
+	gds := (k.idsCore(vgb, vdb+dv, vsb) - k.idsCore(vgb, vdb-dv, vsb)) / (2 * dv)
 	// gmb = ∂ID/∂VB with gate, drain, source fixed: raising the bulk by dv
 	// lowers vgb, vdb and vsb together by dv (NMOS convention), which
 	// reduces the reverse body bias and raises the current.
-	idUp := m.idsCore(vgb-dv, vdb-dv, vsb-dv, vt)
-	idDn := m.idsCore(vgb+dv, vdb+dv, vsb+dv, vt)
+	idUp := k.idsCore(vgb-dv, vdb-dv, vsb-dv)
+	idDn := k.idsCore(vgb+dv, vdb+dv, vsb+dv)
 	gmb := (idUp - idDn) / (2 * dv)
 	if gmb < 0 {
 		gmb = 0
 	}
 
-	vp, n := pinchOff(c, vgb)
+	vp, n := k.pinchOff(vgb)
 	vthEff := thresholdAt(c, vsb)
 	veff := vgb - vsb - vthEff
-	vdsat := 2*vt*lnHalf(vp, vsb, vt) + 4*vt
+	vdsat := 2*vt*k.lnHalf(vp, vsb) + 4*vt
 
 	region := RegionSaturation
 	vds := vdb - vsb
@@ -275,7 +307,8 @@ func (m *MOS) EvalID(vg, vd, vs, vb, temp float64) float64 {
 	sign := m.Card.VTSign()
 	vgb, vdb, vsb, swapped := m.bulkRef(vg, vd, vs, vb)
 
-	id := sign * m.idsCore(vgb, vdb, vsb, techno.ThermalVoltage(temp))
+	k := m.model(techno.ThermalVoltage(temp))
+	id := sign * k.idsCore(vgb, vdb, vsb)
 	if swapped {
 		id = -id
 	}
@@ -317,41 +350,40 @@ const (
 // source (vd crossing vs) merely exchanges which term is forward and
 // needs no fallback.
 func (m *MOS) EvalIDStencil(vg, vd, vs, vb, h, temp float64, probes Probes) (st IDStencil) {
-	c := m.Card
-	vt := techno.ThermalVoltage(temp)
-	sign := c.VTSign()
+	k := m.model(techno.ThermalVoltage(temp))
+	sign := m.Card.VTSign()
 	// at finishes one point from its pinch-off slope and its unswapped
 	// bulk-referred drain and source voltages with their lnHalf terms,
 	// exactly as EvalID's swap, idsCore and sign handling would.
 	at := func(n, vdb, vsb, ld, ls float64) float64 {
 		if vdb < vsb {
-			return -(sign * m.idsFrom(n, vsb, vdb, ld, ls, vt))
+			return -(sign * k.idsFrom(n, vsb, vdb, ld, ls))
 		}
-		return sign * m.idsFrom(n, vdb, vsb, ls, ld, vt)
+		return sign * k.idsFrom(n, vdb, vsb, ls, ld)
 	}
 	// full evaluates a point whose gate-bulk voltage differs from the
 	// base point's.
 	full := func(vgb, vdb, vsb float64) float64 {
-		vp, n := pinchOff(c, vgb)
-		return at(n, vdb, vsb, lnHalf(vp, vdb, vt), lnHalf(vp, vsb, vt))
+		vp, n := k.pinchOff(vgb)
+		return at(n, vdb, vsb, k.lnHalf(vp, vdb), k.lnHalf(vp, vsb))
 	}
 
 	vgb := sign * (vg - vb)
 	vdb := sign * (vd - vb)
 	vsb := sign * (vs - vb)
-	vp, n := pinchOff(c, vgb)
-	ld, ls := lnHalf(vp, vdb, vt), lnHalf(vp, vsb, vt)
+	vp, n := k.pinchOff(vgb)
+	ld, ls := k.lnHalf(vp, vdb), k.lnHalf(vp, vsb)
 	st.Base = at(n, vdb, vsb, ld, ls)
 
 	if probes&ProbeD != 0 {
 		vdUp, vdDn := sign*((vd+h)-vb), sign*((vd-h)-vb)
-		st.DUp = at(n, vdUp, vsb, lnHalf(vp, vdUp, vt), ls)
-		st.DDn = at(n, vdDn, vsb, lnHalf(vp, vdDn, vt), ls)
+		st.DUp = at(n, vdUp, vsb, k.lnHalf(vp, vdUp), ls)
+		st.DDn = at(n, vdDn, vsb, k.lnHalf(vp, vdDn), ls)
 	}
 	if probes&ProbeS != 0 {
 		vsUp, vsDn := sign*((vs+h)-vb), sign*((vs-h)-vb)
-		st.SUp = at(n, vdb, vsUp, ld, lnHalf(vp, vsUp, vt))
-		st.SDn = at(n, vdb, vsDn, ld, lnHalf(vp, vsDn, vt))
+		st.SUp = at(n, vdb, vsUp, ld, k.lnHalf(vp, vsUp))
+		st.SDn = at(n, vdb, vsDn, ld, k.lnHalf(vp, vsDn))
 	}
 	if probes&ProbeG != 0 {
 		st.GUp = full(sign*((vg+h)-vb), vdb, vsb)
@@ -365,42 +397,95 @@ func (m *MOS) EvalIDStencil(vg, vd, vs, vb, h, temp float64, probes Probes) (st 
 	return st
 }
 
+// satPoint is IDSat's bias point at overdrive veff and source-bulk bias
+// vsb: the gate-bulk and drain-bulk voltages (NMOS convention).
+func satPoint(c *techno.MOSCard, veff, vsb, vt float64) (vgb, vdb float64) {
+	vgb = veff + thresholdAt(c, vsb) + vsb
+	vdb = vsb + veff + 8*vt // comfortably saturated
+	if veff < 0.1 {
+		vdb = vsb + 0.1 + 8*vt
+	}
+	return vgb, vdb
+}
+
 // IDSat returns the drain current in saturation for a given overdrive,
 // solving nothing: it evaluates the model at VDS = Veff + 5·n·vt, VBS as
 // given. Used by the sizing tool to stay on the exact simulator model.
 func (m *MOS) IDSat(veff, vsb, temp float64) float64 {
 	vt := techno.ThermalVoltage(temp)
-	vgb := veff + thresholdAt(m.Card, vsb) + vsb
-	vdb := vsb + veff + 8*vt // comfortably saturated
-	if veff < 0.1 {
-		vdb = vsb + 0.1 + 8*vt
-	}
-	return m.idsCore(vgb, vdb, vsb, vt)
+	k := m.model(vt)
+	vgb, vdb := satPoint(m.Card, veff, vsb, vt)
+	return k.idsCore(vgb, vdb, vsb)
 }
 
 // GmAt returns gm at the same synthetic saturation bias used by IDSat.
 func (m *MOS) GmAt(veff, vsb, temp float64) float64 {
 	vt := techno.ThermalVoltage(temp)
-	vgb := veff + thresholdAt(m.Card, vsb) + vsb
-	vdb := vsb + veff + 8*vt
-	if veff < 0.1 {
-		vdb = vsb + 0.1 + 8*vt
+	k := m.model(vt)
+	vgb, vdb := satPoint(m.Card, veff, vsb, vt)
+	return (k.idsCore(vgb+dv, vdb, vsb) - k.idsCore(vgb-dv, vdb, vsb)) / (2 * dv)
+}
+
+// widthProbe is idsCore at fixed bulk-referred voltages on a device of
+// one card and length, for any gate width: everything but the current
+// factor KP·W·M/Leff is computed when the probe is built, so a sizing
+// bisection's probes each run only idsFrom.
+type widthProbe struct {
+	dev       MOS
+	k         model
+	vdb, vsb  float64
+	n, lf, lr float64
+}
+
+func newWidthProbe(c *techno.MOSCard, l, vt, vgb, vdb, vsb float64) widthProbe {
+	p := widthProbe{dev: MOS{Card: c, L: l}, vdb: vdb, vsb: vsb}
+	p.k = p.dev.model(vt)
+	vp, n := p.k.pinchOff(vgb)
+	p.n, p.lf, p.lr = n, p.k.lnHalf(vp, vsb), p.k.lnHalf(vp, vdb)
+	return p
+}
+
+// ids is idsCore for gate width w, bit for bit.
+func (p *widthProbe) ids(w float64) float64 {
+	p.dev.W = w
+	p.k.beta0 = p.dev.beta0()
+	return p.k.idsFrom(p.n, p.vdb, p.vsb, p.lf, p.lr)
+}
+
+// bisect narrows the bracket [lo, hi] of probe's sign change, probe(lo) <
+// 0 ≤ probe(hi), by up to 80 halvings and returns its midpoint. Once the
+// midpoint rounds to lo or hi, the bracket can shrink no further: a step
+// would leave it as it is or collapse it onto that midpoint, and either
+// way every later step, and the result, is that midpoint. So the search
+// returns it there, without probing it or running the rest of the 80
+// steps.
+func bisect(lo, hi float64, probe func(float64) float64) float64 {
+	for i := 0; i < 80; i++ {
+		mid := 0.5 * (lo + hi)
+		if mid == lo || mid == hi {
+			return mid
+		}
+		if probe(mid) < 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	return (m.idsCore(vgb+dv, vdb, vsb, vt) - m.idsCore(vgb-dv, vdb, vsb, vt)) / (2 * dv)
+	return 0.5 * (lo + hi)
 }
 
 // SizeForCurrent returns the gate width that carries current id in
 // saturation at overdrive veff and source-bulk bias vsb, by monotonic
-// bisection on the exact model. Returns an error when the target is
-// unreachable within [wmin, wmax].
+// bisection on the exact model: each probe is IDSat bit for bit. Returns
+// an error when the target is unreachable within [wmin, wmax].
 func SizeForCurrent(card *techno.MOSCard, l, veff, vsb, id, temp, wmin, wmax float64) (float64, error) {
 	if id <= 0 {
 		return 0, fmt.Errorf("device: target current must be positive, got %g", id)
 	}
-	probe := func(w float64) float64 {
-		m := MOS{Card: card, W: w, L: l}
-		return m.IDSat(veff, vsb, temp) - id
-	}
+	vt := techno.ThermalVoltage(temp)
+	vgb, vdb := satPoint(card, veff, vsb, vt)
+	at := newWidthProbe(card, l, vt, vgb, vdb, vsb)
+	probe := func(w float64) float64 { return at.ids(w) - id }
 	lo, hi := wmin, wmax
 	flo, fhi := probe(lo), probe(hi)
 	if flo > 0 {
@@ -410,28 +495,22 @@ func SizeForCurrent(card *techno.MOSCard, l, veff, vsb, id, temp, wmin, wmax flo
 		return 0, fmt.Errorf("device: W=%g m insufficient for ID=%g A at Veff=%g V (max %g A)",
 			hi, id, veff, fhi+id)
 	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	return bisect(lo, hi, probe), nil
 }
 
 // SizeForGm returns the gate width giving transconductance gm in
 // saturation at overdrive veff and source-bulk bias vsb, by bisection on
-// the exact model (gm is monotone in W at fixed bias).
+// the exact model (gm is monotone in W at fixed bias): each probe is
+// GmAt bit for bit.
 func SizeForGm(card *techno.MOSCard, l, veff, vsb, gm, temp, wmin, wmax float64) (float64, error) {
 	if gm <= 0 {
 		return 0, fmt.Errorf("device: target gm must be positive, got %g", gm)
 	}
-	probe := func(w float64) float64 {
-		m := MOS{Card: card, W: w, L: l}
-		return m.GmAt(veff, vsb, temp) - gm
-	}
+	vt := techno.ThermalVoltage(temp)
+	vgb, vdb := satPoint(card, veff, vsb, vt)
+	up := newWidthProbe(card, l, vt, vgb+dv, vdb, vsb)
+	dn := newWidthProbe(card, l, vt, vgb-dv, vdb, vsb)
+	probe := func(w float64) float64 { return (up.ids(w)-dn.ids(w))/(2*dv) - gm }
 	lo, hi := wmin, wmax
 	if probe(lo) > 0 {
 		return lo, nil
@@ -439,15 +518,7 @@ func SizeForGm(card *techno.MOSCard, l, veff, vsb, gm, temp, wmin, wmax float64)
 	if probe(hi) < 0 {
 		return 0, fmt.Errorf("device: W=%g m insufficient for gm=%g S at Veff=%g V", hi, gm, veff)
 	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	return bisect(lo, hi, probe), nil
 }
 
 // VGSForCurrent returns the gate-source voltage (NMOS convention; PMOS
@@ -458,23 +529,15 @@ func (m *MOS) VGSForCurrent(id, vds, vsb, temp float64) (float64, error) {
 	if id <= 0 {
 		return 0, fmt.Errorf("device: target current must be positive, got %g", id)
 	}
-	vt := techno.ThermalVoltage(temp)
+	k := m.model(techno.ThermalVoltage(temp))
 	probe := func(vgs float64) float64 {
 		vgb := vgs + vsb
 		vdb := vsb + vds
-		return m.idsCore(vgb, vdb, vsb, vt) - id
+		return k.idsCore(vgb, vdb, vsb) - id
 	}
 	lo, hi := -0.5, 5.0
 	if probe(hi) < 0 {
 		return 0, fmt.Errorf("device: cannot reach ID=%g A with VGS ≤ %g V (W=%g L=%g)", id, hi, m.W, m.L)
 	}
-	for i := 0; i < 80; i++ {
-		mid := 0.5 * (lo + hi)
-		if probe(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
+	return bisect(lo, hi, probe), nil
 }

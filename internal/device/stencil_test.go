@@ -148,7 +148,8 @@ func TestCapsAtBitIdentical(t *testing.T) {
 
 // FuzzEvalIDStencil checks the stencil (and CapsAt) against the plain
 // evaluations at arbitrary finite terminal voltages on both cards, under
-// an arbitrary probe set (the low four bits of probes).
+// an arbitrary probe set (the low four bits of probes), and the model
+// the plain evaluations share against refIDsCore.
 func FuzzEvalIDStencil(f *testing.F) {
 	for i, b := range stencilBiases {
 		f.Add(b.vg, b.vd, b.vs, b.vb, uint8(ProbeAll))
@@ -164,6 +165,7 @@ func FuzzEvalIDStencil(f *testing.F) {
 		for _, m := range devs {
 			checkStencil(t, m, vg, vd, vs, vb, Probes(probes)&ProbeAll)
 			checkCapsAt(t, m, vg, vd, vs, vb)
+			checkModelReference(t, m, vg, vd, vs, vb)
 		}
 	})
 }

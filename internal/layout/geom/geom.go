@@ -212,19 +212,6 @@ func (c *Cell) PortsOnNet(net string) []Port {
 	return out
 }
 
-// LayerArea sums the area (m²) of all shapes on a layer, ignoring
-// overlaps between shapes (procedural generators do not overlap same-layer
-// shapes except at abutments, where double counting is negligible).
-func (c *Cell) LayerArea(layer techno.Layer) float64 {
-	var a float64
-	for _, s := range c.Shapes {
-		if s.Layer == layer {
-			a += s.R.AreaM2()
-		}
-	}
-	return a
-}
-
 // NetShapes returns all shapes on a net and layer.
 func (c *Cell) NetShapes(net string, layer techno.Layer) []Shape {
 	var out []Shape

@@ -173,6 +173,19 @@ func TestCouplingCap(t *testing.T) {
 	}
 }
 
+// LayerArea sums the area (m²) of all shapes on a layer, ignoring
+// overlaps between shapes (procedural generators do not overlap same-layer
+// shapes except at abutments, where double counting is negligible).
+func (c *Cell) LayerArea(layer techno.Layer) float64 {
+	var a float64
+	for _, s := range c.Shapes {
+		if s.Layer == layer {
+			a += s.R.AreaM2()
+		}
+	}
+	return a
+}
+
 func TestLayerAreaAndNetShapes(t *testing.T) {
 	c := NewCell("c")
 	c.Add(techno.LayerMetal1, XYWH(0, 0, 1000, 1000), "x")

@@ -226,7 +226,7 @@ func (s *ACSolver) Relinearize(op *OPResult) {
 	e := op.e
 	s.e, s.op = e, op
 	e.compileAC(&s.st, op)
-	s.y = linalg.Complex{N: e.size, A: resize(s.y.A, e.size*e.size)}
+	s.y.Resize(e.size)
 	s.x = resize(s.x, e.size)
 }
 

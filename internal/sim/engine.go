@@ -102,7 +102,7 @@ func (e *Engine) Rebind(ckt *circuit.Circuit) {
 		e.elems[k] = ei
 	}
 	e.size = e.nNodes + e.nBranch
-	e.jac = linalg.Real{N: e.size, A: resize(e.jac.A, e.size*e.size)}
+	e.jac.Resize(e.size)
 	e.res = resize(e.res, e.size)
 	e.dx = resize(e.dx, e.size)
 	e.backup = resize(e.backup, e.size)

@@ -269,6 +269,11 @@ func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra 
 		var maxDx float64
 		for i := range dx {
 			d := dx[i]
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				// The clamp and the maxDx comparison are false for NaN,
+				// which would leave maxDx at 0 and pass for convergence.
+				return iter, fmt.Errorf("sim: non-finite Newton step at gmin=%.3g iter=%d", gmin, iter)
+			}
 			if d > opts.MaxStep {
 				d = opts.MaxStep
 			} else if d < -opts.MaxStep {

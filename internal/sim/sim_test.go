@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"loas/internal/circuit"
@@ -461,6 +462,25 @@ func TestOPNoConvergenceReportsError(t *testing.T) {
 	e := NewEngine(c, techno.TempNominal)
 	if _, err := e.OP(OPOptions{}); err == nil {
 		t.Fatal("conflicting sources must not converge")
+	}
+}
+
+// TestOPNonFiniteStepFails: a 1 mA source into a 0 Ω resistor stamps an
+// infinite conductance, and the Newton step is NaN. OP must fail, naming
+// the gmin and the iteration, not report V(a) = NaN as converged.
+func TestOPNonFiniteStepFails(t *testing.T) {
+	c := circuit.New("short")
+	c.Add(
+		&circuit.ISource{Name: "i", Pos: "0", Neg: "a", DC: 1e-3},
+		&circuit.Resistor{Name: "r", A: "a", B: "0", R: 0},
+	)
+	e := NewEngine(c, techno.TempNominal)
+	r, err := e.OP(OPOptions{})
+	if err == nil {
+		t.Fatalf("OP converged to V(a) = %g", r.Volt(c, "a"))
+	}
+	if msg := err.Error(); !strings.Contains(msg, "non-finite Newton step at gmin=1e-09 iter=1") {
+		t.Fatalf("error %q does not name the non-finite step, its gmin and its iteration", msg)
 	}
 }
 
