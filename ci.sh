@@ -64,6 +64,17 @@ go test -count=1 -run 'TestGenerateMatchesReference' ./internal/layout/stack
 go test -count=1 -run 'TestFactorMatchesDense|TestFactorSetNegativeZero' ./internal/linalg
 go test -count=1 -run 'Test(SizeForCurrent|SizeForGm|VGSForCurrent|Model)MatchesReference' ./internal/device
 
+# Warm-path lane. GET /v1/runs walks an index of the run store ordered
+# by Seq and stops at its limit, and a batch report splices each
+# item's canonical cached summary in unscanned. The indexed store is
+# held to the copy-and-sort list it replaced, over finish orders that
+# differ from Seq order, evictions, replaced IDs, every filter and
+# limits from 0 to 2,000; the batch writer is held to marshalJSON byte
+# for byte over FuzzBatchReport's seed corpus (it is fuzzed below). A
+# drift fails here, early and by name. No race detector, as for the
+# reuse lane above.
+go test -count=1 -run 'TestRunStoreMatchesReference|FuzzBatchReport' ./internal/serve
+
 # Allocation-budget lane. The analyses and the layout plan allocate
 # only what their callers read: one Measure of the five-t default
 # design, one warm evaluation through a sizing pass's reused evaluator,
@@ -72,12 +83,15 @@ go test -count=1 -run 'Test(SizeForCurrent|SizeForGm|VGSForCurrent|Model)Matches
 # allocation budget 1.25× above their measured values, so a per-probe
 # netlist and engine, a per-evaluation engine or solver, a per-point
 # map, a stored all-node waveform, a Pattern per stack candidate or a
-# cell grown shape by shape fails here by name. One POST /v1/synthesize
-# cache hit through the daemon's handler, ledger on, has a budget 1.05×
-# above its measured value (internal/serve), so SSE frames rendered for
-# no subscriber or a second copy of the run record fail here too. The
-# lane runs without the race detector, whose instrumented build need
-# not allocate the same.
+# cell grown shape by shape fails here by name. Three warm daemon
+# requests through the handler, ledger on, have budgets 1.05× above
+# their measured values (internal/serve): one POST /v1/synthesize cache
+# hit, one POST /v1/batch of six hits and one GET /v1/runs?limit=20
+# over a full store. SSE frames rendered for no subscriber, a second
+# copy of the run record, a body hashed again for its record, a
+# per-read copy of the store or a second scan of a cached summary fail
+# here too. The lane runs without the race detector, whose instrumented
+# build need not allocate the same.
 go test -count=1 -run 'AllocBudget' ./internal/sim ./internal/sizing ./internal/meas ./internal/serve \
     ./internal/layout/stack ./internal/layout/cairo
 
@@ -130,3 +144,8 @@ go test -race -run '^$' -fuzz FuzzFactorMatchesDense -fuzztime 5s ./internal/lin
 # Fuzz the run-ledger decoder: arbitrary bytes must never panic the
 # reader, and valid records must round-trip byte-identically.
 go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
+
+# Fuzz the batch report writer: at any item count, pagination echo,
+# error text and summary, canonical or not, it must give marshalJSON's
+# bytes.
+go test -race -run '^$' -fuzz FuzzBatchReport -fuzztime 5s ./internal/serve

@@ -425,7 +425,7 @@ func runSynth(tech *techno.Tech, args []string, out io.Writer) error {
 		if err != nil {
 			outcome = "error"
 		}
-		if lerr := ledger.Append(run.Finish(outcome, err, nil)); lerr != nil {
+		if lerr := ledger.Append(run.Finish(outcome, err, 0, "")); lerr != nil {
 			fmt.Fprintf(out, "warning: ledger append failed: %v\n", lerr)
 		}
 	}

@@ -179,7 +179,7 @@ func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 			return 0, err
 		}
 		return op.Volt(ol.ckt, ol.b.Out) - ol.b.VoutMid, nil
-	}, 20e-3, 40, 1e-4)
+	}, 20e-3, 27, 1e-4)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -197,9 +197,9 @@ func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 // monotone over [−window, window], for its zero. It probes both ends
 // first and returns ok = false after those two probes when f has one
 // sign at both. Otherwise it probes up to steps midpoints, stopping
-// early once |f| < tol (tol = 0 never stops early) or the bracket is
-// narrower than 1 nV, and returns the last midpoint it probed. An error
-// from f ends the search and is returned as is.
+// early once |f| < tol (tol = 0 never stops early), and returns the last
+// midpoint it probed. An error from f ends the search and is returned
+// as is.
 func NullInput(f func(vid float64) (float64, error), window float64, steps int, tol float64) (vid float64, ok bool, err error) {
 	lo, hi := -window, window
 	fLo, err := f(lo)
@@ -216,7 +216,7 @@ func NullInput(f func(vid float64) (float64, error), window float64, steps int, 
 		if err != nil {
 			return 0, false, err
 		}
-		if math.Abs(fm) < tol || hi-lo < 1e-9 {
+		if math.Abs(fm) < tol {
 			break
 		}
 		if math.Signbit(fm) == math.Signbit(fLo) {

@@ -166,8 +166,8 @@ func TestMeasureRejectsBrokenBench(t *testing.T) {
 }
 
 // TestNullInput drives the offset bisection on straight lines: a window
-// without a null, the step bound, the early exit, the 1 nV resolution
-// stop (27 of findOffset's 40 steps) and a failing probe.
+// without a null, the step bound, the early exit, findOffset's ±20 mV
+// window at its 27 steps and a failing probe.
 func TestNullInput(t *testing.T) {
 	var probes []float64
 	line := func(zero float64) func(float64) (float64, error) {
@@ -186,7 +186,7 @@ func TestNullInput(t *testing.T) {
 		{"one sign", 0.5, 0.1, 0, 40, 2, false},
 		{"steps bound", 0.3e-3, 1e-3, 0, 5, 7, true},
 		{"tol exits early", 0.26e-3, 1e-3, 2e-5, 40, 5, true},
-		{"1 nV resolution", 1e-3 / 3, 20e-3, 0, 40, 29, true},
+		{"findOffset budget", 1e-3 / 3, 20e-3, 0, 27, 29, true},
 	} {
 		vid, ok, err := NullInput(line(c.zero), c.window, c.steps, c.tol)
 		last := 0.0

@@ -59,8 +59,9 @@ func TestTraceConcurrentRecord(t *testing.T) {
 
 // TestRunFinish: Finish fills in how the run ended over its identity —
 // outcome, error, duration, converged and layout_calls from the
-// recorded iterations, the body's size and SHA-256, the span tree — and
-// returns a copy that a job still recording into the run cannot change.
+// recorded iterations, the body's size and digest as given, the span
+// tree — and returns a copy that a job still recording into the run
+// cannot change.
 func TestRunFinish(t *testing.T) {
 	id := RunRecord{ID: "run-000007", Seq: 7, Source: "cli", Kind: "synthesize",
 		Topology: "five-t", Layout: "rows", Case: 4, CacheKey: "k"}
@@ -68,7 +69,8 @@ func TestRunFinish(t *testing.T) {
 	r.Root().Child("synthesize").End()
 	r.Record(Iteration{Call: 1, DeltaF: -1})
 	r.Record(Iteration{Call: 2, DeltaF: ConvergeTolF / 2})
-	rec := r.Finish("ok", nil, []byte("abc"))
+	const sha = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" // SHA-256("abc")
+	rec := r.Finish("ok", nil, 3, sha)
 	r.Record(Iteration{Call: 3, DeltaF: -1}) // an abandoned job, after the fact
 
 	if len(rec.Spans) != 2 || rec.Spans[0].Name != "request" || rec.Spans[0].Attrs["case"] != "4" ||
@@ -86,11 +88,10 @@ func TestRunFinish(t *testing.T) {
 		t.Fatalf("converged %v, layout calls %d, %d iterations; want true, 2, 2",
 			rec.Converged, rec.LayoutCalls, len(rec.Iterations))
 	}
-	const sha = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" // SHA-256("abc")
 	if rec.Bytes != 3 || rec.BodySHA256 != sha {
 		t.Fatalf("bytes %d, sha %s", rec.Bytes, rec.BodySHA256)
 	}
-	failed := StartRun(id, nil).Finish("error", errors.New("boom"), nil)
+	failed := StartRun(id, nil).Finish("error", errors.New("boom"), 0, "")
 	if failed.Error != "boom" || failed.Bytes != 0 || failed.BodySHA256 != "" || failed.Converged {
 		t.Fatalf("failed record = %+v", failed)
 	}

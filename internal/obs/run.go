@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"strconv"
 	"sync"
 )
@@ -97,11 +95,12 @@ func (r *Run) Iterations() []Iteration {
 // Finish ends the root span and returns the run's record: the identity
 // plus how the run ended — outcome, error text and duration; converged
 // (judged against ConvergeTolF) and layout_calls (one per recorded
-// iteration); the response body's size and SHA-256; the span tree and
-// the iterations. A job that outlives its run (its request timed out)
-// may still record into it, so Finish only reads the run, under its
-// locks, and fills a copy.
-func (r *Run) Finish(outcome string, err error, body []byte) RunRecord {
+// iteration); the response body's size and hex SHA-256, which the
+// caller computed once with the body (bodySHA256 is "" when there is no
+// body); the span tree and the iterations. A job that outlives its run
+// (its request timed out) may still record into it, so Finish only
+// reads the run, under its locks, and fills a copy.
+func (r *Run) Finish(outcome string, err error, bodyBytes int, bodySHA256 string) RunRecord {
 	r.root.End()
 	rec := r.identity
 	rec.Outcome = outcome
@@ -109,11 +108,8 @@ func (r *Run) Finish(outcome string, err error, body []byte) RunRecord {
 	rec.Iterations = r.Iterations()
 	rec.Converged = Converged(rec.Iterations, ConvergeTolF)
 	rec.LayoutCalls = len(rec.Iterations)
-	rec.Bytes = len(body)
-	if len(body) > 0 {
-		sum := sha256.Sum256(body)
-		rec.BodySHA256 = hex.EncodeToString(sum[:])
-	}
+	rec.Bytes = bodyBytes
+	rec.BodySHA256 = bodySHA256
 	rec.Spans = r.spans.Snapshot()
 	if err != nil {
 		rec.Error = err.Error()

@@ -303,14 +303,41 @@ func RunMC(ctx context.Context, tech *techno.Tech, spec sizing.OTASpec, topology
 
 // marshalJSON is the one JSON encoder for every cacheable body:
 // indented, trailing newline, HTML escaping off. One encoder ⇒ cached
-// replays are byte-identical to cold responses.
+// replays are byte-identical to cold responses. It encodes compactly,
+// then indents once into a buffer json.Indent sizes from the compact
+// length: the bytes json.Encoder.SetIndent gives, which indents the
+// same compact encoding and its newline.
 func marshalJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var compact bytes.Buffer
+	enc := json.NewEncoder(&compact)
 	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		return nil, err
 	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact.Bytes(), "", "  "); err != nil {
+		return nil, err
+	}
 	return buf.Bytes(), nil
+}
+
+// isCanonical reports whether body is one JSON value exactly as
+// marshalJSON renders it: json.Indent gives body back, and body ends in
+// one newline (json.Indent keeps trailing whitespace as it finds it). A
+// JSON value never ends in whitespace, so the byte before that newline
+// must not be whitespace either.
+func isCanonical(body []byte) bool {
+	n := len(body)
+	if n < 2 || body[n-1] != '\n' {
+		return false
+	}
+	switch body[n-2] {
+	case ' ', '\t', '\r', '\n':
+		return false
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, body, "", "  "); err != nil {
+		return false
+	}
+	return bytes.Equal(buf.Bytes(), body)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -59,9 +60,13 @@ type BatchItemResult struct {
 	Outcome  string `json:"outcome"`
 	Cache    string `json:"cache"` // hit | miss | dedup
 	Error    string `json:"error,omitempty"`
-	// Summary is the item's core.Summary body, verbatim (absent on
-	// error) — byte-identical to what POST /v1/synthesize would return.
+	// Summary is the item's core.Summary (absent on error): the same
+	// JSON value POST /v1/synthesize returns, indented at its depth in
+	// the report.
 	Summary json.RawMessage `json:"summary,omitempty"`
+	// canonical reports that Summary is a canonical body
+	// (Value.canonical), which batchReportJSON splices in unscanned.
+	canonical bool
 }
 
 // BatchReport is the POST /v1/batch payload.
@@ -209,18 +214,86 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Key: key, Items: len(items), Unique: len(unique),
 		Errors: errs, Offset: req.Offset, Limit: req.Limit, Results: window,
 	}
-	body, err := marshalJSON(rep)
+	body, err := batchReportJSON(rep)
 	if err != nil {
-		s.finishRun(run, outcomeError, err, nil)
+		s.finishRun(run, outcomeError, err, Value{})
 		s.fail(w, err)
 		return
 	}
-	s.finishRun(run, outcome, runErr, body)
+	// The report is not cached, so only its digest is needed, once.
+	v := Value{Body: body, ContentType: "application/json", SHA256: bodySHA256(body)}
+	s.finishRun(run, outcome, runErr, v)
 	s.events.publish("batch-end", batchEndEvent{
 		ID: runID, Outcome: outcome, Items: len(items), Errors: errs,
 		DurationNS: time.Since(start).Nanoseconds(),
 	})
-	s.write(w, Value{Body: body, ContentType: "application/json"}, key, "none", start)
+	s.write(w, v, key, "none", start)
+}
+
+// The form of a result's summary in a report: marshalJSON puts a
+// result's fields at depth 3, six spaces in, and the summary last.
+const (
+	resultClose   = "\n    }"
+	summaryField  = ",\n      \"summary\": "
+	summaryIndent = "      "
+)
+
+// batchReportJSON renders rep exactly as marshalJSON(rep) does without
+// encoding the summaries again. A canonical summary indented at its
+// depth in the report is the body without its trailing newline, with
+// six spaces after each remaining newline (a JSON string holds no raw
+// newline). So the report is encoded without its summaries, and each is
+// spliced in before its result's closing brace, the first "\n    }"
+// after the previous one: no other line of that report closes at depth
+// 2. A report with any non-canonical summary, such as a test backend's
+// compact JSON, goes through marshalJSON.
+func batchReportJSON(rep BatchReport) ([]byte, error) {
+	if len(rep.Results) == 0 {
+		return marshalJSON(rep)
+	}
+	shell := rep
+	shell.Results = make([]BatchItemResult, len(rep.Results))
+	grow := 0
+	for i, r := range rep.Results {
+		if len(r.Summary) > 0 {
+			if !r.canonical {
+				return marshalJSON(rep)
+			}
+			lines := bytes.Count(r.Summary, []byte("\n")) - 1
+			grow += len(summaryField) + len(r.Summary) - 1 + lines*len(summaryIndent)
+		}
+		shell.Results[i] = r
+		shell.Results[i].Summary = nil
+	}
+	rest, err := marshalJSON(shell)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(rest)+grow)
+	for _, r := range rep.Results {
+		end := bytes.Index(rest, []byte(resultClose))
+		out = append(out, rest[:end]...)
+		if len(r.Summary) > 0 {
+			out = append(out, summaryField...)
+			out = appendNested(out, r.Summary[:len(r.Summary)-1])
+		}
+		out = append(out, resultClose...)
+		rest = rest[end+len(resultClose):]
+	}
+	return append(out, rest...), nil
+}
+
+// appendNested appends b with summaryIndent after each newline.
+func appendNested(out, b []byte) []byte {
+	for {
+		i := bytes.IndexByte(b, '\n')
+		if i < 0 {
+			return append(out, b...)
+		}
+		out = append(out, b[:i+1]...)
+		out = append(out, summaryIndent...)
+		b = b[i+1:]
+	}
 }
 
 // runBatchItem executes one item as a child run and narrates it on
@@ -237,6 +310,7 @@ func (s *Server) runBatchItem(parentID string, i int, it batchItem) BatchItemRes
 	} else {
 		res.Cache = cacheSource(outcome)
 		res.Summary = json.RawMessage(v.Body)
+		res.canonical = v.canonical
 	}
 	s.events.publish("batch-item", batchItemEvent{
 		Parent: parentID, Index: i, Outcome: res.Outcome, Cache: res.Cache,
@@ -252,6 +326,6 @@ func (s *Server) runChild(parentID string, req SynthesizeRequest, spec sizing.OT
 	id, work := s.synthesize(req, spec, key, parentID)
 	run := s.beginRun(id)
 	v, outcome, err = s.executeKeyed(run, key, work)
-	s.finishRun(run, outcome, err, v.Body)
+	s.finishRun(run, outcome, err, v)
 	return run.Identity().ID, v, outcome, err
 }

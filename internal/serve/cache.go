@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"time"
 )
@@ -9,13 +12,43 @@ import (
 // Value is a cached response: the exact bytes the server will replay,
 // plus the content type they were produced under. Replaying bytes (not
 // re-encoding structs) is what makes cache hits byte-identical to the
-// response that populated them.
+// response that populated them. What a replay would otherwise derive
+// from the bytes again is derived once, when the value is made
+// (newValue), and travels with it.
 type Value struct {
 	Body        []byte
 	ContentType string
+	// SHA256 is Body's hex SHA-256 digest ("" for an empty body): the
+	// body_sha256 of every run record that serves the value.
+	SHA256 string
+	// canonical reports that Body is one JSON value exactly as
+	// marshalJSON renders it (isCanonical), so a batch report can
+	// splice it in without encoding it again (batchReportJSON).
+	canonical bool
 }
 
-const entryOverhead = 128 // accounting estimate per entry (key, pointers, list node)
+// newValue makes the value of a freshly computed body: it hashes the
+// body and checks once whether a JSON body is canonical. It keeps a copy
+// the size of the body, because the cache bounds len(Body) and the
+// encoder's buffer may hold up to twice as much (marshalJSON).
+func newValue(body []byte, contentType string) Value {
+	body = bytes.Clone(body)
+	return Value{Body: body, ContentType: contentType, SHA256: bodySHA256(body),
+		canonical: contentType == "application/json" && isCanonical(body)}
+}
+
+// bodySHA256 is body's hex SHA-256 digest, or "" for an empty body.
+func bodySHA256(body []byte) string {
+	if len(body) == 0 {
+		return ""
+	}
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
+
+// entryOverhead is the accounting estimate per entry: key, digest,
+// pointers, list node.
+const entryOverhead = 128
 
 func (v Value) size() int64 {
 	return int64(len(v.Body)) + int64(len(v.ContentType)) + entryOverhead

@@ -377,6 +377,16 @@ func TestEndToEndBatchDedup(t *testing.T) {
 			t.Fatalf("result %d summary not a synthesis summary: %v %s", i, err, r.Summary)
 		}
 	}
+	// The engine's bodies are canonical, so the report spliced them in;
+	// it must read as marshalJSON writes it.
+	for _, r := range rep.Results[:k] {
+		if v, ok := srv.cache.Get(r.Key); !ok || !v.canonical {
+			t.Fatalf("result %d: cached %v, canonical %v; want a canonical cached body", r.Index, ok, v.canonical)
+		}
+	}
+	if want, err := marshalJSON(rep); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("batch report differs from marshalJSON (error %v):\n%s", err, data)
+	}
 
 	// The SSE feed narrated every item under the batch parent.
 	itemFrames := 0

@@ -268,7 +268,7 @@ func (s *Server) runExplore(run *obs.Run, req *ExploreRequest, bases []sizing.OT
 		ID: runID, Outcome: outcomeOK, Items: int(p.done.Load()),
 		DurationNS: run.Root().Duration().Nanoseconds(),
 	})
-	return Value{Body: body, ContentType: "application/json"}, nil
+	return newValue(body, "application/json"), nil
 }
 
 // poolProber is the serving layer's explore.Prober: each probe is one

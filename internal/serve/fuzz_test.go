@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -272,6 +274,67 @@ func FuzzCanonicalKey(f *testing.F) {
 		t1 := Table1Request{}
 		if t1.cacheKey(tech, specFromFields(a)) == keyA {
 			t.Fatal("table1 key collided with synthesize key")
+		}
+	})
+}
+
+// FuzzBatchReport holds batchReportJSON to marshalJSON byte for byte.
+// The fuzzer picks the item count, the echoed offset and limit, and
+// which results carry an error text (quotes, control characters, <>&,
+// non-ASCII and invalid UTF-8 alike) or a summary: the fuzzed body as
+// given (often not canonical, or not JSON at all), its canonical form
+// as marshalJSON would render it, or the canonical {} and []. Results
+// may also be nil or empty. As in the server, a summary counts as
+// canonical exactly when isCanonical says so.
+func FuzzBatchReport(f *testing.F) {
+	nested := "{\n  \"topology\": \"five-t\",\n  \"extracted\": {\n    \"gbw\": 6.5e+07,\n    \"tags\": [\n      \"a\",\n      {}\n    ]\n  },\n  \"empty\": []\n}\n"
+	f.Add(uint8(3), 0, 0, "", []byte(nested), uint16(0x0e4))
+	f.Add(uint8(6), 2, 3, "sizing: \"gbw\" <out> & of reach\t\x01ü ", []byte(`{"kind":"synthesize-4","call":1}`+"\n"), uint16(0x1b1))
+	f.Add(uint8(0), 0, 0, "", []byte("{}\n"), uint16(0))
+	f.Add(uint8(0), 0, 0, "", []byte("[]\n"), uint16(0x8000))
+	f.Add(uint8(2), 0, 1, "x", []byte("[1,\n2]\n\n"), uint16(0x55))
+	f.Add(uint8(4), 5, 0, "\xff", []byte("\"line\\nbreak\" \n"), uint16(0x3ff))
+	f.Fuzz(func(t *testing.T, n uint8, offset, limit int, errText string, body []byte, sel uint16) {
+		var compact bytes.Buffer
+		canonical := []byte("{}\n")
+		if json.Compact(&compact, body) == nil {
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, append(compact.Bytes(), '\n'), "", "  "); err == nil {
+				canonical = buf.Bytes()
+			}
+		}
+		summaries := [][]byte{body, canonical, []byte("{}\n"), []byte("[]\n")}
+		rep := BatchReport{Key: "k\"<&>", Items: int(n), Unique: int(n) / 2, Offset: offset, Limit: limit}
+		switch {
+		case sel&0x8000 != 0:
+			rep.Results = []BatchItemResult{}
+		case n > 0:
+			rep.Results = make([]BatchItemResult, int(n%12))
+		}
+		for i := range rep.Results {
+			r := &rep.Results[i]
+			*r = BatchItemResult{Index: i, Topology: "five-t", Case: 4, Key: "key", RunID: "run-000001",
+				Outcome: outcomeCacheHit, Cache: "hit"}
+			if i%2 == 1 {
+				r.Layout = "rows"
+			}
+			// Three bits of sel per result, from the lowest, pick an
+			// error (0 or 5) or one of the summaries.
+			switch c := int(sel>>(3*uint(i%5))) & 7; c {
+			case 0, 5:
+				r.Outcome, r.Cache, r.Error = outcomeError, "", errText
+			default:
+				r.Summary = summaries[c%len(summaries)]
+				r.canonical = isCanonical(r.Summary)
+			}
+		}
+		want, wantErr := marshalJSON(rep)
+		got, err := batchReportJSON(rep)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("batchReportJSON error %v, marshalJSON error %v", err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("batchReportJSON differs from marshalJSON:\ngot:\n%s\nwant:\n%s", got, want)
 		}
 	})
 }

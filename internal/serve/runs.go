@@ -66,11 +66,11 @@ func (s *Server) beginRun(id obs.RunRecord) *obs.Run {
 	return run
 }
 
-// finishRun closes the run (body is the response; its size and SHA-256
+// finishRun closes the run (v is the response; its size and SHA-256
 // make the record a replay target), stores the record, appends it to
 // the ledger and announces run-end.
-func (s *Server) finishRun(run *obs.Run, outcome string, err error, body []byte) {
-	rec := run.Finish(outcome, err, body)
+func (s *Server) finishRun(run *obs.Run, outcome string, err error, v Value) {
+	rec := run.Finish(outcome, err, len(v.Body), v.SHA256)
 	s.runs.add(&rec)
 	if lerr := s.ledger.Append(rec); lerr != nil {
 		s.ledgerErrs.Add(1)
@@ -81,13 +81,21 @@ func (s *Server) finishRun(run *obs.Run, outcome string, err error, body []byte)
 	})
 }
 
-// runStore retains recent run records in memory, bounded FIFO. Records
-// are immutable once added.
+// runStore retains recent run records in memory, bounded FIFO in the
+// order they finish. Records are immutable once added. bySeq holds the
+// same records in ascending Seq order, so a listing walks it from the
+// newest end and stops at its limit. Eviction stays in finish order: a
+// slow cold run has a low Seq and finishes late, and evicting by Seq
+// would drop it as soon as it landed under hit traffic, so
+// ?key=K&outcome=ok could no longer find the run that computed a cached
+// body. Records finish almost in Seq order, so an add usually appends
+// to bySeq and an eviction usually takes its first entry.
 type runStore struct {
 	mu    sync.Mutex
 	max   int
-	order []string
+	order []string // IDs, oldest finish first: the eviction order
 	m     map[string]*obs.RunRecord
+	bySeq []*obs.RunRecord
 }
 
 func newRunStore(max int) *runStore {
@@ -97,14 +105,49 @@ func newRunStore(max int) *runStore {
 func (rs *runStore) add(rec *obs.RunRecord) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if _, ok := rs.m[rec.ID]; !ok {
+	if old, ok := rs.m[rec.ID]; ok {
+		rs.unindex(old)
+	} else {
 		rs.order = append(rs.order, rec.ID)
-		for len(rs.order) > rs.max {
-			delete(rs.m, rs.order[0])
-			rs.order = rs.order[1:]
-		}
 	}
 	rs.m[rec.ID] = rec
+	rs.index(rec)
+	for len(rs.order) > rs.max {
+		rs.unindex(rs.m[rs.order[0]])
+		delete(rs.m, rs.order[0])
+		rs.order = rs.order[1:]
+	}
+}
+
+// index inserts rec into bySeq after every record with its Seq or a
+// lower one.
+func (rs *runStore) index(rec *obs.RunRecord) {
+	i := len(rs.bySeq)
+	for i > 0 && rs.bySeq[i-1].Seq > rec.Seq {
+		i--
+	}
+	rs.bySeq = append(rs.bySeq, nil)
+	copy(rs.bySeq[i+1:], rs.bySeq[i:])
+	rs.bySeq[i] = rec
+}
+
+// unindex removes rec from bySeq, moving the shorter side of the index
+// over its entry: taking the first entry only re-slices.
+func (rs *runStore) unindex(rec *obs.RunRecord) {
+	n := len(rs.bySeq)
+	i := sort.Search(n, func(i int) bool { return rs.bySeq[i].Seq >= rec.Seq })
+	for rs.bySeq[i] != rec {
+		i++
+	}
+	if i < n/2 {
+		copy(rs.bySeq[1:i+1], rs.bySeq[:i])
+		rs.bySeq[0] = nil
+		rs.bySeq = rs.bySeq[1:]
+	} else {
+		copy(rs.bySeq[i:], rs.bySeq[i+1:])
+		rs.bySeq[n-1] = nil
+		rs.bySeq = rs.bySeq[:n-1]
+	}
 }
 
 func (rs *runStore) get(id string) (*obs.RunRecord, bool) {
@@ -134,39 +177,19 @@ type runFilter struct {
 }
 
 // list returns matching records, newest (highest seq) first, up to
-// limit.
+// limit (0 = all): it walks the Seq index from the newest end and stops
+// at the limit.
 func (rs *runStore) list(f runFilter) []*obs.RunRecord {
 	rs.mu.Lock()
-	recs := make([]*obs.RunRecord, 0, len(rs.order))
-	for _, id := range rs.order {
-		recs = append(recs, rs.m[id])
+	defer rs.mu.Unlock()
+	n := len(rs.bySeq)
+	if f.limit > 0 && f.limit < n {
+		n = f.limit
 	}
-	rs.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq > recs[j].Seq })
-	out := make([]*obs.RunRecord, 0, len(recs))
-	for _, r := range recs {
-		if f.topology != "" && r.Topology != f.topology {
-			continue
-		}
-		if f.layout != "" && r.Layout != f.layout {
-			continue
-		}
-		if f.kind != "" && r.Kind != f.kind {
-			continue
-		}
-		if f.outcome != "" && r.Outcome != f.outcome {
-			continue
-		}
-		if f.parent != "" && r.Parent != f.parent {
-			continue
-		}
-		if f.key != "" && r.CacheKey != f.key {
-			continue
-		}
-		if f.converged != nil && r.Converged != *f.converged {
-			continue
-		}
-		if f.minDur > 0 && time.Duration(r.DurationNS) < f.minDur {
+	out := make([]*obs.RunRecord, 0, n)
+	for i := len(rs.bySeq) - 1; i >= 0; i-- {
+		r := rs.bySeq[i]
+		if !f.match(r) {
 			continue
 		}
 		out = append(out, r)
@@ -175,6 +198,18 @@ func (rs *runStore) list(f runFilter) []*obs.RunRecord {
 		}
 	}
 	return out
+}
+
+// match reports whether r passes every filter set in f.
+func (f *runFilter) match(r *obs.RunRecord) bool {
+	return (f.topology == "" || r.Topology == f.topology) &&
+		(f.layout == "" || r.Layout == f.layout) &&
+		(f.kind == "" || r.Kind == f.kind) &&
+		(f.outcome == "" || r.Outcome == f.outcome) &&
+		(f.parent == "" || r.Parent == f.parent) &&
+		(f.key == "" || r.CacheKey == f.key) &&
+		(f.converged == nil || r.Converged == *f.converged) &&
+		(f.minDur <= 0 || time.Duration(r.DurationNS) >= f.minDur)
 }
 
 // RunSummary is one row of GET /v1/runs — the record without its span

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -370,5 +372,191 @@ func TestTimeoutAbandonsJob(t *testing.T) {
 	}
 	if len(rec.Iterations) != 0 || rec.LayoutCalls != 0 {
 		t.Fatalf("record gained the abandoned job's iterations: %+v", rec.Iterations)
+	}
+}
+
+// refRunStore is the run store as it stood before the Seq index: a FIFO
+// of IDs whose list copies every retained record, sorts the copy by Seq
+// and filters it. It stays as the reference that TestRunStoreMatchesReference
+// holds runStore to.
+type refRunStore struct {
+	max   int
+	order []string
+	m     map[string]*obs.RunRecord
+}
+
+func (rs *refRunStore) add(rec *obs.RunRecord) {
+	if _, ok := rs.m[rec.ID]; !ok {
+		rs.order = append(rs.order, rec.ID)
+		for len(rs.order) > rs.max {
+			delete(rs.m, rs.order[0])
+			rs.order = rs.order[1:]
+		}
+	}
+	rs.m[rec.ID] = rec
+}
+
+func (rs *refRunStore) list(f runFilter) []*obs.RunRecord {
+	recs := make([]*obs.RunRecord, 0, len(rs.order))
+	for _, id := range rs.order {
+		recs = append(recs, rs.m[id])
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq > recs[j].Seq })
+	out := make([]*obs.RunRecord, 0, len(recs))
+	for _, r := range recs {
+		if f.topology != "" && r.Topology != f.topology {
+			continue
+		}
+		if f.layout != "" && r.Layout != f.layout {
+			continue
+		}
+		if f.kind != "" && r.Kind != f.kind {
+			continue
+		}
+		if f.outcome != "" && r.Outcome != f.outcome {
+			continue
+		}
+		if f.parent != "" && r.Parent != f.parent {
+			continue
+		}
+		if f.key != "" && r.CacheKey != f.key {
+			continue
+		}
+		if f.converged != nil && r.Converged != *f.converged {
+			continue
+		}
+		if f.minDur > 0 && time.Duration(r.DurationNS) < f.minDur {
+			continue
+		}
+		out = append(out, r)
+		if f.limit > 0 && len(out) >= f.limit {
+			break
+		}
+	}
+	return out
+}
+
+// TestRunStoreMatchesReference holds the Seq-indexed store to the
+// copy-and-sort reference. Records finish out of Seq order (most a few
+// places late, some, like a slow cold run, hundreds), the store evicts,
+// some adds replace a retained or an evicted ID (keeping its Seq or
+// taking a new one), and after every burst of adds both stores answer
+// the same queries: every filter, alone and combined, at limits from 0
+// (all) to 2,000.
+func TestRunStoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pick := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
+	record := func(seq int64) *obs.RunRecord {
+		return &obs.RunRecord{
+			ID: fmt.Sprintf("run-%06d", seq), Seq: seq,
+			Topology: pick("folded-cascode", "two-stage", "five-t"),
+			Layout:   pick("", "rows"),
+			Kind:     pick("synthesize", "synthesize", "batch", "mc"),
+			Outcome:  pick(outcomeOK, outcomeCacheHit, outcomeCacheHit, outcomeDedup, outcomeError),
+			Parent:   pick("", "", "run-000001", "run-000002"),
+			CacheKey: pick("k0", "k1", "k2", "k3"),
+			// Durations from 0 to 1 ms, in 1 µs steps.
+			DurationNS: int64(rng.Intn(1000)) * 1000,
+			Converged:  rng.Intn(2) == 0,
+		}
+	}
+	filter := func() runFilter {
+		var f runFilter
+		if rng.Intn(4) == 0 {
+			f.topology = pick("folded-cascode", "two-stage", "five-t", "none")
+		}
+		if rng.Intn(4) == 0 {
+			f.layout = pick("rows", "none")
+		}
+		if rng.Intn(4) == 0 {
+			f.kind = pick("synthesize", "batch", "mc")
+		}
+		if rng.Intn(4) == 0 {
+			f.outcome = pick(outcomeOK, outcomeCacheHit, outcomeDedup, outcomeError)
+		}
+		if rng.Intn(4) == 0 {
+			f.parent = pick("run-000001", "run-000002", "run-999999")
+		}
+		if rng.Intn(4) == 0 {
+			f.key = pick("k0", "k1", "k2", "k3", "k9")
+		}
+		if rng.Intn(4) == 0 {
+			c := rng.Intn(2) == 0
+			f.converged = &c
+		}
+		if rng.Intn(4) == 0 {
+			f.minDur = time.Duration(rng.Intn(1001)) * time.Microsecond
+		}
+		switch rng.Intn(3) {
+		case 0:
+			f.limit = rng.Intn(2001)
+		case 1:
+			f.limit = rng.Intn(21)
+		}
+		return f
+	}
+
+	for _, max := range []int{1, 7, 64, maxRuns} {
+		rs := newRunStore(max)
+		ref := &refRunStore{max: max, m: map[string]*obs.RunRecord{}}
+		// Seqs 1..n finish in a shuffled order: each is delayed by a
+		// few places, or now and then by hundreds.
+		n := 3*max + 500
+		type arrival struct {
+			at  int
+			seq int64
+		}
+		arrivals := make([]arrival, n)
+		for i := range arrivals {
+			delay := rng.Intn(4)
+			if rng.Intn(50) == 0 {
+				delay = rng.Intn(600)
+			}
+			arrivals[i] = arrival{at: i + delay, seq: int64(i + 1)}
+		}
+		sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+		nextSeq := int64(n + 1)
+		var added []*obs.RunRecord
+		for i, a := range arrivals {
+			rec := record(a.seq)
+			if len(added) > 0 && rng.Intn(10) == 0 {
+				// Replace a retained or an evicted ID: same Seq, or a new
+				// one past every other.
+				old := added[rng.Intn(len(added))]
+				rec = record(old.Seq)
+				rec.ID = old.ID
+				if rng.Intn(3) == 0 {
+					rec.Seq = nextSeq
+					nextSeq++
+				}
+			}
+			added = append(added, rec)
+			rs.add(rec)
+			ref.add(rec)
+			if rs.len() != len(ref.m) {
+				t.Fatalf("max %d, add %d: len %d, reference %d", max, i, rs.len(), len(ref.m))
+			}
+			if i%17 != 0 && i != n-1 {
+				continue
+			}
+			for q := 0; q < 8; q++ {
+				f := filter()
+				got, want := rs.list(f), ref.list(f)
+				if len(got) != len(want) {
+					t.Fatalf("max %d, add %d, filter %+v: %d runs, reference %d", max, i, f, len(got), len(want))
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("max %d, add %d, filter %+v: run %d is %s (seq %d), reference %s (seq %d)",
+							max, i, f, k, got[k].ID, got[k].Seq, want[k].ID, want[k].Seq)
+					}
+				}
+			}
+		}
+		for id, want := range ref.m {
+			if got, ok := rs.get(id); !ok || got != want {
+				t.Fatalf("max %d: get(%s) = %v, %v; want the reference's record", max, id, got, ok)
+			}
+		}
 	}
 }

@@ -377,11 +377,11 @@ func (s *Server) respond(w http.ResponseWriter, id obs.RunRecord, work func(*obs
 	run := s.beginRun(id)
 	v, outcome, err := s.executeKeyed(run, id.CacheKey, work)
 	if err != nil {
-		s.finishRun(run, outcomeError, err, nil)
+		s.finishRun(run, outcomeError, err, Value{})
 		s.fail(w, err)
 		return
 	}
-	s.finishRun(run, outcome, nil, v.Body)
+	s.finishRun(run, outcome, nil, v)
 	s.write(w, v, id.CacheKey, cacheSource(outcome), start)
 }
 
@@ -481,7 +481,7 @@ func (s *Server) queued(contentType string, compute func(context.Context) ([]byt
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{Body: body, ContentType: contentType}, nil
+		return newValue(body, contentType), nil
 	}
 }
 

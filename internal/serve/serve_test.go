@@ -187,12 +187,12 @@ func TestLeaderRechecksCache(t *testing.T) {
 		if _, ok := s.cache.Get(key); ok { // the late request's miss
 			t.Fatalf("%s: empty cache hit", c.id.Kind)
 		}
-		want := Value{Body: []byte("{\"kind\":\"earlier leader\"}\n"), ContentType: "application/json"}
+		want := newValue([]byte("{\"kind\":\"earlier leader\"}\n"), "application/json")
 		s.cache.Put(key, want) // the earlier leader's result
 
 		run := s.beginRun(c.id)
 		v, hit, err := s.lead(run, key, c.work)
-		s.finishRun(run, outcomeCacheHit, err, v.Body)
+		s.finishRun(run, outcomeCacheHit, err, v)
 		if err != nil {
 			t.Fatal(err)
 		}
