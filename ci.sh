@@ -44,6 +44,21 @@ go test -count=1 -run 'TestMeasureMatchesReference|TestMeasureRejectsBrokenBench
 go test -count=1 -run 'TestTranStopIsPrefix|TestUnityCrossing' ./internal/sim
 go test -count=1 -run 'TestUnityCrossing|TestNullInput' ./internal/sizing ./internal/mc
 
+# Warm-probe lane. Both offset bisections answer a probe after the
+# first from a warm Newton solve (sim's WarmVolt) when its value lies at
+# least 10 µV from every threshold the search compares it with, and
+# from the cold OP otherwise; meas solves cold again where a warm probe
+# was the last. OffsetSamples is held bit for bit, failed samples
+# included, to the all-cold search over 24 designs × 25 samples, most of
+# whose probes must be answered warm. A warm solve must match the cold
+# OP within 1e-9 V, fail after its iteration bound and leave a later
+# OP's bits alone, and the gmin ladder must walk its 12 pinned rungs.
+# NullInput must take the same probes whichever tier answers them; it
+# is fuzzed below. No race detector, as for the golden lanes above.
+go test -count=1 -run 'TestOffsetMatchesReference' ./internal/mc
+go test -count=1 -run 'TestWarmVolt|TestEngineReuseBitIdentical|TestGminLadder' ./internal/sim
+go test -count=1 -run 'TestNullInput' ./internal/meas
+
 # Reuse lane. A sizing pass rebinds one engine and relinearizes one AC
 # solver for each evaluation, and stack.Generate scores its candidates
 # in one reused buffer. Both are held bit for bit to fresh objects: an
@@ -83,7 +98,8 @@ go test -count=1 -run 'TestRunStoreMatchesReference|FuzzBatchReport' ./internal/
 # allocation budget 1.25× above their measured values, so a per-probe
 # netlist and engine, a per-evaluation engine or solver, a per-point
 # map, a stored all-node waveform, a Pattern per stack candidate or a
-# cell grown shape by shape fails here by name. Three warm daemon
+# cell grown shape by shape fails here by name. One warm offset probe
+# (sim's WarmVolt) must allocate nothing. Three warm daemon
 # requests through the handler, ledger on, have budgets 1.05× above
 # their measured values (internal/serve): one POST /v1/synthesize cache
 # hit, one POST /v1/batch of six hits and one GET /v1/runs?limit=20
@@ -149,3 +165,9 @@ go test -race -run '^$' -fuzz FuzzLedgerDecode -fuzztime 5s ./internal/obs
 # error text and summary, canonical or not, it must give marshalJSON's
 # bytes.
 go test -race -run '^$' -fuzz FuzzBatchReport -fuzztime 5s ./internal/serve
+
+# Fuzz the offset bisection's warm tier: on any monotone, rail-clipped
+# line, with warm values off by up to half the margin or failing at
+# random probes, NullInput must take the all-exact search's probes to
+# its vid, ok and error, and report which tier answered the last probe.
+go test -race -run '^$' -fuzz FuzzNullInputWarm -fuzztime 5s ./internal/meas

@@ -84,20 +84,24 @@ type OffsetConfig struct {
 	Ctx context.Context
 }
 
-// searchMV bounds the offset search: the bisection brackets the
-// differential input to ±searchMV millivolts.
-const searchMV = 25.0
+// The offset search brackets the differential input to ±searchMV
+// millivolts and bisects it searchSteps times.
+const (
+	searchMV    = 25.0
+	searchSteps = 18
+)
 
-// simulateOffset nulls the output by bisection on the differential
-// input for one mismatch sample and returns the input-referred offset.
-// It applies the sample to ckt, a freshly built netlist, and adds the
+// offsetProbe returns the function of the differential input that
+// simulateOffset nulls for one mismatch sample: V(out) − VoutMid. It
+// applies the sample to ckt, a freshly built netlist, and adds the
 // input sources.
-func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, error) {
+func offsetProbe(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) func(vid float64, warm bool) (float64, error) {
 	// Build the sample's engine once and sweep only the input sources
-	// across the bisection. The engine holds structure, source DC values
-	// are read when stamping, and OP restarts from the node set every
-	// call, so each probe solves the system a freshly built netlist
-	// would.
+	// across the bisection. The engine holds structure, and source DC
+	// values are read when stamping. A cold probe is an OP from the node
+	// set; a warm one starts from the previous probe's solution on this
+	// engine, so warm starts chain only within the sample and its
+	// offset still depends on the sample alone.
 	s.Apply(ckt)
 	vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
 	vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
@@ -107,15 +111,27 @@ func simulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, 
 	for k, v := range cfg.NodeSet {
 		ns[k] = v
 	}
-	vid, ok, err := meas.NullInput(func(vid float64) (float64, error) {
+	return func(vid float64, warm bool) (float64, error) {
 		vp.DC = cfg.VicmDC + vid/2
 		vn.DC = cfg.VicmDC - vid/2
+		if warm {
+			v, err := eng.WarmVolt(cfg.Out)
+			return v - cfg.VoutMid, err
+		}
 		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
 		if err != nil {
 			return 0, err
 		}
 		return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
-	}, searchMV*1e-3, 18, 0)
+	}
+}
+
+// simulateOffset nulls probe, an offsetProbe, by bisection on the
+// differential input and returns the input-referred offset. NullInput
+// answers the probes after the first warm wherever that decides them,
+// so the offset is the one an all-cold search finds.
+func simulateOffset(probe func(vid float64, warm bool) (float64, error)) (float64, error) {
+	vid, ok, _, err := meas.NullInput(probe, searchMV*1e-3, searchSteps, 0)
 	if err == nil && !ok {
 		err = fmt.Errorf("mc: offset outside ±%.0f mV search window", searchMV)
 	}
@@ -187,7 +203,7 @@ func OffsetSamples(cfg OffsetConfig, start, n int, seed int64) ([]OffsetSample, 
 				// before the sample is applied to it and solved.
 				ckt := cfg.Build()
 				s := Draw(rand.New(rand.NewSource(sampleSeed(seed, idx))), ckt)
-				off, err := simulateOffset(cfg, ckt, s)
+				off, err := simulateOffset(offsetProbe(cfg, ckt, s))
 				mcSamples.Inc()
 				if err != nil {
 					out = OffsetSample{Index: idx}
@@ -222,7 +238,8 @@ func ReduceOffsets(samples []OffsetSample) *OffsetStats {
 		return stats
 	}
 	stats.MeanV = sum / float64(stats.N)
-	stats.SigmaV = math.Sqrt(sum2/float64(stats.N) - stats.MeanV*stats.MeanV)
+	// Rounding can leave the variance of equal offsets just below zero.
+	stats.SigmaV = math.Sqrt(max(0, sum2/float64(stats.N)-stats.MeanV*stats.MeanV))
 	return stats
 }
 

@@ -2,6 +2,9 @@ package mc
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,7 +14,10 @@ import (
 	"loas/internal/circuit"
 	"loas/internal/device"
 	"loas/internal/layout/stack"
+	"loas/internal/meas"
 	"loas/internal/obs"
+	"loas/internal/parallel"
+	"loas/internal/sim"
 	"loas/internal/sizing"
 	"loas/internal/techno"
 )
@@ -286,9 +292,162 @@ func TestNullInputWindowError(t *testing.T) {
 		},
 		InP: "inp", InN: "inn", Out: "out", VicmDC: 1, VoutMid: 2, Temp: techno.TempNominal,
 	}
-	_, err := simulateOffset(cfg, cfg.Build(), Sample{})
+	_, err := simulateOffset(offsetProbe(cfg, cfg.Build(), Sample{}))
 	if want := "mc: offset outside ±25 mV search window"; err == nil || err.Error() != want {
 		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// refSimulateOffset is simulateOffset as it stood before its warm
+// probes: every probe a cold OP from the node set on the sample's one
+// engine, which NullInput asks for alone when the warm tier always
+// fails. TestOffsetMatchesReference holds OffsetSamples to it.
+func refSimulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float64, error) {
+	s.Apply(ckt)
+	vp := &circuit.VSource{Name: "mcp", Pos: cfg.InP, Neg: circuit.Ground}
+	vn := &circuit.VSource{Name: "mcn", Pos: cfg.InN, Neg: circuit.Ground}
+	ckt.Add(vp, vn)
+	eng := sim.NewEngine(ckt, cfg.Temp)
+	ns := map[string]float64{cfg.InP: cfg.VicmDC, cfg.InN: cfg.VicmDC, cfg.Out: cfg.VoutMid}
+	for k, v := range cfg.NodeSet {
+		ns[k] = v
+	}
+	errCold := errors.New("all-cold reference")
+	vid, ok, _, err := meas.NullInput(func(vid float64, warm bool) (float64, error) {
+		if warm {
+			return 0, errCold
+		}
+		vp.DC = cfg.VicmDC + vid/2
+		vn.DC = cfg.VicmDC - vid/2
+		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
+		if err != nil {
+			return 0, err
+		}
+		return op.Volt(ckt, cfg.Out) - cfg.VoutMid, nil
+	}, searchMV*1e-3, searchSteps, 0)
+	if err == nil && !ok {
+		err = fmt.Errorf("mc: offset outside ±%.0f mV search window", searchMV)
+	}
+	return vid, err
+}
+
+// TestOffsetMatchesReference holds OffsetSamples, whose bisection
+// answers a probe from a warm Newton solve wherever its value decides
+// the step, to the all-cold reference bit for bit, failed samples
+// included, over a pool: each topology's default spec at two corners of
+// loasbench's spec box, sized for each Table-1 case, 25 samples each.
+// Each sample is searched a third time through a counting wrapper of
+// its probe, which must find the same offset; the pool must have been
+// answered mostly warm, so the comparison is not between two all-cold
+// searches.
+func TestOffsetMatchesReference(t *testing.T) {
+	const samples = 25
+	tech := techno.Default060()
+	corners := []struct{ gbw, pm, cl float64 }{{0.85, -3, 0.8}, {1.05, 1, 1.2}}
+	var probes, warm, designs, failed int
+	for _, topo := range sizing.Topologies() {
+		plan, err := sizing.Lookup(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for caseN := 1; caseN <= 4; caseN++ {
+			ps, _ := sizing.Case(caseN)
+			for k, c := range corners {
+				spec := plan.DefaultSpec()
+				spec.GBW *= c.gbw
+				spec.PM += c.pm
+				spec.CL *= c.cl
+				name := fmt.Sprintf("%s/case %d/gbw×%g,pm%+g°,cl×%g", topo, caseN, c.gbw, c.pm, c.cl)
+				d, err := plan.Size(tech, spec, ps)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				designs++
+				cfg := OffsetConfig{
+					Build:   func() *circuit.Circuit { return d.Netlist("mc") },
+					InP:     sizing.NetInP,
+					InN:     sizing.NetInN,
+					Out:     sizing.NetOut,
+					VicmDC:  0.5 * (spec.ICMLow + spec.ICMHigh),
+					VoutMid: 0.5 * (spec.OutLow + spec.OutHigh),
+					Temp:    tech.Temp,
+					NodeSet: d.NodeSet(),
+				}
+				seed := int64(caseN*len(corners) + k)
+				got, err := OffsetSamples(cfg, 0, samples, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				draw := func(i int) (*circuit.Circuit, Sample) {
+					ckt := cfg.Build()
+					return ckt, Draw(rand.New(rand.NewSource(sampleSeed(seed, i))), ckt)
+				}
+				type outcome struct {
+					ref, counted   OffsetSample
+					asked, exactly int
+				}
+				outs, err := parallel.MapN(context.Background(), 0, samples, func(_ context.Context, i int) (outcome, error) {
+					o := outcome{ref: OffsetSample{Index: i}, counted: OffsetSample{Index: i}}
+					ckt, s := draw(i)
+					if off, err := refSimulateOffset(cfg, ckt, s); err == nil {
+						o.ref.OffsetV, o.ref.OK = off, true
+					}
+					ckt, s = draw(i)
+					probe := offsetProbe(cfg, ckt, s)
+					off, err := simulateOffset(func(vid float64, warm bool) (float64, error) {
+						if warm {
+							o.asked++
+						} else {
+							o.exactly++
+						}
+						return probe(vid, warm)
+					})
+					if err == nil {
+						o.counted.OffsetV, o.counted.OK = off, true
+					}
+					return o, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, o := range outs {
+					for _, g := range []OffsetSample{got[i], o.counted} {
+						if g != o.ref {
+							t.Errorf("%s: sample %+v (offset %x), all-cold reference %+v (offset %x)",
+								name, g, math.Float64bits(g.OffsetV), o.ref, math.Float64bits(o.ref.OffsetV))
+						}
+					}
+					if !o.ref.OK {
+						failed++
+					}
+					// Every probe but the first asks the warm tier once,
+					// and each one it does not answer asks the exact tier.
+					probes += o.asked + 1
+					warm += o.asked + 1 - o.exactly
+				}
+			}
+		}
+	}
+	t.Logf("%d designs × %d samples, %d failed: %d of %d probes answered warm", designs, samples, failed, warm, probes)
+	if warm < probes*3/4 {
+		t.Fatalf("only %d of %d probes answered warm", warm, probes)
+	}
+}
+
+// TestReduceOffsetsEqualOffsets: ten equal offsets have σ = 0, although
+// the variance estimate rounds to −2.1e-22, and their statistics encode
+// as JSON, which has no NaN.
+func TestReduceOffsetsEqualOffsets(t *testing.T) {
+	samples := make([]OffsetSample, 10)
+	for i := range samples {
+		samples[i] = OffsetSample{Index: i, OffsetV: 1e-3, OK: true}
+	}
+	st := ReduceOffsets(samples)
+	if st.SigmaV != 0 || st.N != 10 {
+		t.Fatalf("statistics %+v, want σ = 0 over 10 samples", *st)
+	}
+	if _, err := json.Marshal(st); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -171,9 +171,16 @@ func (b *Bench) nodeSet() map[string]float64 {
 
 // findOffset bisects the differential input for V(out) = VoutMid and
 // returns it with the operating point there, where it leaves the inputs.
+// The operating point is always a cold OP: Power, the linearization and
+// every measurement after it read its bits.
 func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 	var op *sim.OPResult
-	vid, ok, err := NullInput(func(vid float64) (float64, error) {
+	vid, ok, cold, err := NullInput(func(vid float64, warm bool) (float64, error) {
+		if warm {
+			ol.setInput(vid)
+			v, err := ol.eng.WarmVolt(ol.b.Out)
+			return v - ol.b.VoutMid, err
+		}
 		var err error
 		if op, err = ol.solve(vid); err != nil {
 			return 0, err
@@ -189,9 +196,19 @@ func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 		op, err = ol.solve(0)
 		return 0, op, err
 	}
-	// The last probe was at vid, so op is the operating point there.
-	return vid, op, nil
+	if !cold {
+		// A warm solve answered the last probe, at vid: solve there cold.
+		op, err = ol.solve(vid)
+	}
+	return vid, op, err
 }
+
+// warmMargin is how far a warm probe's value must lie from each
+// threshold NullInput compares it with, zero and tol, for the search to
+// act on it: 10× the Newton step tolerance, and six orders above the
+// largest gap measured between a warm and a cold solution (1.5e-11 V
+// over 136,656 probes, with no sign flip).
+const warmMargin = 1e-5
 
 // NullInput bisects f, a function of the differential input vid that is
 // monotone over [−window, window], for its zero. It probes both ends
@@ -200,21 +217,41 @@ func (ol *openLoop) findOffset() (float64, *sim.OPResult, error) {
 // early once |f| < tol (tol = 0 never stops early), and returns the last
 // midpoint it probed. An error from f ends the search and is returned
 // as is.
-func NullInput(f func(vid float64) (float64, error), window float64, steps int, tol float64) (vid float64, ok bool, err error) {
-	lo, hi := -window, window
-	fLo, err := f(lo)
-	if err != nil {
-		return 0, false, err
+//
+// f answers a probe exactly when warm is false. With warm true it may
+// answer from a cheaper solve that starts at the previous probe's
+// solution, which can fail or miss the exact value by a little. The
+// first probe, at −window, is exact. Each later one asks for the warm
+// value first and uses it only when it is decisive: at least warmMargin
+// from zero and, when tol > 0, from tol. Otherwise the exact value
+// answers, so the search takes the steps it would take on exact values
+// alone. cold reports whether the exact value answered the last probe.
+func NullInput(f func(vid float64, warm bool) (float64, error), window float64, steps int, tol float64) (vid float64, ok, cold bool, err error) {
+	probe := func(v float64) (float64, error) {
+		if fw, err := f(v, true); err == nil {
+			if a := math.Abs(fw); a >= warmMargin && (tol <= 0 || math.Abs(a-tol) >= warmMargin) {
+				cold = false
+				return fw, nil
+			}
+		}
+		cold = true
+		return f(v, false)
 	}
-	fHi, err := f(hi)
+	lo, hi := -window, window
+	cold = true
+	fLo, err := f(lo, false)
+	if err != nil {
+		return 0, false, cold, err
+	}
+	fHi, err := probe(hi)
 	if err != nil || math.Signbit(fLo) == math.Signbit(fHi) {
-		return 0, false, err
+		return 0, false, cold, err
 	}
 	for i := 0; i < steps; i++ {
 		vid = 0.5 * (lo + hi)
-		fm, err := f(vid)
+		fm, err := probe(vid)
 		if err != nil {
-			return 0, false, err
+			return 0, false, cold, err
 		}
 		if math.Abs(fm) < tol {
 			break
@@ -225,7 +262,7 @@ func NullInput(f func(vid float64) (float64, error), window float64, steps int, 
 			hi = vid
 		}
 	}
-	return vid, true, nil
+	return vid, true, cold, nil
 }
 
 // acGainSweep measures DC gain, GBW and phase margin from the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -167,16 +168,12 @@ func TestMeasureRejectsBrokenBench(t *testing.T) {
 
 // TestNullInput drives the offset bisection on straight lines: a window
 // without a null, the step bound, the early exit, findOffset's ±20 mV
-// window at its 27 steps and a failing probe.
+// window at its 27 steps and a failing probe. Each line is searched
+// twice: with a warm tier that always fails, so that the exact value
+// answers every probe, and with one that answers exactly. Both must
+// take the same probes to the same vid, and cold must name the tier
+// that answered the last probe.
 func TestNullInput(t *testing.T) {
-	var probes []float64
-	line := func(zero float64) func(float64) (float64, error) {
-		probes = nil
-		return func(v float64) (float64, error) {
-			probes = append(probes, v)
-			return v - zero, nil
-		}
-	}
 	for _, c := range []struct {
 		name              string
 		zero, window, tol float64
@@ -188,19 +185,148 @@ func TestNullInput(t *testing.T) {
 		{"tol exits early", 0.26e-3, 1e-3, 2e-5, 40, 5, true},
 		{"findOffset budget", 1e-3 / 3, 20e-3, 0, 27, 29, true},
 	} {
-		vid, ok, err := NullInput(line(c.zero), c.window, c.steps, c.tol)
-		last := 0.0
-		if ok {
-			last = probes[len(probes)-1]
-		}
-		if err != nil || ok != c.ok || len(probes) != c.probes || vid != last {
-			t.Errorf("%s: vid %g (last probe %g), ok %v, err %v after %d probes", c.name, vid, last, ok, err, len(probes))
+		for _, warmFails := range []bool{true, false} {
+			var probes []float64
+			lastWarm, warmAnswers := false, 0
+			vid, ok, cold, err := NullInput(func(v float64, warm bool) (float64, error) {
+				if n := len(probes); n == 0 || probes[n-1] != v {
+					probes = append(probes, v)
+				}
+				lastWarm = warm
+				if warm && warmFails {
+					return 0, fmt.Errorf("no warm start")
+				}
+				if warm {
+					warmAnswers++
+				}
+				return v - c.zero, nil
+			}, c.window, c.steps, c.tol)
+			last := 0.0
+			if ok {
+				last = probes[len(probes)-1]
+			}
+			if err != nil || ok != c.ok || len(probes) != c.probes || vid != last {
+				t.Errorf("%s, warm fails %v: vid %g (last probe %g), ok %v, err %v after %d probes", c.name, warmFails, vid, last, ok, err, len(probes))
+			}
+			if cold != !lastWarm || (warmFails && !cold) || (!warmFails && warmAnswers == 0) {
+				t.Errorf("%s, warm fails %v: cold %v, last call warm %v, %d warm answers", c.name, warmFails, cold, lastWarm, warmAnswers)
+			}
 		}
 	}
 	fail := fmt.Errorf("no DC")
-	if _, ok, err := NullInput(func(float64) (float64, error) { return 0, fail }, 1, 40, 0); ok || err != fail {
+	if _, ok, _, err := NullInput(func(float64, bool) (float64, error) { return 0, fail }, 1, 40, 0); ok || err != fail {
 		t.Fatalf("failing probe: ok %v, err %v", ok, err)
 	}
+}
+
+// refNullInput is NullInput as it stood before its warm tier: every
+// probe is answered exactly. FuzzNullInputWarm holds NullInput to it.
+func refNullInput(f func(vid float64) (float64, error), window float64, steps int, tol float64) (vid float64, ok bool, err error) {
+	lo, hi := -window, window
+	fLo, err := f(lo)
+	if err != nil {
+		return 0, false, err
+	}
+	fHi, err := f(hi)
+	if err != nil || math.Signbit(fLo) == math.Signbit(fHi) {
+		return 0, false, err
+	}
+	for i := 0; i < steps; i++ {
+		vid = 0.5 * (lo + hi)
+		fm, err := f(vid)
+		if err != nil {
+			return 0, false, err
+		}
+		if math.Abs(fm) < tol {
+			break
+		}
+		if math.Signbit(fm) == math.Signbit(fLo) {
+			lo = vid
+		} else {
+			hi = vid
+		}
+	}
+	return vid, true, nil
+}
+
+// FuzzNullInputWarm holds NullInput to refNullInput on monotone,
+// rail-clipped lines: the exact tier answers gain·(vid − zero) clipped
+// to [lo, hi], and the warm tier answers the exact value plus noise of
+// at most warmMargin/2, or fails, at random probes. Probe number failAt
+// fails in both tiers, as a cold solve fails only where a warm one from
+// a neighbour does too. NullInput must probe the same points as the
+// exact search and return the same vid, ok and error, and cold must
+// name the tier that answered the last probe.
+func FuzzNullInputWarm(f *testing.F) {
+	f.Add(1e-3/3, 1e3, -1.0, 1.0, 20e-3, uint8(27), 1e-4, int64(1), uint8(16), uint8(255))
+	f.Add(-4e-3, -30.0, -0.2, 0.5, 25e-3, uint8(18), 0.0, int64(2), uint8(64), uint8(255))
+	f.Add(2e-5, 1e4, -1e-3, 2e-3, 20e-3, uint8(27), 1e-4, int64(3), uint8(0), uint8(9))
+	f.Add(0.5, 1.0, -1.0, 1.0, 0.1, uint8(40), 0.0, int64(4), uint8(128), uint8(255))
+	f.Add(0.0, 0.0, -1.0, 1.0, 1e-3, uint8(5), 0.0, int64(5), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, zero, gain, lo, hi, window float64, steps uint8, tol float64, seed int64, failPct, failAt uint8) {
+		finite := func(vs ...float64) bool {
+			for _, v := range vs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return false
+				}
+			}
+			return true
+		}
+		if !finite(zero, gain, lo, hi, window, tol) || math.Abs(zero) > 1 || math.Abs(gain) > 1e6 ||
+			!(lo < hi) || math.Abs(lo) > 10 || math.Abs(hi) > 10 ||
+			!(window > 0 && window <= 1) || steps > 60 || !(tol >= 0 && tol <= 1e-2) {
+			return
+		}
+		exact := func(v float64) float64 { return math.Max(lo, math.Min(hi, gain*(v-zero))) }
+		errDC := fmt.Errorf("no DC")
+		// index returns the number of v among the distinct points probed.
+		index := func(probes *[]float64, v float64) int {
+			if n := len(*probes); n == 0 || (*probes)[n-1] != v {
+				*probes = append(*probes, v)
+			}
+			return len(*probes) - 1
+		}
+
+		var want []float64
+		wantVid, wantOK, wantErr := refNullInput(func(v float64) (float64, error) {
+			if index(&want, v) == int(failAt) {
+				return 0, errDC
+			}
+			return exact(v), nil
+		}, window, int(steps), tol)
+
+		rng := rand.New(rand.NewSource(seed))
+		var got []float64
+		lastWarm := false
+		vid, ok, cold, err := NullInput(func(v float64, warm bool) (float64, error) {
+			i := index(&got, v)
+			lastWarm = warm
+			switch {
+			case i == int(failAt):
+				return 0, errDC
+			case !warm:
+				return exact(v), nil
+			case rng.Intn(256) < int(failPct):
+				return 0, fmt.Errorf("warm Newton did not converge")
+			}
+			return exact(v) + (rng.Float64()-0.5)*warmMargin, nil
+		}, window, int(steps), tol)
+
+		if len(got) != len(want) {
+			t.Fatalf("probes %v, exact search probes %v", got, want)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("probe %d at %g, exact search at %g", i, got[i], want[i])
+			}
+		}
+		if math.Float64bits(vid) != math.Float64bits(wantVid) || ok != wantOK || err != wantErr {
+			t.Fatalf("vid %g, ok %v, err %v; exact search vid %g, ok %v, err %v", vid, ok, err, wantVid, wantOK, wantErr)
+		}
+		if cold == lastWarm {
+			t.Fatalf("cold %v, but the last call asked for the warm tier: %v", cold, lastWarm)
+		}
+	})
 }
 
 // SlewEnd runs Measure's slew transient of b at unity frequency gbw and

@@ -14,13 +14,14 @@ type OPOptions struct {
 	// NodeSet seeds initial node voltages by name (good seeds from the
 	// sizing tool make convergence immediate).
 	NodeSet map[string]float64
-	// MaxIter per gmin step (default 200).
+	// MaxIter per gmin rung (default 200).
 	MaxIter int
 	// VTol is the voltage convergence tolerance (default 1 µV).
 	VTol float64
 	// MaxStep clamps the Newton update per unknown (default 0.5 V).
 	MaxStep float64
-	// GminStart/GminEnd bound the gmin continuation (defaults 1e-2 → 1e-12).
+	// GminStart/GminEnd bound the gmin continuation (defaults 1e-2 →
+	// 1e-12, walked in 12 rungs: see gminLadder).
 	GminStart, GminEnd float64
 }
 
@@ -39,6 +40,24 @@ func (o *OPOptions) defaults() {
 	}
 	if o.GminEnd <= 0 {
 		o.GminEnd = 1e-12
+	}
+}
+
+// gminLadder appends to dst the gmin rungs of the continuation: from
+// GminStart, each rung the previous one divided by 10, until one falls
+// below GminEnd and is clamped to it. Division rounds, so a rung can land
+// just above GminEnd, and the clamped rung follows it: from the defaults
+// the eleventh rung is 1.0000000000000002e-12, and a twelfth is exactly
+// 1e-12.
+func (o *OPOptions) gminLadder(dst []float64) []float64 {
+	for g := o.GminStart; ; g /= 10 {
+		if g < o.GminEnd {
+			g = o.GminEnd
+		}
+		dst = append(dst, g)
+		if g == o.GminEnd {
+			return dst
+		}
 	}
 }
 
@@ -305,10 +324,8 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 	totalIter := 0
 	// Gmin continuation: sweep gmin down in decades, warm-starting each
 	// solve from the previous one.
-	for gmin := opts.GminStart; ; gmin /= 10 {
-		if gmin < opts.GminEnd {
-			gmin = opts.GminEnd
-		}
+	var rungs [16]float64
+	for _, gmin := range opts.gminLadder(rungs[:0]) {
 		it, err := e.newtonSolve(x, gmin, 1.0, &opts)
 		totalIter += it
 		if err != nil {
@@ -316,12 +333,40 @@ func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
 			// fall back to source stepping from scratch.
 			return e.opSourceStepping(opts, totalIter)
 		}
-		if gmin == opts.GminEnd {
-			break
-		}
 	}
 	e.polish(x, &opts, &totalIter)
 	return e.finishOP(x, totalIter), nil
+}
+
+// warmMaxIter bounds WarmVolt's Newton solve. From a neighbouring
+// solution it converges in a few iterations: 4.33 on average over the
+// offset bisections' warm probes.
+const warmMaxIter = 20
+
+// WarmVolt solves the DC operating point again from the solution the
+// engine holds, that of its last successful OP or WarmVolt, and returns
+// the voltage of the named node there. It runs plain damped Newton: gmin
+// 0, sources at full value, the default VTol and MaxStep, at most
+// warmMaxIter iterations, with no gmin ladder, no polish and no source
+// stepping. It fails on non-convergence, a singular Jacobian or a
+// non-finite step, and allocates nothing when it converges.
+//
+// Its solution may differ from OP's in the last bits, so it serves only
+// a caller that reads no more of it than a sign or a comparison far from
+// its threshold, as meas.NullInput does. It leaves nothing that moves a
+// later OP's bits: OP starts from its node set, and every stamp rebuilds
+// the LU's pattern.
+func (e *Engine) WarmVolt(node string) (float64, error) {
+	i, ok := e.Ckt.NodeIndex(node)
+	if !ok {
+		return 0, fmt.Errorf("sim: node %q not in circuit %q", node, e.Ckt.Name)
+	}
+	opts := OPOptions{MaxIter: warmMaxIter}
+	opts.defaults()
+	if _, err := e.newtonSolve(e.x, 0, 1.0, &opts); err != nil {
+		return 0, err
+	}
+	return voltsAt(e.x, e.nodeUnknown(i)), nil
 }
 
 // polish runs a final Newton pass with gmin removed entirely, so the

@@ -89,15 +89,10 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) b
 			x[e.nodeUnknown(i)] = v
 		}
 	}
-	for gmin := opts.GminStart; ; gmin /= 10 {
-		if gmin < opts.GminEnd {
-			gmin = opts.GminEnd
-		}
+	var rungs [16]float64
+	for _, gmin := range opts.gminLadder(rungs[:0]) {
 		if _, err := e.newtonSolveAt(x, gmin, 1.0, 0, nil, &opts); err != nil {
 			return nil, fmt.Errorf("sim: transient initial condition: %w", err)
-		}
-		if gmin == opts.GminEnd {
-			break
 		}
 	}
 

@@ -57,18 +57,24 @@ func TestACSolverSolveAtAllocFree(t *testing.T) {
 	}
 }
 
-// TestEngineReuseBitIdentical: an engine whose workspace earlier OP and
-// AC calls have used returns the same bits as a fresh engine — the
-// Monte-Carlo bisection runs 20 OPs on one engine and relies on it.
+// source returns the circuit's voltage source of the given name.
+func source(c *circuit.Circuit, name string) *circuit.VSource {
+	for _, v := range c.VSources() {
+		if v.Name == name {
+			return v
+		}
+	}
+	return nil
+}
+
+// TestEngineReuseBitIdentical: an engine whose workspace earlier OP,
+// WarmVolt and AC calls have used returns the same bits as a fresh
+// engine, warm solves that failed included. Both offset bisections run
+// their cold and warm probes on one engine and rely on it.
 func TestEngineReuseBitIdentical(t *testing.T) {
 	tech := techno.Default060()
 	c, seeds := fiveTransistorOTA(tech)
-	var inp *circuit.VSource
-	for _, v := range c.VSources() {
-		if v.Name == "inp" {
-			inp = v
-		}
-	}
+	inp := source(c, "inp")
 	opts := OPOptions{NodeSet: seeds}
 	used := NewEngine(c, techno.TempNominal)
 	for _, dc := range []float64{1.7, 1.5, 1.6} {
@@ -76,7 +82,18 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 		if _, err := used.OP(opts); err != nil {
 			t.Fatal(err)
 		}
+		for _, warm := range []float64{dc + 1e-3, dc - 2e-3, dc + 5e-2} {
+			inp.DC = warm
+			if _, err := used.WarmVolt("out"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		used.x[0] = math.NaN()
+		if _, err := used.WarmVolt("out"); err == nil {
+			t.Fatal("a warm solve from a NaN start converged")
+		}
 	}
+	inp.DC = 1.6
 	got, err := used.OP(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,5 +196,140 @@ func TestTranAllocBudget(t *testing.T) {
 	const maxBytes, maxAllocs = 8400, 8 // measured 6,786 B in 7
 	if bytes > maxBytes || allocs > maxAllocs {
 		t.Fatalf("Tran allocates %.0f B in %.0f allocations, budget %d B in %d", bytes, allocs, maxBytes, maxAllocs)
+	}
+}
+
+// TestGminLadder pins the rungs OP and Tran walk, bit for bit. From the
+// defaults, ten divisions of 1e-2 by 10 give 1.0000000000000002e-12,
+// which is not below GminEnd, so that rung runs and a twelfth, clamped
+// to exactly 1e-12, follows it. A start below the end runs the end
+// alone.
+func TestGminLadder(t *testing.T) {
+	var opts OPOptions
+	opts.defaults()
+	want := []uint64{
+		0x3f847ae147ae147b, 0x3f50624dd2f1a9fc, 0x3f1a36e2eb1c432d, 0x3ee4f8b588e368f1,
+		0x3eb0c6f7a0b5ed8e, 0x3e7ad7f29abcaf4a, 0x3e45798ee2308c3b, 0x3e112e0be826d696,
+		0x3ddb7cdfd9d7bdbd, 0x3da5fd7fe1796497, 0x3d719799812dea12, 0x3d719799812dea11,
+	}
+	got := opts.gminLadder(nil)
+	if len(got) != len(want) {
+		t.Fatalf("%d rungs %v, want %d", len(got), got, len(want))
+	}
+	for i, g := range got {
+		if math.Float64bits(g) != want[i] {
+			t.Fatalf("rung %d = %v (%#x), want %#x", i, g, math.Float64bits(g), want[i])
+		}
+	}
+	if got[11] != opts.GminEnd || got[10] == opts.GminEnd {
+		t.Fatalf("last rungs %v, %v: want one just above GminEnd, then GminEnd", got[10], got[11])
+	}
+	opts.GminStart = 1e-13
+	if got := opts.gminLadder(nil); len(got) != 1 || got[0] != opts.GminEnd {
+		t.Fatalf("start below the end: rungs %v", got)
+	}
+}
+
+// TestWarmVoltMatchesOP: from a solved neighbour, WarmVolt converges to
+// the operating point OP finds on a fresh engine, every node within
+// 1e-9 V, through input steps from 10 µV to 50 mV on the 5T OTA.
+func TestWarmVoltMatchesOP(t *testing.T) {
+	c, seeds := fiveTransistorOTA(techno.Default060())
+	inp := source(c, "inp")
+	opts := OPOptions{NodeSet: seeds}
+	e := NewEngine(c, techno.TempNominal)
+	if _, err := e.OP(opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, dc := range []float64{1.60001, 1.6001, 1.601, 1.59, 1.64, 1.6} {
+		inp.DC = dc
+		out, err := e.WarmVolt("out")
+		if err != nil {
+			t.Fatalf("inp %g V: %v", dc, err)
+		}
+		cold, err := NewEngine(c, techno.TempNominal).OP(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(out - cold.Volt(c, "out")); d > 1e-9 {
+			t.Errorf("inp %g V: warm V(out) %.12g, cold %.12g", dc, out, cold.Volt(c, "out"))
+		}
+		for i, v := range cold.V[1:] {
+			if d := math.Abs(e.x[i] - v); d > 1e-9 {
+				t.Errorf("inp %g V: node %d warm %.12g V, cold %.12g V", dc, i+1, e.x[i], v)
+			}
+		}
+	}
+	if _, err := e.WarmVolt("nowhere"); err == nil {
+		t.Fatal("WarmVolt of a node the circuit lacks did not fail")
+	}
+}
+
+// TestWarmVoltFailsFarAway: WarmVolt gives up after warmMaxIter
+// iterations. On a 1 kΩ/1 kΩ divider only V(mid) starts away from its
+// 0.5 V solution, and each clamped Newton step moves it by MaxStep = 0.5 V,
+// so a start warmMaxIter−1 steps away converges in exactly warmMaxIter
+// iterations and one a step further fails. From a NaN start, or with
+// the OTA's every unknown at ±1 kV, it fails too, without a panic.
+func TestWarmVoltFailsFarAway(t *testing.T) {
+	c := circuit.New("divider").Add(
+		&circuit.VSource{Name: "dd", Pos: "in", Neg: "0", DC: 1.0},
+		&circuit.Resistor{Name: "1", A: "in", B: "mid", R: 1e3},
+		&circuit.Resistor{Name: "2", A: "mid", B: "0", R: 1e3},
+	)
+	e := NewEngine(c, techno.TempNominal)
+	mid, _ := c.NodeIndex("mid")
+	for _, k := range []int{warmMaxIter - 1, warmMaxIter} {
+		if _, err := e.OP(OPOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		e.x[mid-1] = 0.5 + 0.5*float64(k)
+		v, err := e.WarmVolt("mid")
+		if converges := k < warmMaxIter; converges != (err == nil) {
+			t.Fatalf("start %d steps away: V(mid) %g, err %v", k, v, err)
+		}
+		if err == nil && math.Abs(v-0.5) > 1e-12 {
+			t.Fatalf("start %d steps away: V(mid) %g, want 0.5", k, v)
+		}
+	}
+	e.x[mid-1] = math.NaN()
+	if _, err := e.WarmVolt("mid"); err == nil {
+		t.Fatal("a NaN start converged")
+	}
+
+	ota, _ := fiveTransistorOTA(techno.Default060())
+	e = NewEngine(ota, techno.TempNominal)
+	for _, far := range []float64{1e3, -1e3} {
+		for i := range e.x {
+			e.x[i] = far
+		}
+		if v, err := e.WarmVolt("out"); err == nil {
+			t.Fatalf("every unknown at %g V: converged to V(out) %g", far, v)
+		}
+	}
+}
+
+// TestWarmVoltAllocBudget pins what one warm probe allocates: nothing.
+// The input alternates between two levels 0.5 mV apart, so every call
+// takes Newton steps.
+func TestWarmVoltAllocBudget(t *testing.T) {
+	c, seeds := fiveTransistorOTA(techno.Default060())
+	inp := source(c, "inp")
+	e := NewEngine(c, techno.TempNominal)
+	if _, err := e.OP(OPOptions{NodeSet: seeds}); err != nil {
+		t.Fatal(err)
+	}
+	levels := [2]float64{1.6, 1.6005}
+	k := 0
+	bytes, allocs := allocPerRun(20, func() {
+		k++
+		inp.DC = levels[k%2]
+		if _, err := e.WarmVolt("out"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const maxBytes, maxAllocs = 0, 0 // measured 0 B in 0
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("WarmVolt allocates %.0f B in %.0f allocations, budget %d B in %d", bytes, allocs, maxBytes, maxAllocs)
 	}
 }
