@@ -13,8 +13,13 @@ go build ./...
 go build ./cmd/...
 # The benchmark is its own module (loasbench/, `replace loas => ../`), so
 # the root build never sees it: type-check it and its tests against the
-# engine here, offline, so an engine API change cannot silently break it.
+# engine here, offline, so an engine API change cannot silently break it,
+# then run its tests. They hold each workload's traced pass to its
+# untraced digest and check the op lists and the spec pool, so an engine
+# change that compiles but breaks the benchmark's repeatability fails
+# here, not in a benchmark run.
 (cd loasbench && go vet .)
+(cd loasbench && go test -count=1 .)
 
 # Fingerprint lane. The fingerprint golden pins every topology's full
 # synthesis output (one-shot slicing, refined at the default round

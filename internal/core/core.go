@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"loas/internal/circuit"
-	"loas/internal/device"
 	"loas/internal/layout"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/extract"
@@ -346,14 +345,9 @@ func verifyBoth(ctx context.Context, parent *obs.Span, synth, extracted func() e
 // ExtractedNetlist builds the amplifier netlist with the full layout
 // parasitics applied: exact junction geometry, realized (grid-snapped)
 // widths, wiring, coupling and well capacitance.
-func ExtractedNetlist(tech *techno.Tech, d sizing.Design, par *extract.Parasitics) *circuit.Circuit {
+func ExtractedNetlist(d sizing.Design, par *extract.Parasitics) *circuit.Circuit {
 	ckt := d.Netlist("extracted")
-	par.Apply(ckt, extract.ApplyOptions{
-		Junction: extract.JunctionExact,
-		Routing:  true,
-	}, func(_ string, w float64) device.DiffGeom {
-		return device.OneFoldGeom(tech, w)
-	}, d.ACGroundNets()...)
+	par.Apply(ckt, d.ACGroundNets()...)
 	return ckt
 }
 
@@ -383,13 +377,13 @@ func OTABench(tech *techno.Tech, spec sizing.OTASpec, d sizing.Design, build fun
 // of Table 1.
 func VerifyExtracted(tech *techno.Tech, spec sizing.OTASpec, d sizing.Design, par *extract.Parasitics) (*sizing.Performance, *circuit.Circuit, error) {
 	bench := OTABench(tech, spec, d, func() *circuit.Circuit {
-		return ExtractedNetlist(tech, d, par)
+		return ExtractedNetlist(d, par)
 	})
 	perf, err := meas.Measure(bench)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &perf, ExtractedNetlist(tech, d, par), nil
+	return &perf, ExtractedNetlist(d, par), nil
 }
 
 // TraditionalResult reports the Fig. 1(a) baseline run.
@@ -416,6 +410,10 @@ const traditionalMaxIter = 10
 func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec) (*TraditionalResult, error) {
 	start := time.Now()
 	ps := sizing.ParasiticState{Junction: extract.JunctionNone}
+	backend, err := layout.Lookup("")
+	if err != nil {
+		return nil, err
+	}
 	res := &TraditionalResult{GBWOverdrive: 1.0}
 	target := spec
 
@@ -425,7 +423,7 @@ func TraditionalFlow(tech *techno.Tech, spec sizing.OTASpec) (*TraditionalResult
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional sizing %d: %w", iter, err)
 		}
-		plan, err := d.Layout().Plan(tech, cairo.Constraint{})
+		plan, err := backend.Plan(tech, d.Layout(), layout.Constraint{}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: traditional layout %d: %w", iter, err)
 		}

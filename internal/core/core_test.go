@@ -398,9 +398,15 @@ func TestExtractedNetlistContents(t *testing.T) {
 func TestTraditionalFlowConverges(t *testing.T) {
 	tech := techno.Default060()
 	spec := sizing.Default65MHz()
+	plans := obs.Default.Counter("loas_layout_plans_slicing_total", "")
+	before := plans.Value()
 	res, err := TraditionalFlow(tech, spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each iteration plans its layout through the default backend.
+	if got := plans.Value() - before; got != int64(res.Iterations) {
+		t.Fatalf("%d slicing plans counted over %d iterations", got, res.Iterations)
 	}
 	if res.Iterations < 2 {
 		t.Fatalf("traditional flow converged in %d iteration(s) — the whole "+

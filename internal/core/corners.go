@@ -31,7 +31,7 @@ func VerifyAtCorner(tech *techno.Tech, corner techno.Corner, res *Result) (*sizi
 		return nil, fmt.Errorf("core: corner %s bias: %w", corner, err)
 	}
 	build := func() *circuit.Circuit {
-		ckt := ExtractedNetlist(tech, res.Design, res.Parasitics)
+		ckt := ExtractedNetlist(res.Design, res.Parasitics)
 		for _, m := range ckt.MOSFETs() {
 			m.Dev.Card = ct.Card(m.Dev.Card.Type)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"loas/internal/device"
 	"loas/internal/layout/route"
 	"loas/internal/layout/stack"
 	"loas/internal/techno"
@@ -23,9 +22,8 @@ func testDesign() *Design {
 			&Transistor{
 				Inst: "MP1", Type: techno.PMOS,
 				W: 60 * um, L: 1 * um,
-				Style:    device.DrainInternal,
 				DrainNet: "out", GateNet: "bias", SourceNet: "vdd", BulkNet: "vdd",
-				IDrain: 150e-6, EvenOnly: true,
+				IDrain: 150e-6,
 			},
 			&MatchedStack{
 				Label: "mirror", Type: techno.NMOS,
@@ -35,8 +33,7 @@ func testDesign() *Design {
 				},
 				SourceNet: "gnd", BulkNet: "gnd",
 				WidthPerBaseUnit: 15 * um, L: 1 * um,
-				Currents:   map[string]float64{"bias": 150e-6, "out": 150e-6},
-				EndDummies: true,
+				Currents: map[string]float64{"bias": 150e-6, "out": 150e-6},
 			},
 		},
 		Tree: &Tree{Vertical: false, GapNM: 8000, Leaves: []string{"MP1", "mirror"}},
@@ -123,15 +120,11 @@ func TestPlanShapeConstraintChangesChoices(t *testing.T) {
 }
 
 func TestTransistorChoicesEvenOnly(t *testing.T) {
-	tr := &Transistor{Inst: "m", MaxFolds: 7, EvenOnly: true}
+	tr := &Transistor{Inst: "m", MaxFolds: 7}
 	got := tr.Choices()
 	want := []int{1, 2, 4, 6}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("choices = %v, want %v", got, want)
-	}
-	tr.EvenOnly = false
-	if len(tr.Choices()) != 7 {
-		t.Fatalf("all folds = %v", tr.Choices())
 	}
 }
 
@@ -175,15 +168,27 @@ func TestPlanUnknownModuleInTree(t *testing.T) {
 	}
 }
 
+// TestPlanWellCapReported: a PMOS stack whose well is tied to a net
+// reports its floating-well capacitance onto that net, and only there.
 func TestPlanWellCapReported(t *testing.T) {
 	tech := techno.Default060()
 	d := testDesign()
-	d.Modules[0].(*Transistor).WellNet = "out" // pretend source-tied well
+	d.Modules = append(d.Modules, &MatchedStack{
+		Label: "pair", Type: techno.PMOS,
+		Devices: []stack.Device{
+			{Name: "MP2", Units: 2, DrainNet: "out", GateNet: "bias"},
+			{Name: "MP3", Units: 2, DrainNet: "bias", GateNet: "bias"},
+		},
+		SourceNet: "tail", BulkNet: "tail", WellNet: "tail",
+		WidthPerBaseUnit: 10 * um, L: 1 * um,
+		Currents: map[string]float64{"bias": 50e-6, "out": 50e-6},
+	})
+	d.Tree.Leaves = append(d.Tree.Leaves, "pair")
 	p, err := d.Plan(tech, Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Parasitics.WellCap["out"] <= 0 {
-		t.Fatal("well cap not reported on the designated net")
+	if p.Parasitics.WellCap["tail"] <= 0 || len(p.Parasitics.WellCap) != 1 {
+		t.Fatalf("well caps %v, want one on the tail net", p.Parasitics.WellCap)
 	}
 }

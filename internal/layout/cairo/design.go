@@ -8,7 +8,6 @@ import (
 	"loas/internal/layout/geom"
 	"loas/internal/layout/route"
 	"loas/internal/layout/slicing"
-	"loas/internal/obs"
 	"loas/internal/techno"
 )
 
@@ -121,70 +120,47 @@ func widenGaps(t *Tree, need int64) *Tree {
 	return &c
 }
 
-// routeShapesPerPort is the top-cell room TopCell leaves per module
+// routeShapesPerPort is the top-cell room Realize leaves per module
 // port for the router's wires: the branch, rail extension and via1 of a
 // routed port, with each net's trunk, trunk vias and spine spread over
 // its ports.
 const routeShapesPerPort = 4
 
-// TopCell returns the empty top cell of a plan, reserved for the shapes
-// and ports of the placed builds and for the wires the router adds to
-// them, so that merging and routing grow it at most rarely.
-func TopCell(name string, placed []*Built) *geom.Cell {
-	var shapes, ports int
-	for _, b := range placed {
-		shapes += len(b.Cell.Shapes)
-		ports += len(b.Cell.Ports)
-	}
-	top := geom.NewCell(name)
-	top.Reserve(shapes+routeShapesPerPort*ports, ports)
-	return top
+// Placement is one module build at its place in the top cell: the
+// module's name, rectangle and shape choice, and the build of that
+// choice.
+type Placement struct {
+	slicing.Placed
+	Build *Built
 }
 
-// layoutPlans counts layout-tool invocations process-wide — the
-// CAIRO-side half of the loasd /metrics convergence picture (plans per
-// synthesis ≈ the paper's "three calls of the layout tool").
-var layoutPlans = obs.Default.Counter("loas_layout_plans_total",
-	"layout plan calls (area optimization + realization + extraction)")
+// Realize turns a placement into a plan, the step every layout backend
+// ends with. It merges each placed build into the top cell, reserved up
+// front for the builds' shapes and ports and for the router's wires, and
+// collects the builds' device geometry, folds, and rail and well
+// capacitance in placement order. It then routes the design's nets in
+// the module-free horizontal channels of the placement, plus margins
+// above and below, and fills in the cell's width, height and area. A
+// route error is returned as the router gives it, for the caller to
+// wrap; the caller sets the plan's Floorplan.
+func (d *Design) Realize(tech *techno.Tech, placements []Placement) (*Plan, error) {
+	var shapes, ports int
+	for _, pl := range placements {
+		shapes += len(pl.Build.Cell.Shapes)
+		ports += len(pl.Build.Cell.Ports)
+	}
+	top := geom.NewCell(d.Name)
+	top.Reserve(shapes+routeShapesPerPort*ports, ports)
 
-// Plan runs the flow: area optimization under the shape constraint,
-// module realization, routing, extraction.
-func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
-	layoutPlans.Inc()
-	builds := map[string]map[int]*Built{}
-	need := d.ChannelNeedNM(tech)
-	root, err := d.slicingNode(tech, widenGaps(d.Tree, need), builds)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := slicing.Optimize(root, c)
-	if err != nil {
-		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
-	}
-
-	// Deterministic module order.
-	names := make([]string, 0, len(fp.Placed))
-	for name := range fp.Placed {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	placed := make([]*Built, len(names))
-	for i, name := range names {
-		pl := fp.Placed[name]
-		if placed[i] = builds[name][pl.Choice]; placed[i] == nil {
-			return nil, fmt.Errorf("cairo: missing build for %s choice %d", name, pl.Choice)
-		}
-	}
-
-	top := TopCell(d.Name, placed)
 	par := extract.New()
-	choices := make(map[string]int, len(names))
-	for i, name := range names {
-		pl := fp.Placed[name]
-		b := placed[i]
-		choices[name] = pl.Choice
+	choices := make(map[string]int, len(placements))
+	obstacles := make([]geom.Rect, 0, len(placements))
+	for _, pl := range placements {
+		b := pl.Build
 		bb := b.Cell.BBox()
 		top.Merge(b.Cell, pl.Rect.L-bb.L, pl.Rect.B-bb.B)
+		choices[pl.Name] = pl.Choice
+		obstacles = append(obstacles, pl.Rect)
 		for inst, g := range b.Geoms {
 			par.DeviceGeom[inst] = g
 		}
@@ -199,16 +175,10 @@ func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
 		}
 	}
 
-	// Routing channels: the module-free horizontal bands of the
-	// floorplan, plus margins above and below.
-	obstacles := make([]geom.Rect, 0, len(names))
-	for _, name := range names {
-		obstacles = append(obstacles, fp.Placed[name].Rect)
-	}
-	channels := route.Channels(obstacles, need)
+	channels := route.Channels(obstacles, d.ChannelNeedNM(tech))
 	rres, err := route.Route(tech, top, d.Nets, channels)
 	if err != nil {
-		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
+		return nil, err
 	}
 	for net, cap := range rres.NetCap {
 		par.NetCap[net] += cap
@@ -222,6 +192,42 @@ func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
 	par.HeightUM = float64(bb.H()) * 1e-3
 	par.AreaUM2 = bb.AreaUM2()
 	par.LayoutCalls = 1
+	return &Plan{Parasitics: par, Cell: top, ChoiceOf: choices}, nil
+}
 
-	return &Plan{Parasitics: par, Cell: top, Floorplan: fp, ChoiceOf: choices}, nil
+// Plan runs the flow: area optimization under the shape constraint,
+// then Realize over the floorplan's modules in name order.
+func (d *Design) Plan(tech *techno.Tech, c Constraint) (*Plan, error) {
+	builds := map[string]map[int]*Built{}
+	root, err := d.slicingNode(tech, widenGaps(d.Tree, d.ChannelNeedNM(tech)), builds)
+	if err != nil {
+		return nil, err
+	}
+	fp, err := slicing.Optimize(root, c)
+	if err != nil {
+		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
+	}
+
+	// Deterministic module order.
+	names := make([]string, 0, len(fp.Placed))
+	for name := range fp.Placed {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	placements := make([]Placement, len(names))
+	for i, name := range names {
+		pl := fp.Placed[name]
+		b := builds[name][pl.Choice]
+		if b == nil {
+			return nil, fmt.Errorf("cairo: missing build for %s choice %d", name, pl.Choice)
+		}
+		placements[i] = Placement{Placed: pl, Build: b}
+	}
+
+	plan, err := d.Realize(tech, placements)
+	if err != nil {
+		return nil, fmt.Errorf("cairo: design %s: %w", d.Name, err)
+	}
+	plan.Floorplan = fp
+	return plan, nil
 }

@@ -43,39 +43,31 @@ type Module interface {
 }
 
 // Transistor wraps a single folded transistor; choices are fold counts.
+// Every transistor folds its drain internal, the paper's rule for
+// frequency-critical drains, so its fold counts are even (or 1) and the
+// drain stays fully internal.
 type Transistor struct {
 	Inst string // circuit instance name (keys the parasitic report)
 	Type techno.MOSType
 	W, L float64
-	// Style picks the interior net; the paper makes frequency-critical
-	// drains internal, which also prefers even fold counts.
-	Style                                 device.DiffNet
+	// Net names for the four terminals, and the DC drain current.
 	DrainNet, GateNet, SourceNet, BulkNet string
 	IDrain                                float64
 	// MaxFolds bounds the alternatives (default 8).
 	MaxFolds int
-	// EvenOnly restricts to even fold counts (plus 1) so the critical
-	// net stays fully internal.
-	EvenOnly bool
-	// WellNet, when set on a PMOS device, reports the floating-well
-	// capacitance onto that net (e.g. a source-tied well).
-	WellNet string
 }
 
 // Name implements Module.
 func (t *Transistor) Name() string { return t.Inst }
 
-// Choices implements Module.
+// Choices implements Module: 1, 2, 4, … up to MaxFolds.
 func (t *Transistor) Choices() []int {
 	maxf := t.MaxFolds
 	if maxf < 1 {
 		maxf = 8
 	}
-	var out []int
-	for nf := 1; nf <= maxf; nf++ {
-		if t.EvenOnly && nf > 1 && nf%2 == 1 {
-			continue
-		}
+	out := []int{1}
+	for nf := 2; nf <= maxf; nf += 2 {
 		out = append(out, nf)
 	}
 	return out
@@ -89,7 +81,6 @@ func (t *Transistor) Build(tech *techno.Tech, choice int) (*Built, error) {
 		W:         t.W,
 		L:         t.L,
 		Folds:     choice,
-		Style:     t.Style,
 		DrainNet:  t.DrainNet,
 		GateNet:   t.GateNet,
 		SourceNet: t.SourceNet,
@@ -99,15 +90,12 @@ func (t *Transistor) Build(tech *techno.Tech, choice int) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{
+	return &Built{
 		Cell:    m.Cell,
 		Geoms:   map[string]device.DiffGeom{t.Inst: m.Geom},
 		Folds:   map[string]device.FoldPlan{t.Inst: m.Plan},
 		RailCap: m.RailCap,
-		WellNet: t.WellNet,
-	}
-	b.WellArea, b.WellPerim = m.WellAreaM2()
-	return b, nil
+	}, nil
 }
 
 // MatchedStack wraps a matched multi-device stack (mirror, pair); choices
@@ -125,11 +113,11 @@ type MatchedStack struct {
 	WidthPerBaseUnit float64
 	L                float64
 	Currents         map[string]float64
-	EndDummies       bool
 	// Splits lists unit multipliers to offer as shape alternatives
 	// (default {1, 2}).
 	Splits []int
-	// WellNet as in Transistor.
+	// WellNet, when set on a PMOS stack, reports the floating-well
+	// capacitance onto that net (e.g. a source-tied well).
 	WellNet string
 }
 
@@ -154,11 +142,7 @@ func (s *MatchedStack) Build(tech *techno.Tech, choice int) (*Built, error) {
 		d.Units *= choice
 		devs[i] = d
 	}
-	pat, err := stack.Generate(stack.PatternSpec{
-		Devices:    devs,
-		SourceNet:  s.SourceNet,
-		EndDummies: s.EndDummies,
-	})
+	pat, err := stack.Generate(stack.PatternSpec{Devices: devs, SourceNet: s.SourceNet})
 	if err != nil {
 		return nil, fmt.Errorf("cairo: stack %s: %w", s.Label, err)
 	}

@@ -3,7 +3,6 @@ package drc
 import (
 	"testing"
 
-	"loas/internal/device"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/geom"
 	"loas/internal/layout/motif"
@@ -19,7 +18,7 @@ func TestGeneratedMotifIsClean(t *testing.T) {
 	for _, nf := range []int{1, 2, 4, 7} {
 		m, err := motif.Build(tech, motif.Spec{
 			Name: "m", Type: techno.NMOS,
-			W: 40 * um, L: 1 * um, Folds: nf, Style: device.DrainInternal,
+			W: 40 * um, L: 1 * um, Folds: nf,
 			DrainNet: "d", GateNet: "g", SourceNet: "s", BulkNet: "s",
 			IDrain: 200e-6,
 		})
@@ -39,7 +38,7 @@ func TestGeneratedStackIsClean(t *testing.T) {
 			{Name: "A", Units: 2, DrainNet: "da", GateNet: "ga"},
 			{Name: "B", Units: 4, DrainNet: "db", GateNet: "ga"},
 		},
-		SourceNet: "s", EndDummies: true,
+		SourceNet: "s",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -160,21 +160,8 @@ func MaxDelta(a, b *Parasitics) float64 {
 	return d
 }
 
-// ApplyOptions selects which parasitics enter a netlist — these map
-// one-to-one onto the four sizing cases of the paper's Table 1.
-type ApplyOptions struct {
-	// Junction selects the diffusion model: None (case 1), OneFold
-	// (case 2) or Exact (cases 3–4, uses DeviceGeom).
-	Junction JunctionModel
-	// Routing attaches wiring + coupling + well capacitances (case 4 and
-	// every extracted netlist).
-	Routing bool
-	// GroundNet is the netlist node treated as AC ground for lumping
-	// (defaults to circuit.Ground).
-	GroundNet string
-}
-
-// JunctionModel enumerates diffusion-parasitic treatments.
+// JunctionModel enumerates diffusion-parasitic treatments: the sizing
+// plan's choice per Table-1 case (sizing.ParasiticState).
 type JunctionModel int
 
 // Junction models, in increasing fidelity.
@@ -197,40 +184,27 @@ func (j JunctionModel) String() string {
 	return fmt.Sprintf("junction(%d)", int(j))
 }
 
-// Apply writes the report into a netlist: every MOSFET gets its junction
-// geometry, and (with Routing) every net gets a lumped wiring capacitor
-// plus explicit coupling capacitors. Supply-like nets (those named in
+// Apply writes the exact report into a netlist: every MOSFET the report
+// covers gets its junction geometry and its realized width, every net a
+// lumped wiring + well capacitor to ground, and every coupled pair an
+// explicit coupling capacitor. Supply-like nets (those named in
 // acGround) are skipped for lumping since they are AC ground anyway.
-func (p *Parasitics) Apply(ckt *circuit.Circuit, opts ApplyOptions, oneFold func(name string, w float64) device.DiffGeom, acGround ...string) {
-	gnd := opts.GroundNet
-	if gnd == "" {
-		gnd = circuit.Ground
-	}
-	isGround := map[string]bool{gnd: true}
+func (p *Parasitics) Apply(ckt *circuit.Circuit, acGround ...string) {
+	isGround := map[string]bool{circuit.Ground: true}
 	for _, g := range acGround {
 		isGround[g] = true
 	}
 
 	for _, m := range ckt.MOSFETs() {
-		switch opts.Junction {
-		case JunctionNone:
-			m.Dev.Geom = device.DiffGeom{}
-		case JunctionOneFold:
-			m.Dev.Geom = oneFold(m.Name, m.Dev.W)
-		case JunctionExact:
-			if g, ok := p.DeviceGeom[m.Name]; ok {
-				m.Dev.Geom = g
-			}
-			// The layout snaps finger widths to the grid; the realized
-			// total width is what the extracted netlist simulates (the
-			// mechanism behind the paper's residual offset in case 2).
-			if f, ok := p.Folds[m.Name]; ok && f.TotalW() > 0 {
-				m.Dev.W = f.TotalW()
-			}
+		if g, ok := p.DeviceGeom[m.Name]; ok {
+			m.Dev.Geom = g
 		}
-	}
-	if !opts.Routing {
-		return
+		// The layout snaps finger widths to the grid; the realized
+		// total width is what the extracted netlist simulates (the
+		// mechanism behind the paper's residual offset in case 2).
+		if f, ok := p.Folds[m.Name]; ok && f.TotalW() > 0 {
+			m.Dev.W = f.TotalW()
+		}
 	}
 
 	// Deterministic order for reproducible netlists.
@@ -255,7 +229,7 @@ func (p *Parasitics) Apply(ckt *circuit.Circuit, opts ApplyOptions, oneFold func
 		if c <= 0 {
 			continue
 		}
-		ckt.Add(&circuit.Capacitor{Name: "par_" + sanitize(n), A: n, B: gnd, C: c})
+		ckt.Add(&circuit.Capacitor{Name: "par_" + sanitize(n), A: n, B: circuit.Ground, C: c})
 	}
 
 	var pairs []route.NetPair
@@ -283,10 +257,10 @@ func (p *Parasitics) Apply(ckt *circuit.Circuit, opts ApplyOptions, oneFold func
 			continue
 		}
 		if isGround[a] {
-			a = gnd
+			a = circuit.Ground
 		}
 		if isGround[b] {
-			b = gnd
+			b = circuit.Ground
 		}
 		ckt.Add(&circuit.Capacitor{Name: "cc_" + sanitize(pr.A) + "_" + sanitize(pr.B), A: a, B: b, C: c})
 	}

@@ -33,28 +33,13 @@ func sampleParasitics() *Parasitics {
 	return p
 }
 
-func TestApplyJunctionModels(t *testing.T) {
+func TestApplyExactGeometry(t *testing.T) {
 	tech := techno.Default060()
-	par := sampleParasitics()
-
-	cNone := sampleCircuit(tech)
-	par.Apply(cNone, ApplyOptions{Junction: JunctionNone}, nil)
-	if g := cNone.FindMOS("M1").Dev.Geom; g.AD != 0 {
-		t.Fatalf("JunctionNone left AD = %g", g.AD)
-	}
-
-	cOne := sampleCircuit(tech)
-	par.Apply(cOne, ApplyOptions{Junction: JunctionOneFold},
-		func(_ string, w float64) device.DiffGeom { return device.OneFoldGeom(tech, w) })
-	if g := cOne.FindMOS("M1").Dev.Geom; g.AD != 20e-6*tech.DiffExtContacted {
-		t.Fatalf("JunctionOneFold AD = %g", g.AD)
-	}
-
-	cEx := sampleCircuit(tech)
-	par.Apply(cEx, ApplyOptions{Junction: JunctionExact}, nil)
-	m := cEx.FindMOS("M1")
+	c := sampleCircuit(tech)
+	sampleParasitics().Apply(c)
+	m := c.FindMOS("M1")
 	if m.Dev.Geom.AD != 1e-11 {
-		t.Fatalf("JunctionExact AD = %g", m.Dev.Geom.AD)
+		t.Fatalf("exact AD = %g", m.Dev.Geom.AD)
 	}
 	if m.Dev.W != 4*5.05e-6 {
 		t.Fatalf("realized width not applied: %g", m.Dev.W)
@@ -65,7 +50,7 @@ func TestApplyRoutingCaps(t *testing.T) {
 	tech := techno.Default060()
 	par := sampleParasitics()
 	c := sampleCircuit(tech)
-	par.Apply(c, ApplyOptions{Junction: JunctionExact, Routing: true}, nil, "vdd")
+	par.Apply(c, "vdd")
 
 	// out gets wiring + well lumped; vdd skipped (AC ground).
 	if got := c.NodeCap("out"); got < 13e-15-1e-20 {
@@ -98,7 +83,7 @@ func TestApplySkipsLayoutOnlyNets(t *testing.T) {
 	par.NetCap["dummies"] = 1e-15
 	c := sampleCircuit(tech)
 	before := len(c.Elements)
-	par.Apply(c, ApplyOptions{Junction: JunctionNone, Routing: true}, nil, "vdd")
+	par.Apply(c, "vdd")
 	for _, e := range c.Elements[before:] {
 		if strings.Contains(e.ElemName(), "dummies") {
 			t.Fatal("layout-only net leaked into the netlist")

@@ -71,15 +71,23 @@ func MetricName(name string) string {
 	return strings.NewReplacer("-", "_", ".", "_").Replace(name)
 }
 
-// counted decorates a registered backend with its per-backend plan
-// counter, so every backend is metered the same way without each
-// implementation remembering to.
+// plansTotal counts layout-tool invocations process-wide, through any
+// backend — the CAIRO-side half of the loasd /metrics convergence
+// picture (plans per synthesis ≈ the paper's "three calls of the layout
+// tool").
+var plansTotal = obs.Default.Counter("loas_layout_plans_total",
+	"layout plan calls (area optimization + realization + extraction)")
+
+// counted decorates a registered backend with the plan counters, the
+// total and its own, so every backend is metered the same way without
+// each implementation remembering to.
 type counted struct {
 	Backend
 	plans *obs.Counter
 }
 
 func (c counted) Plan(tech *techno.Tech, d *cairo.Design, con Constraint, s *Session) (*Plan, error) {
+	plansTotal.Inc()
 	c.plans.Inc()
 	return c.Backend.Plan(tech, d, con, s)
 }

@@ -28,11 +28,9 @@ type Spec struct {
 	Type techno.MOSType
 	// W is the requested total gate width (m); L the gate length (m).
 	W, L float64
-	// Folds is the gate finger count (≥1).
+	// Folds is the gate finger count (≥1). The drain occupies the
+	// shared strips: the paper folds frequency-critical drains internal.
 	Folds int
-	// Style selects which net occupies shared strips (the paper folds
-	// frequency-critical drains internal).
-	Style device.DiffNet
 	// Net names for the four terminals.
 	DrainNet, GateNet, SourceNet, BulkNet string
 	// IDrain is the DC drain current magnitude (A) used for
@@ -121,7 +119,7 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 		return nil, fmt.Errorf("motif %s: non-positive size W=%g L=%g", spec.Name, spec.W, spec.L)
 	}
 	r := &tech.Rules
-	plan := device.PlanFolds(r, spec.W, spec.Folds, spec.Style)
+	plan := device.PlanFolds(r, spec.W, spec.Folds, device.DrainInternal)
 
 	lNM := r.SnapNM(techno.MetersToNM(spec.L))
 	if lNM < r.PolyWidth {
@@ -133,19 +131,14 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 	nf := plan.Folds
 	cell := geom.NewCell(spec.Name)
 
-	// Strip nets: alternate starting per style. DrainInternal starts and
-	// ends with source for even folds.
+	// Strip nets alternate from the source, so an even fold count
+	// starts and ends with source.
 	stripNet := make([]string, nf+1)
-	first := spec.SourceNet
-	second := spec.DrainNet
-	if spec.Style == device.SourceInternal {
-		first, second = second, first
-	}
 	for i := range stripNet {
 		if i%2 == 0 {
-			stripNet[i] = first
+			stripNet[i] = spec.SourceNet
 		} else {
-			stripNet[i] = second
+			stripNet[i] = spec.DrainNet
 		}
 	}
 
@@ -298,16 +291,4 @@ func Build(tech *techno.Tech, spec Spec) (*Motif, error) {
 		Height:           bb.H(),
 	}
 	return m, nil
-}
-
-// WellAreaM2 returns the n-well bottom area (m²) and perimeter (m) of the
-// motif (zero for NMOS), used for floating-well capacitance.
-func (m *Motif) WellAreaM2() (area, perim float64) {
-	for _, s := range m.Cell.Shapes {
-		if s.Layer == techno.LayerNWell {
-			area += s.R.AreaM2()
-			perim += s.R.PerimM()
-		}
-	}
-	return area, perim
 }

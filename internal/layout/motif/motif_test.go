@@ -13,7 +13,7 @@ const um = techno.Micron
 func defaultSpec() Spec {
 	return Spec{
 		Name: "m1", Type: techno.NMOS,
-		W: 48 * um, L: 1 * um, Folds: 4, Style: device.DrainInternal,
+		W: 48 * um, L: 1 * um, Folds: 4,
 		DrainNet: "out", GateNet: "in", SourceNet: "gnd", BulkNet: "gnd",
 		IDrain: 200e-6,
 	}
@@ -58,7 +58,7 @@ func TestBuildGeomMatchesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := device.PlanFolds(&tech.Rules, spec.W, spec.Folds, spec.Style).Geom(tech)
+	want := device.PlanFolds(&tech.Rules, spec.W, spec.Folds, device.DrainInternal).Geom(tech)
 	if m.Geom != want {
 		t.Fatalf("geom %+v != plan %+v", m.Geom, want)
 	}
@@ -103,10 +103,6 @@ func TestBuildPMOSGetsWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, p := m.WellAreaM2()
-	if a <= 0 || p <= 0 {
-		t.Fatal("PMOS must have an n-well")
-	}
 	bb := m.Cell.BBox()
 	// Well encloses everything: bbox is the well itself.
 	var well *techno.Layer
@@ -120,15 +116,17 @@ func TestBuildPMOSGetsWell(t *testing.T) {
 		}
 	}
 	if well == nil {
-		t.Fatal("no n-well shape")
+		t.Fatal("PMOS must have an n-well")
 	}
 }
 
 func TestBuildNMOSNoWell(t *testing.T) {
 	tech := techno.Default060()
 	m, _ := Build(tech, defaultSpec())
-	if a, _ := m.WellAreaM2(); a != 0 {
-		t.Fatal("NMOS must not have an n-well")
+	for _, s := range m.Cell.Shapes {
+		if s.Layer == techno.LayerNWell {
+			t.Fatal("NMOS must not have an n-well")
+		}
 	}
 }
 

@@ -9,8 +9,9 @@
 // the widest matched stacks in each row.
 //
 // The placer enumerates a small deterministic set of candidate
-// placements (placement styles × fold policies), realizes and routes
-// every one through the shared route + extract stages, and picks the
+// placements (placement styles × fold policies), realizes, routes and
+// extracts every one through the step the slicing backend ends with
+// (cairo's Realize), and picks the
 // winner by extracted parasitics, then area — the multi-placement-style
 // selection loop of Badaoui & Vemuri, with the paper's
 // parasitic-driven objective.
@@ -23,9 +24,7 @@ import (
 
 	"loas/internal/layout"
 	"loas/internal/layout/cairo"
-	"loas/internal/layout/extract"
 	"loas/internal/layout/geom"
-	"loas/internal/layout/route"
 	"loas/internal/layout/slicing"
 	"loas/internal/techno"
 )
@@ -317,8 +316,8 @@ func max64(a, b int64) int64 {
 
 // realize places one candidate: rows stacked bottom-up with
 // channel-height gaps between them, each row centered on the common
-// vertical axis, then routes and extracts exactly like the slicing
-// backend.
+// vertical axis, then realizes the placement in row order through the
+// step the slicing backend shares (cairo's Realize).
 func realize(tech *techno.Tech, d *cairo.Design, slots []moduleSlot, order, policy string) (*cairo.Plan, error) {
 	byRow := make([][]moduleSlot, rowCount)
 	for _, slot := range slots {
@@ -363,18 +362,8 @@ func realize(tech *techno.Tech, d *cairo.Design, slots []moduleSlot, order, poli
 		return nil, fmt.Errorf("rows: design %s has no modules", d.Name)
 	}
 
-	var builds []*cairo.Built
-	for _, pr := range rows {
-		for _, slot := range pr.slots {
-			builds = append(builds, slot.builds[pr.chosen[slot.name]])
-		}
-	}
-	top := cairo.TopCell(d.Name, builds)
-	par := extract.New()
-	choices := make(map[string]int, len(builds))
-	placed := make(map[string]slicing.Placed, len(builds))
-	obstacles := make([]geom.Rect, 0, len(builds))
-
+	placements := make([]cairo.Placement, 0, len(slots))
+	placed := make(map[string]slicing.Placed, len(slots))
 	var y int64
 	for ri, pr := range rows {
 		if ri > 0 {
@@ -384,47 +373,19 @@ func realize(tech *techno.Tech, d *cairo.Design, slots []moduleSlot, order, poli
 		for _, slot := range pr.slots {
 			choice := pr.chosen[slot.name]
 			b := slot.builds[choice]
-			bb := b.Cell.BBox()
-			top.Merge(b.Cell, x-bb.L, y-bb.B)
-			r := geom.XYWH(x, y, bb.W(), bb.H())
-			placed[slot.name] = slicing.Placed{Name: slot.name, Rect: r, Choice: choice}
-			obstacles = append(obstacles, r)
-			choices[slot.name] = choice
-			for inst, g := range b.Geoms {
-				par.DeviceGeom[inst] = g
-			}
-			for inst, f := range b.Folds {
-				par.Folds[inst] = f
-			}
-			for net, cap := range b.RailCap {
-				par.NetCap[net] += cap
-			}
-			if b.WellNet != "" && b.WellArea > 0 {
-				par.WellCap[b.WellNet] += b.WellArea*tech.Wire.CWellArea + b.WellPerim*tech.Wire.CWellPerim
-			}
-			x += bb.W() + gapX
+			w, h := dims(b)
+			pl := slicing.Placed{Name: slot.name, Rect: geom.XYWH(x, y, w, h), Choice: choice}
+			placed[slot.name] = pl
+			placements = append(placements, cairo.Placement{Placed: pl, Build: b})
+			x += w + gapX
 		}
 		y += pr.h
 	}
 
-	channels := route.Channels(obstacles, need)
-	rres, err := route.Route(tech, top, d.Nets, channels)
+	plan, err := d.Realize(tech, placements)
 	if err != nil {
 		return nil, fmt.Errorf("rows: design %s (%s-%s): %w", d.Name, order, policy, err)
 	}
-	for net, cap := range rres.NetCap {
-		par.NetCap[net] += cap
-	}
-	for pair, cap := range rres.Coupling {
-		par.Coupling[pair] += cap
-	}
-
-	bb := top.BBox()
-	par.WidthUM = float64(bb.W()) * 1e-3
-	par.HeightUM = float64(bb.H()) * 1e-3
-	par.AreaUM2 = bb.AreaUM2()
-	par.LayoutCalls = 1
-
-	fp := &slicing.Floorplan{W: maxW, H: y, Placed: placed}
-	return &cairo.Plan{Parasitics: par, Cell: top, Floorplan: fp, ChoiceOf: choices}, nil
+	plan.Floorplan = &slicing.Floorplan{W: maxW, H: y, Placed: placed}
+	return plan, nil
 }

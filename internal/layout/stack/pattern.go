@@ -27,8 +27,6 @@ type PatternSpec struct {
 	Devices []Device
 	// SourceNet is the net shared by every unit's source terminal.
 	SourceNet string
-	// EndDummies adds one dummy gate at each stack end (matching rule).
-	EndDummies bool
 }
 
 // Unit is one gate position in the stack.
@@ -263,18 +261,16 @@ func newWalker(spec PatternSpec) *walker {
 }
 
 // walk runs the orientation walk over a device sequence, inserting
-// isolation dummies and end dummies.
+// isolation dummies, and one dummy gate at each stack end (the matching
+// rule).
 func (w *walker) walk(seq []int) {
 	spec := &w.spec
-	units, strips := w.units[:0], w.strips[:0]
 	w.inserted = 0
-	if spec.EndDummies {
-		// Dummies abut the end strips; the outermost strips tie to the
-		// common source net (dummy gates are off, so an exposed drain
-		// next to a dummy stays isolated from the outer strip).
-		units = append(units, Unit{Dev: -1})
-		strips = append(strips, spec.SourceNet)
-	}
+	// End dummies abut the end strips; the outermost strips tie to the
+	// common source net (dummy gates are off, so an exposed drain next
+	// to a dummy stays isolated from the outer strip).
+	units := append(w.units[:0], Unit{Dev: -1})
+	strips := append(w.strips[:0], spec.SourceNet)
 	cur := spec.SourceNet // leftmost strip defaults to the common net
 	strips = append(strips, cur)
 	for _, dev := range seq {
@@ -297,10 +293,8 @@ func (w *walker) walk(seq []int) {
 		}
 		strips = append(strips, cur)
 	}
-	if spec.EndDummies {
-		units = append(units, Unit{Dev: -1})
-		strips = append(strips, spec.SourceNet)
-	}
+	units = append(units, Unit{Dev: -1})
+	strips = append(strips, spec.SourceNet)
 	w.units, w.strips = units, strips
 }
 

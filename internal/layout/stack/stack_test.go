@@ -10,7 +10,7 @@ import (
 const um = techno.Micron
 
 // fig3Spec is the paper's Fig. 3 current mirror: M1:M2:M3 = 1:3:6 sharing
-// a common source, with end dummies.
+// a common source.
 func fig3Spec() PatternSpec {
 	return PatternSpec{
 		Devices: []Device{
@@ -18,8 +18,7 @@ func fig3Spec() PatternSpec {
 			{Name: "M2", Units: 3, DrainNet: "d2", GateNet: "g"},
 			{Name: "M3", Units: 6, DrainNet: "d3", GateNet: "g"},
 		},
-		SourceNet:  "gnd",
-		EndDummies: true,
+		SourceNet: "gnd",
 	}
 }
 
@@ -94,8 +93,7 @@ func TestGeneratePairABBA(t *testing.T) {
 			{Name: "A", Units: 2, DrainNet: "da", GateNet: "ga"},
 			{Name: "B", Units: 2, DrainNet: "db", GateNet: "gb"},
 		},
-		SourceNet:  "tail",
-		EndDummies: true,
+		SourceNet: "tail",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +186,7 @@ func TestBuildSeparateGateNets(t *testing.T) {
 			{Name: "A", Units: 2, DrainNet: "da", GateNet: "ga"},
 			{Name: "B", Units: 2, DrainNet: "db", GateNet: "gb"},
 		},
-		SourceNet:  "tail",
-		EndDummies: true,
+		SourceNet: "tail",
 	})
 	st, err := Build(tech, p, BuildSpec{
 		Name: "pair", Type: techno.PMOS,

@@ -118,7 +118,7 @@ func offsetProbe(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) func(vid floa
 			v, err := eng.WarmVolt(cfg.Out)
 			return v - cfg.VoutMid, err
 		}
-		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
+		op, err := eng.OP(ns)
 		if err != nil {
 			return 0, err
 		}

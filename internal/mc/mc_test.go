@@ -319,7 +319,7 @@ func refSimulateOffset(cfg OffsetConfig, ckt *circuit.Circuit, s Sample) (float6
 		}
 		vp.DC = cfg.VicmDC + vid/2
 		vn.DC = cfg.VicmDC - vid/2
-		op, err := eng.OP(sim.OPOptions{NodeSet: ns})
+		op, err := eng.OP(ns)
 		if err != nil {
 			return 0, err
 		}
@@ -494,7 +494,7 @@ func TestGradientRewardsCommonCentroid(t *testing.T) {
 			{Name: "A", Units: 2, DrainNet: "da", GateNet: "ga"},
 			{Name: "B", Units: 2, DrainNet: "db", GateNet: "gb"},
 		},
-		SourceNet: "tail", EndDummies: true,
+		SourceNet: "tail",
 	}
 	good, err := stack.Generate(spec)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestMeasureMatchesReference(t *testing.T) {
 				return d.AssumedNetlist("assumed")
 			}), true, stopsEarly},
 			bench{topo + "/extracted", core.OTABench(tech, spec, d, func() *circuit.Circuit {
-				return core.ExtractedNetlist(tech, d, res.Parasitics)
+				return core.ExtractedNetlist(d, res.Parasitics)
 			}), true, stopsEarly})
 		switch topo {
 		case "folded-cascode":
@@ -146,7 +146,7 @@ func TestMeasureMatchesReferencePopulation(t *testing.T) {
 					return d.AssumedNetlist("assumed")
 				}))
 				sameAsReference(t, name+"/extracted", core.OTABench(tech, spec, d, func() *circuit.Circuit {
-					return core.ExtractedNetlist(tech, d, res.Parasitics)
+					return core.ExtractedNetlist(d, res.Parasitics)
 				}))
 			}
 		}

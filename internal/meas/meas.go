@@ -133,7 +133,7 @@ func (ol *openLoop) setInput(vid float64) {
 // point.
 func (ol *openLoop) solve(vid float64) (*sim.OPResult, error) {
 	ol.setInput(vid)
-	return ol.eng.OP(sim.OPOptions{NodeSet: ol.ns})
+	return ol.eng.OP(ol.ns)
 }
 
 // drive is the small-signal excitation a measurement applies.
@@ -437,5 +437,5 @@ func (b *Bench) slewTran(gbw float64) (*sim.TranResult, error) {
 		quiet++
 		return quiet >= slewSettle/slewStep
 	}
-	return eng.Tran(slewWindow/gbw, slewStep/gbw, sim.OPOptions{NodeSet: ns}, stop, b.Out)
+	return eng.Tran(slewWindow/gbw, slewStep/gbw, ns, stop, b.Out)
 }

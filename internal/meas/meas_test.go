@@ -392,7 +392,7 @@ func (b *Bench) refOpenLoop(vid float64, acDiff, acCM bool) *circuit.Circuit {
 // refOP solves a fresh engine for ckt at the bench's node set.
 func (b *Bench) refOP(ckt *circuit.Circuit) (*sim.OPResult, *sim.Engine, error) {
 	eng := sim.NewEngine(ckt, b.Temp)
-	op, err := eng.OP(sim.OPOptions{NodeSet: b.nodeSet()})
+	op, err := eng.OP(b.nodeSet())
 	return op, eng, err
 }
 
@@ -596,7 +596,7 @@ func (b *Bench) refSlewRate(p *sizing.Performance) error {
 	ns[b.InN] = b.VicmDC - step/2
 	ns[b.Out] = b.VicmDC - step/2
 	// Every node's waveform, as the transient stored it before probes.
-	res, err := eng.Tran(60/p.GBW, 0.02/p.GBW, sim.OPOptions{NodeSet: ns}, nil, ckt.Nodes()...)
+	res, err := eng.Tran(60/p.GBW, 0.02/p.GBW, ns, nil, ckt.Nodes()...)
 	if err != nil {
 		return err
 	}

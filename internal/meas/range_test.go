@@ -58,7 +58,7 @@ func OutputRange(b Bench, keepFraction float64) (lo, hi float64, err error) {
 	for i := range values {
 		values[i] = b.VicmDC - span/2 + span*float64(i)/float64(n-1)
 	}
-	results, err := ol.eng.DCSweep("tbip", values, sim.OPOptions{NodeSet: ol.ns})
+	results, err := ol.eng.DCSweep("tbip", values, ol.ns)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -124,7 +124,7 @@ func InputCMRange(b Bench, maxErr float64) (lo, hi float64, err error) {
 		values[i] = vdd * float64(i) / float64(n-1)
 	}
 	eng := sim.NewEngine(ckt, b.Temp)
-	results, err := eng.DCSweep("tbip", values, sim.OPOptions{NodeSet: b.nodeSet()})
+	results, err := eng.DCSweep("tbip", values, b.nodeSet())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -155,7 +155,7 @@ func TestDCSweepWarmStart(t *testing.T) {
 	)
 	eng := sim.NewEngine(c, techno.TempNominal)
 	vals := []float64{0, 0.5, 1.0, 1.5, 2.0}
-	res, err := eng.DCSweep("in", vals, sim.OPOptions{})
+	res, err := eng.DCSweep("in", vals, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDCSweepWarmStart(t *testing.T) {
 	if c.VSources()[0].DC != 0 {
 		t.Fatal("sweep did not restore the source")
 	}
-	if _, err := eng.DCSweep("ghost", vals, sim.OPOptions{}); err == nil {
+	if _, err := eng.DCSweep("ghost", vals, nil); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }

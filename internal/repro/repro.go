@@ -72,8 +72,7 @@ func Fig3(tech *techno.Tech) (*Fig3Result, error) {
 			{Name: "M2", Units: 3, DrainNet: "d2", GateNet: "g"},
 			{Name: "M3", Units: 6, DrainNet: "d3", GateNet: "g"},
 		},
-		SourceNet:  "gnd",
-		EndDummies: true,
+		SourceNet: "gnd",
 	}
 	pat, err := stack.Generate(spec)
 	if err != nil {

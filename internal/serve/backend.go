@@ -262,7 +262,9 @@ func (b *StdBackend) LayoutSVG(_ context.Context, spec sizing.OTASpec) ([]byte, 
 
 // RunMC is the shared Monte-Carlo pipeline behind `loas mc` and
 // POST /v1/mc: size the named topology's case design, fan the samples
-// across the worker pool, attach the analytic Pelgrom estimate. A span
+// across the worker pool, attach the analytic Pelgrom estimate. The
+// offset is nulled on verification's bench (core.OTABench): the same
+// ports, common mode, output target, temperature and node set. A span
 // carried by ctx gets one "mc-sample" child per draw; the statistics
 // are unchanged by observation (worker-invariant by construction).
 func RunMC(ctx context.Context, tech *techno.Tech, spec sizing.OTASpec, topology string, caseN, n int, seed int64, workers int) (*MCReport, error) {
@@ -278,15 +280,16 @@ func RunMC(ctx context.Context, tech *techno.Tech, spec sizing.OTASpec, topology
 	if err != nil {
 		return nil, err
 	}
+	bench := core.OTABench(tech, spec, d, func() *circuit.Circuit { return d.Netlist("mc") })
 	cfg := mc.OffsetConfig{
-		Build:   func() *circuit.Circuit { return d.Netlist("mc") },
-		InP:     sizing.NetInP,
-		InN:     sizing.NetInN,
-		Out:     sizing.NetOut,
-		VicmDC:  0.5 * (spec.ICMLow + spec.ICMHigh),
-		VoutMid: 0.5 * (spec.OutLow + spec.OutHigh),
-		Temp:    tech.Temp,
-		NodeSet: d.NodeSet(),
+		Build:   bench.Build,
+		InP:     bench.InP,
+		InN:     bench.InN,
+		Out:     bench.Out,
+		VicmDC:  bench.VicmDC,
+		VoutMid: bench.VoutMid,
+		Temp:    bench.Temp,
+		NodeSet: bench.NodeSet,
 		Workers: workers,
 		Ctx:     ctx,
 	}

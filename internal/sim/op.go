@@ -9,57 +9,35 @@ import (
 	"loas/internal/linalg"
 )
 
-// OPOptions tunes the DC solver.
-type OPOptions struct {
-	// NodeSet seeds initial node voltages by name (good seeds from the
-	// sizing tool make convergence immediate).
-	NodeSet map[string]float64
-	// MaxIter per gmin rung (default 200).
-	MaxIter int
-	// VTol is the voltage convergence tolerance (default 1 µV).
-	VTol float64
-	// MaxStep clamps the Newton update per unknown (default 0.5 V).
-	MaxStep float64
-	// GminStart/GminEnd bound the gmin continuation (defaults 1e-2 →
-	// 1e-12, walked in 12 rungs: see gminLadder).
-	GminStart, GminEnd float64
-}
+// The Newton configuration every DC solve shares: at most maxIter
+// iterations per gmin rung, convergence when no update exceeds vTol, each
+// update clamped to ±maxStep, and a gmin continuation from gminStart down
+// to gminEnd.
+const (
+	maxIter   = 200
+	vTol      = 1e-6  // V
+	maxStep   = 0.5   // V
+	gminStart = 1e-2  // S
+	gminEnd   = 1e-12 // S
+)
 
-func (o *OPOptions) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.VTol <= 0 {
-		o.VTol = 1e-6
-	}
-	if o.MaxStep <= 0 {
-		o.MaxStep = 0.5
-	}
-	if o.GminStart <= 0 {
-		o.GminStart = 1e-2
-	}
-	if o.GminEnd <= 0 {
-		o.GminEnd = 1e-12
-	}
-}
-
-// gminLadder appends to dst the gmin rungs of the continuation: from
-// GminStart, each rung the previous one divided by 10, until one falls
-// below GminEnd and is clamped to it. Division rounds, so a rung can land
-// just above GminEnd, and the clamped rung follows it: from the defaults
-// the eleventh rung is 1.0000000000000002e-12, and a twelfth is exactly
-// 1e-12.
-func (o *OPOptions) gminLadder(dst []float64) []float64 {
-	for g := o.GminStart; ; g /= 10 {
-		if g < o.GminEnd {
-			g = o.GminEnd
+// gminLadder holds the gmin rungs of the continuation: from gminStart,
+// each rung the previous one divided by 10, until one falls below gminEnd
+// and is clamped to it. Division rounds, so a rung lands just above
+// gminEnd and the clamped rung follows it: the eleventh rung is
+// 1.0000000000000002e-12, and a twelfth is exactly 1e-12.
+var gminLadder = func() []float64 {
+	var rungs []float64
+	for g := float64(gminStart); ; g /= 10 {
+		if g < gminEnd {
+			g = gminEnd
 		}
-		dst = append(dst, g)
-		if g == o.GminEnd {
-			return dst
+		rungs = append(rungs, g)
+		if g == gminEnd {
+			return rungs
 		}
 	}
-}
+}()
 
 // OPResult is a converged DC operating point: the solution vector, and
 // nothing derived from it. Accessors derive a branch current or a
@@ -263,17 +241,18 @@ func (e *Engine) stampDC(x []float64, gmin, srcScale, tNow float64, j *linalg.Re
 	}
 }
 
-// newtonSolve runs damped Newton at a fixed gmin/source scale.
-func (e *Engine) newtonSolve(x []float64, gmin, srcScale float64, opts *OPOptions) (int, error) {
-	return e.newtonSolveAt(x, gmin, srcScale, -1, nil, opts)
+// newtonSolve runs damped Newton at a fixed gmin/source scale, for at
+// most iters iterations.
+func (e *Engine) newtonSolve(x []float64, gmin, srcScale float64, iters int) (int, error) {
+	return e.newtonSolveAt(x, gmin, srcScale, -1, nil, iters)
 }
 
 // newtonSolveAt optionally adds extra linear stamps (transient companions)
 // through the extra callback. It works in the engine's Newton workspace,
 // so a warm solve allocates nothing.
-func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), opts *OPOptions) (int, error) {
+func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra func(x []float64, j *linalg.Real, f []float64), iters int) (int, error) {
 	j, f, dx := &e.jac, e.res, e.dx
-	for iter := 1; iter <= opts.MaxIter; iter++ {
+	for iter := 1; iter <= iters; iter++ {
 		e.stampDC(x, gmin, srcScale, tNow, j, f)
 		if extra != nil {
 			extra(x, j, f)
@@ -293,48 +272,54 @@ func (e *Engine) newtonSolveAt(x []float64, gmin, srcScale, tNow float64, extra 
 				// which would leave maxDx at 0 and pass for convergence.
 				return iter, fmt.Errorf("sim: non-finite Newton step at gmin=%.3g iter=%d", gmin, iter)
 			}
-			if d > opts.MaxStep {
-				d = opts.MaxStep
-			} else if d < -opts.MaxStep {
-				d = -opts.MaxStep
+			if d > maxStep {
+				d = maxStep
+			} else if d < -maxStep {
+				d = -maxStep
 			}
 			x[i] += d
 			if a := math.Abs(d); a > maxDx {
 				maxDx = a
 			}
 		}
-		if maxDx < opts.VTol {
+		if maxDx < vTol {
 			return iter, nil
 		}
 	}
-	return opts.MaxIter, fmt.Errorf("sim: DC Newton did not converge (gmin=%.3g)", gmin)
+	return iters, fmt.Errorf("sim: DC Newton did not converge (gmin=%.3g)", gmin)
 }
 
-// OP computes the DC operating point.
-func (e *Engine) OP(opts OPOptions) (*OPResult, error) {
-	opts.defaults()
+// seed clears the engine's solution vector, writes the node set's
+// voltages into it by node name, and returns it.
+func (e *Engine) seed(nodeSet map[string]float64) []float64 {
 	x := e.x
 	clear(x)
-	for name, v := range opts.NodeSet {
+	for name, v := range nodeSet {
 		if i, ok := e.Ckt.NodeIndex(name); ok && i > 0 {
 			x[e.nodeUnknown(i)] = v
 		}
 	}
+	return x
+}
 
+// OP computes the DC operating point, starting from the node set's
+// voltages (good seeds from the sizing tool make convergence
+// immediate; nil starts every node at 0 V).
+func (e *Engine) OP(nodeSet map[string]float64) (*OPResult, error) {
+	x := e.seed(nodeSet)
 	totalIter := 0
 	// Gmin continuation: sweep gmin down in decades, warm-starting each
 	// solve from the previous one.
-	var rungs [16]float64
-	for _, gmin := range opts.gminLadder(rungs[:0]) {
-		it, err := e.newtonSolve(x, gmin, 1.0, &opts)
+	for _, gmin := range gminLadder {
+		it, err := e.newtonSolve(x, gmin, 1.0, maxIter)
 		totalIter += it
 		if err != nil {
 			// Retrying a failed rung from where it stopped is pointless:
 			// fall back to source stepping from scratch.
-			return e.opSourceStepping(opts, totalIter)
+			return e.opSourceStepping(totalIter)
 		}
 	}
-	e.polish(x, &opts, &totalIter)
+	e.polish(x, &totalIter)
 	return e.finishOP(x, totalIter), nil
 }
 
@@ -346,10 +331,10 @@ const warmMaxIter = 20
 // WarmVolt solves the DC operating point again from the solution the
 // engine holds, that of its last successful OP or WarmVolt, and returns
 // the voltage of the named node there. It runs plain damped Newton: gmin
-// 0, sources at full value, the default VTol and MaxStep, at most
-// warmMaxIter iterations, with no gmin ladder, no polish and no source
-// stepping. It fails on non-convergence, a singular Jacobian or a
-// non-finite step, and allocates nothing when it converges.
+// 0, sources at full value, at most warmMaxIter iterations, with no gmin
+// ladder, no polish and no source stepping. It fails on non-convergence,
+// a singular Jacobian or a non-finite step, and allocates nothing when
+// it converges.
 //
 // Its solution may differ from OP's in the last bits, so it serves only
 // a caller that reads no more of it than a sign or a comparison far from
@@ -361,9 +346,7 @@ func (e *Engine) WarmVolt(node string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("sim: node %q not in circuit %q", node, e.Ckt.Name)
 	}
-	opts := OPOptions{MaxIter: warmMaxIter}
-	opts.defaults()
-	if _, err := e.newtonSolve(e.x, 0, 1.0, &opts); err != nil {
+	if _, err := e.newtonSolve(e.x, 0, 1.0, warmMaxIter); err != nil {
 		return 0, err
 	}
 	return voltsAt(e.x, e.nodeUnknown(i)), nil
@@ -372,9 +355,9 @@ func (e *Engine) WarmVolt(node string) (float64, error) {
 // polish runs a final Newton pass with gmin removed entirely, so the
 // reported solution carries no continuation bias. Failure (a circuit that
 // genuinely needs gmin, e.g. a floating node) keeps the last good point.
-func (e *Engine) polish(x []float64, opts *OPOptions, totalIter *int) {
+func (e *Engine) polish(x []float64, totalIter *int) {
 	copy(e.backup, x)
-	it, err := e.newtonSolve(x, 0, 1.0, opts)
+	it, err := e.newtonSolve(x, 0, 1.0, maxIter)
 	*totalIter += it
 	if err != nil {
 		copy(x, e.backup)
@@ -384,18 +367,18 @@ func (e *Engine) polish(x []float64, opts *OPOptions, totalIter *int) {
 // opSourceStepping ramps all independent sources from 0 to full value,
 // starting from zero. spent is the Newton iteration count the gmin
 // ladder already used; the result's Iterations includes it.
-func (e *Engine) opSourceStepping(opts OPOptions, spent int) (*OPResult, error) {
+func (e *Engine) opSourceStepping(spent int) (*OPResult, error) {
 	x := e.x
 	clear(x)
 	total := spent
 	for _, scale := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0} {
-		it, err := e.newtonSolve(x, 1e-9, scale, &opts)
+		it, err := e.newtonSolve(x, 1e-9, scale, maxIter)
 		total += it
 		if err != nil {
 			return nil, fmt.Errorf("sim: source stepping failed at scale %.2f: %w", scale, err)
 		}
 	}
-	e.polish(x, &opts, &total)
+	e.polish(x, &total)
 	return e.finishOP(x, total), nil
 }
 

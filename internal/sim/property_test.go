@@ -53,7 +53,7 @@ func TestDCLadderMatchesAnalytic(t *testing.T) {
 		n := 1 + r.Intn(8)
 		ckt, want := randomLadder(r, n)
 		eng := NewEngine(ckt, techno.TempNominal)
-		res, err := eng.OP(OPOptions{})
+		res, err := eng.OP(nil)
 		if err != nil {
 			return false
 		}
@@ -86,7 +86,7 @@ func TestACPassiveGainBounded(t *testing.T) {
 			v.ACMag = 1
 		}
 		eng := NewEngine(ckt, techno.TempNominal)
-		op, err := eng.OP(OPOptions{})
+		op, err := eng.OP(nil)
 		if err != nil {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestACDCLimitMatchesOP(t *testing.T) {
 			v.ACMag = 1
 		}
 		eng := NewEngine(ckt, techno.TempNominal)
-		op, err := eng.OP(OPOptions{})
+		op, err := eng.OP(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestTranSettlesToDC(t *testing.T) {
 				A: fmt.Sprintf("n%d", i), B: "0", C: 1e-12})
 		}
 		eng := NewEngine(ckt, techno.TempNominal)
-		op, err := eng.OP(OPOptions{})
+		op, err := eng.OP(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestTranSettlesToDC(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("n%d", i+1)
 		}
-		res, err := eng.Tran(1e-8, 1e-10, OPOptions{}, nil, nodes...)
+		res, err := eng.Tran(1e-8, 1e-10, nil, nil, nodes...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestNoiseScalesWithTemperature(t *testing.T) {
 	psdAt := func(temp float64) float64 {
 		ckt := build()
 		eng := NewEngine(ckt, temp)
-		op, err := eng.OP(OPOptions{})
+		op, err := eng.OP(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestNoiseContributorBreakdown(t *testing.T) {
 		&circuit.Resistor{Name: "small", A: "b", B: "0", R: 1e3},
 	)
 	eng := NewEngine(c, techno.TempNominal)
-	op, err := eng.OP(OPOptions{})
+	op, err := eng.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,13 +62,12 @@ func TestRebindBitIdentical(t *testing.T) {
 		} else {
 			eng.Rebind(st.ckt)
 		}
-		opts := OPOptions{NodeSet: st.seeds}
-		got, err := eng.OP(opts)
+		got, err := eng.OP(st.seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fresh := NewEngine(st.ckt, techno.TempNominal)
-		want, err := fresh.OP(opts)
+		want, err := fresh.OP(st.seeds)
 		if err != nil {
 			t.Fatal(err)
 		}

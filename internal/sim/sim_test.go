@@ -21,7 +21,7 @@ func TestOPResistorDivider(t *testing.T) {
 		&circuit.Resistor{Name: "2", A: "mid", B: "0", R: 2e3},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestOPDiodeConnectedNMOS(t *testing.T) {
 		m,
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestOPCurrentMirrorRatio(t *testing.T) {
 		&circuit.Resistor{Name: "l", A: "vdd", B: "out", R: 10e3},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestOPPMOSCommonSource(t *testing.T) {
 		&circuit.Resistor{Name: "l", A: "out", B: "0", R: 20e3},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestOP5TOTA(t *testing.T) {
 	tech := techno.Default060()
 	c, seeds := fiveTransistorOTA(tech)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{NodeSet: seeds})
+	r, err := e.OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAC5TOTAGainAndPole(t *testing.T) {
 	tech := techno.Default060()
 	c, seeds := fiveTransistorOTA(tech)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{NodeSet: seeds})
+	r, err := e.OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestACRCLowpass(t *testing.T) {
 		&circuit.Capacitor{Name: "c", A: "b", B: "0", C: 1e-9},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestUnityCrossing(t *testing.T) {
 		&circuit.Capacitor{Name: "c", A: "b", B: "0", C: 1e-9},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestNoiseResistorMatchesTheory(t *testing.T) {
 		&circuit.Capacitor{Name: "c", A: "b", B: "0", C: 1e-12},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestNoiseKTOverC(t *testing.T) {
 		&circuit.Capacitor{Name: "c", A: "b", B: "0", C: 10e-12},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestTranStopIsPrefix(t *testing.T) {
 				v.Pulse = &circuit.Pulse{V1: v.DC, V2: v.DC + 0.1, Delay: 20e-9, Rise: 1e-9}
 			}
 		}
-		res, err := NewEngine(c, techno.TempNominal).Tran(tstop, h, OPOptions{NodeSet: seeds}, stop, probes...)
+		res, err := NewEngine(c, techno.TempNominal).Tran(tstop, h, seeds, stop, probes...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestTranRCStep(t *testing.T) {
 	)
 	e := NewEngine(c, techno.TempNominal)
 	tau := 1e-6
-	res, err := e.Tran(5*tau, tau/100, OPOptions{}, nil, "b")
+	res, err := e.Tran(5*tau, tau/100, nil, nil, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestOPNoConvergenceReportsError(t *testing.T) {
 		&circuit.VSource{Name: "b", Pos: "x", Neg: "0", DC: 2},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	if _, err := e.OP(OPOptions{}); err == nil {
+	if _, err := e.OP(nil); err == nil {
 		t.Fatal("conflicting sources must not converge")
 	}
 }
@@ -475,7 +475,7 @@ func TestOPNonFiniteStepFails(t *testing.T) {
 		&circuit.Resistor{Name: "r", A: "a", B: "0", R: 0},
 	)
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err == nil {
 		t.Fatalf("OP converged to V(a) = %g", r.Volt(c, "a"))
 	}
@@ -494,7 +494,7 @@ func TestEngineBranchIndexing(t *testing.T) {
 	if e.Size() != 2 { // one node + one branch
 		t.Fatalf("size = %d, want 2", e.Size())
 	}
-	r, err := e.OP(OPOptions{})
+	r, err := e.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@ import (
 // values, warm-starting each solve from the previous solution — the
 // standard way to trace transfer characteristics through high-gain
 // transitions. The source's original value is restored afterwards.
-func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*OPResult, error) {
-	opts.defaults()
+func (e *Engine) DCSweep(srcName string, values []float64, nodeSet map[string]float64) ([]*OPResult, error) {
 	var src *circuit.VSource
 	for _, v := range e.Ckt.VSources() {
 		if v.Name == srcName {
@@ -30,7 +29,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 		src.DC = val
 		if i == 0 {
 			// Cold start through the full continuation.
-			r, err := e.OP(opts)
+			r, err := e.OP(nodeSet)
 			if err != nil {
 				return nil, fmt.Errorf("sim: sweep point %d (%.4g V): %w", i, val, err)
 			}
@@ -40,9 +39,9 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 		}
 		// Warm start: a plain Newton from the previous point; fall back
 		// to the full continuation if the step was too large.
-		it, err := e.newtonSolve(x, opts.GminEnd, 1.0, &opts)
+		it, err := e.newtonSolve(x, gminEnd, 1.0, maxIter)
 		if err != nil {
-			r, err2 := e.OP(opts)
+			r, err2 := e.OP(nodeSet)
 			if err2 != nil {
 				return nil, fmt.Errorf("sim: sweep point %d (%.4g V): %w", i, val, err)
 			}
@@ -51,7 +50,7 @@ func (e *Engine) DCSweep(srcName string, values []float64, opts OPOptions) ([]*O
 			continue
 		}
 		_ = it
-		e.polish(x, &opts, &it)
+		e.polish(x, &it)
 		out = append(out, e.finishOP(x, it))
 	}
 	return out, nil

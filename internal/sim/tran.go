@@ -56,7 +56,8 @@ type capState struct {
 
 // Tran runs a fixed-step trapezoidal transient from 0 to tstop and
 // records the waveforms of the probed nodes only. The initial condition
-// is the static solution with time-dependent sources evaluated at t = 0.
+// is the static solution with time-dependent sources evaluated at t = 0,
+// solved from the node set's voltages through the gmin ladder.
 // MOS capacitances are re-evaluated at the start of every step
 // (piecewise-constant within a step), which is accurate enough for
 // slewing and settling measurements while keeping the Newton loop linear
@@ -66,7 +67,7 @@ type capState struct {
 // far; when it returns true the transient ends there. Step k always
 // lands on t = k·h whatever tstop is, so a stopped run is an exact
 // prefix of the run to tstop. A nil stop runs to tstop.
-func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) bool, probes ...string) (*TranResult, error) {
+func (e *Engine) Tran(tstop, h float64, nodeSet map[string]float64, stop func(*TranResult) bool, probes ...string) (*TranResult, error) {
 	if h <= 0 || tstop <= 0 {
 		return nil, fmt.Errorf("sim: transient needs positive tstop and step, got %g, %g", tstop, h)
 	}
@@ -78,20 +79,12 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) b
 		}
 		pu[j] = e.nodeUnknown(i)
 	}
-	opts.defaults()
 
 	// Static solution at t = 0 with gmin continuation, in the OP's
 	// solution vector.
-	x := e.x
-	clear(x)
-	for name, v := range opts.NodeSet {
-		if i, ok := e.Ckt.NodeIndex(name); ok && i > 0 {
-			x[e.nodeUnknown(i)] = v
-		}
-	}
-	var rungs [16]float64
-	for _, gmin := range opts.gminLadder(rungs[:0]) {
-		if _, err := e.newtonSolveAt(x, gmin, 1.0, 0, nil, &opts); err != nil {
+	x := e.seed(nodeSet)
+	for _, gmin := range gminLadder {
+		if _, err := e.newtonSolveAt(x, gmin, 1.0, 0, nil, maxIter); err != nil {
 			return nil, fmt.Errorf("sim: transient initial condition: %w", err)
 		}
 	}
@@ -154,7 +147,7 @@ func (e *Engine) Tran(tstop, h float64, opts OPOptions, stop func(*TranResult) b
 		for i := range caps {
 			caps[i].vPrev = capVolt(x, &caps[i])
 		}
-		if _, err := e.newtonSolveAt(x, opts.GminEnd, 1.0, t, extra, &opts); err != nil {
+		if _, err := e.newtonSolveAt(x, gminEnd, 1.0, t, extra, maxIter); err != nil {
 			return nil, fmt.Errorf("sim: transient step %d (t=%.4g s): %w", k, t, err)
 		}
 		// Commit capacitor states.

@@ -15,15 +15,13 @@ import (
 func TestWarmNewtonSolveAllocFree(t *testing.T) {
 	c, seeds := fiveTransistorOTA(techno.Default060())
 	e := NewEngine(c, techno.TempNominal)
-	opts := OPOptions{NodeSet: seeds}
-	r, err := e.OP(opts)
+	r, err := e.OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.defaults()
 	x := e.packSolution(r)
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := e.newtonSolve(x, opts.GminEnd, 1.0, &opts); err != nil {
+		if _, err := e.newtonSolve(x, gminEnd, 1.0, maxIter); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -37,7 +35,7 @@ func TestWarmNewtonSolveAllocFree(t *testing.T) {
 func TestACSolverSolveAtAllocFree(t *testing.T) {
 	c, seeds := fiveTransistorOTA(techno.Default060())
 	e := NewEngine(c, techno.TempNominal)
-	r, err := e.OP(OPOptions{NodeSet: seeds})
+	r, err := e.OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +73,10 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 	tech := techno.Default060()
 	c, seeds := fiveTransistorOTA(tech)
 	inp := source(c, "inp")
-	opts := OPOptions{NodeSet: seeds}
 	used := NewEngine(c, techno.TempNominal)
 	for _, dc := range []float64{1.7, 1.5, 1.6} {
 		inp.DC = dc
-		if _, err := used.OP(opts); err != nil {
+		if _, err := used.OP(seeds); err != nil {
 			t.Fatal(err)
 		}
 		for _, warm := range []float64{dc + 1e-3, dc - 2e-3, dc + 5e-2} {
@@ -94,11 +91,11 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 		}
 	}
 	inp.DC = 1.6
-	got, err := used.OP(opts)
+	got, err := used.OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewEngine(c, techno.TempNominal).OP(opts)
+	want, err := NewEngine(c, techno.TempNominal).OP(seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +129,8 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 // TestOPFallbackCountsGminIterations: when the gmin ladder fails and OP
 // falls back to source stepping, Iterations reports the ladder's spent
 // iterations too. A node seeded at 1 kV cannot reach its 0.5 V solution
-// within MaxIter steps of at most MaxStep volts, so the first rung fails
-// after exactly MaxIter iterations.
+// within maxIter steps of at most maxStep volts, so the first rung fails
+// after exactly maxIter iterations.
 func TestOPFallbackCountsGminIterations(t *testing.T) {
 	build := func() *circuit.Circuit {
 		c := circuit.New("fallback")
@@ -144,9 +141,8 @@ func TestOPFallbackCountsGminIterations(t *testing.T) {
 		)
 		return c
 	}
-	opts := OPOptions{NodeSet: map[string]float64{"mid": 1000}, MaxIter: 20}
 	c := build()
-	r, err := NewEngine(c, techno.TempNominal).OP(opts)
+	r, err := NewEngine(c, techno.TempNominal).OP(map[string]float64{"mid": 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +150,13 @@ func TestOPFallbackCountsGminIterations(t *testing.T) {
 		t.Fatalf("V(mid) = %g, want 0.5", v)
 	}
 
-	opts.defaults()
-	stepped, err := NewEngine(build(), techno.TempNominal).opSourceStepping(opts, 0)
+	stepped, err := NewEngine(build(), techno.TempNominal).opSourceStepping(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := opts.MaxIter + stepped.Iterations; r.Iterations != want {
+	if want := maxIter + stepped.Iterations; r.Iterations != want {
 		t.Fatalf("Iterations = %d, want %d (failed rung %d + source stepping %d)",
-			r.Iterations, want, opts.MaxIter, stepped.Iterations)
+			r.Iterations, want, maxIter, stepped.Iterations)
 	}
 }
 
@@ -187,9 +182,8 @@ func allocPerRun(runs int, f func()) (bytes, allocs float64) {
 func TestTranAllocBudget(t *testing.T) {
 	c, seeds := fiveTransistorOTA(techno.Default060())
 	e := NewEngine(c, techno.TempNominal)
-	opts := OPOptions{NodeSet: seeds}
 	bytes, allocs := allocPerRun(5, func() {
-		if _, err := e.Tran(300e-9, 1e-9, opts, nil, "out"); err != nil {
+		if _, err := e.Tran(300e-9, 1e-9, seeds, nil, "out"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -199,20 +193,17 @@ func TestTranAllocBudget(t *testing.T) {
 	}
 }
 
-// TestGminLadder pins the rungs OP and Tran walk, bit for bit. From the
-// defaults, ten divisions of 1e-2 by 10 give 1.0000000000000002e-12,
-// which is not below GminEnd, so that rung runs and a twelfth, clamped
-// to exactly 1e-12, follows it. A start below the end runs the end
-// alone.
+// TestGminLadder pins the rungs OP and Tran walk, bit for bit. Ten
+// divisions of 1e-2 by 10 give 1.0000000000000002e-12, which is not
+// below gminEnd, so that rung runs and a twelfth, clamped to exactly
+// 1e-12, follows it.
 func TestGminLadder(t *testing.T) {
-	var opts OPOptions
-	opts.defaults()
 	want := []uint64{
 		0x3f847ae147ae147b, 0x3f50624dd2f1a9fc, 0x3f1a36e2eb1c432d, 0x3ee4f8b588e368f1,
 		0x3eb0c6f7a0b5ed8e, 0x3e7ad7f29abcaf4a, 0x3e45798ee2308c3b, 0x3e112e0be826d696,
 		0x3ddb7cdfd9d7bdbd, 0x3da5fd7fe1796497, 0x3d719799812dea12, 0x3d719799812dea11,
 	}
-	got := opts.gminLadder(nil)
+	got := gminLadder
 	if len(got) != len(want) {
 		t.Fatalf("%d rungs %v, want %d", len(got), got, len(want))
 	}
@@ -221,12 +212,8 @@ func TestGminLadder(t *testing.T) {
 			t.Fatalf("rung %d = %v (%#x), want %#x", i, g, math.Float64bits(g), want[i])
 		}
 	}
-	if got[11] != opts.GminEnd || got[10] == opts.GminEnd {
-		t.Fatalf("last rungs %v, %v: want one just above GminEnd, then GminEnd", got[10], got[11])
-	}
-	opts.GminStart = 1e-13
-	if got := opts.gminLadder(nil); len(got) != 1 || got[0] != opts.GminEnd {
-		t.Fatalf("start below the end: rungs %v", got)
+	if got[11] != gminEnd || got[10] == gminEnd {
+		t.Fatalf("last rungs %v, %v: want one just above gminEnd, then gminEnd", got[10], got[11])
 	}
 }
 
@@ -236,9 +223,8 @@ func TestGminLadder(t *testing.T) {
 func TestWarmVoltMatchesOP(t *testing.T) {
 	c, seeds := fiveTransistorOTA(techno.Default060())
 	inp := source(c, "inp")
-	opts := OPOptions{NodeSet: seeds}
 	e := NewEngine(c, techno.TempNominal)
-	if _, err := e.OP(opts); err != nil {
+	if _, err := e.OP(seeds); err != nil {
 		t.Fatal(err)
 	}
 	for _, dc := range []float64{1.60001, 1.6001, 1.601, 1.59, 1.64, 1.6} {
@@ -247,7 +233,7 @@ func TestWarmVoltMatchesOP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("inp %g V: %v", dc, err)
 		}
-		cold, err := NewEngine(c, techno.TempNominal).OP(opts)
+		cold, err := NewEngine(c, techno.TempNominal).OP(seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +253,7 @@ func TestWarmVoltMatchesOP(t *testing.T) {
 
 // TestWarmVoltFailsFarAway: WarmVolt gives up after warmMaxIter
 // iterations. On a 1 kΩ/1 kΩ divider only V(mid) starts away from its
-// 0.5 V solution, and each clamped Newton step moves it by MaxStep = 0.5 V,
+// 0.5 V solution, and each clamped Newton step moves it by maxStep = 0.5 V,
 // so a start warmMaxIter−1 steps away converges in exactly warmMaxIter
 // iterations and one a step further fails. From a NaN start, or with
 // the OTA's every unknown at ±1 kV, it fails too, without a panic.
@@ -280,7 +266,7 @@ func TestWarmVoltFailsFarAway(t *testing.T) {
 	e := NewEngine(c, techno.TempNominal)
 	mid, _ := c.NodeIndex("mid")
 	for _, k := range []int{warmMaxIter - 1, warmMaxIter} {
-		if _, err := e.OP(OPOptions{}); err != nil {
+		if _, err := e.OP(nil); err != nil {
 			t.Fatal(err)
 		}
 		e.x[mid-1] = 0.5 + 0.5*float64(k)
@@ -316,7 +302,7 @@ func TestWarmVoltAllocBudget(t *testing.T) {
 	c, seeds := fiveTransistorOTA(techno.Default060())
 	inp := source(c, "inp")
 	e := NewEngine(c, techno.TempNominal)
-	if _, err := e.OP(OPOptions{NodeSet: seeds}); err != nil {
+	if _, err := e.OP(seeds); err != nil {
 		t.Fatal(err)
 	}
 	levels := [2]float64{1.6, 1.6005}

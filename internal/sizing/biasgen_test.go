@@ -234,7 +234,7 @@ func TestBiasGenHitsTargets(t *testing.T) {
 	for k, v := range d.Bias {
 		ns[k] = v
 	}
-	r, err := eng.OP(sim.OPOptions{NodeSet: ns})
+	r, err := eng.OP(ns)
 	if err != nil {
 		t.Fatal(err)
 	}

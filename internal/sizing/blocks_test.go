@@ -98,7 +98,6 @@ func (m *Mirror) StackModule(label, refNet string, outNets []string, sourceNet, 
 		WidthPerBaseUnit: m.WUnit,
 		L:                m.Spec.L,
 		Currents:         currents,
-		EndDummies:       true,
 		Splits:           []int{1, 2},
 	}, nil
 }
@@ -151,7 +150,7 @@ func TestSizeMirrorRoundTrip(t *testing.T) {
 		&circuit.Resistor{Name: "l2", A: "vdd", B: "o2", R: 5e3},
 	)
 	eng := sim.NewEngine(ckt, tech.Temp)
-	r, err := eng.OP(sim.OPOptions{})
+	r, err := eng.OP(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +233,7 @@ func TestSizeFiveT(t *testing.T) {
 		&circuit.Capacitor{Name: "load", A: NetOut, B: "0", C: 2e-12},
 	)
 	eng := sim.NewEngine(ckt, tech.Temp)
-	r, err := eng.OP(sim.OPOptions{NodeSet: d.NodeSet()})
+	r, err := eng.OP(d.NodeSet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type evaluator struct {
 func (ev *evaluator) gbwPM(tech *techno.Tech, ckt *circuit.Circuit, out string, nodeset map[string]float64) (gbw, pm float64, err error) {
 	ev.eng.Temp = tech.Temp
 	ev.eng.Rebind(ckt)
-	op, err := ev.eng.OP(sim.OPOptions{NodeSet: nodeset})
+	op, err := ev.eng.OP(nodeset)
 	if err != nil {
 		return 0, 0, fmt.Errorf("sizing: evaluation OP: %w", err)
 	}

@@ -2,7 +2,6 @@ package sizing
 
 import (
 	"loas/internal/circuit"
-	"loas/internal/device"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/route"
 	"loas/internal/layout/stack"
@@ -54,14 +53,12 @@ func (d *FoldedCascode) Netlist(name string) *circuit.Circuit {
 func (d *FoldedCascode) Layout() *cairo.Design {
 	chan6 := int64(6 * 1000) // 6 µm routing channel, in nm
 
-	tr := func(inst, dn, g, s, b string, even bool) *cairo.Transistor {
+	tr := func(inst, dn, g, s, b string) *cairo.Transistor {
 		ds := d.Devices[inst]
 		return &cairo.Transistor{
 			Inst: inst, Type: ds.Type, W: ds.W, L: ds.L,
-			Style:    device.DrainInternal,
 			DrainNet: dn, GateNet: g, SourceNet: s, BulkNet: b,
-			IDrain:   ds.ID,
-			MaxFolds: 10, EvenOnly: even,
+			IDrain: ds.ID, MaxFolds: 10,
 		}
 	}
 
@@ -78,8 +75,7 @@ func (d *FoldedCascode) Layout() *cairo.Design {
 		Currents: map[string]float64{
 			NetFN1: d.Devices[MP1].ID, NetFN2: d.Devices[MP2].ID,
 		},
-		EndDummies: true,
-		Splits:     []int{1, 2, 3},
+		Splits: []int{1, 2, 3},
 	}
 	pmir := &cairo.MatchedStack{
 		Label: "pmir", Type: techno.PMOS,
@@ -93,8 +89,7 @@ func (d *FoldedCascode) Layout() *cairo.Design {
 		Currents: map[string]float64{
 			NetN3: d.Devices[MP3].ID, NetN4: d.Devices[MP4].ID,
 		},
-		EndDummies: true,
-		Splits:     []int{1, 2, 3},
+		Splits: []int{1, 2, 3},
 	}
 	nsink := &cairo.MatchedStack{
 		Label: "nsink", Type: techno.NMOS,
@@ -108,19 +103,18 @@ func (d *FoldedCascode) Layout() *cairo.Design {
 		Currents: map[string]float64{
 			NetFN1: d.Devices[MN5].ID, NetFN2: d.Devices[MN6].ID,
 		},
-		EndDummies: true,
-		Splits:     []int{1, 2, 3},
+		Splits: []int{1, 2, 3},
 	}
 
 	des := &cairo.Design{
 		Name: "folded-cascode-ota",
 		Modules: []cairo.Module{
 			pair, pmir, nsink,
-			tr(MP5, NetTail, NetVBP, NetVDD, NetVDD, true),
-			tr(MP3C, NetMO1, NetVC3, NetN3, NetVDD, true),
-			tr(MP4C, NetOut, NetVC3, NetN4, NetVDD, true),
-			tr(MN1C, NetMO1, NetVC1, NetFN1, "gnd", true),
-			tr(MN2C, NetOut, NetVC1, NetFN2, "gnd", true),
+			tr(MP5, NetTail, NetVBP, NetVDD, NetVDD),
+			tr(MP3C, NetMO1, NetVC3, NetN3, NetVDD),
+			tr(MP4C, NetOut, NetVC3, NetN4, NetVDD),
+			tr(MN1C, NetMO1, NetVC1, NetFN1, "gnd"),
+			tr(MN2C, NetOut, NetVC1, NetFN2, "gnd"),
 		},
 		Tree: &cairo.Tree{ // rows bottom-up, separated by routing channels
 			Vertical: false,

@@ -218,7 +218,7 @@ func (d *FiveT) Layout() *cairo.Design {
 		WidthPerBaseUnit: d.Devices[MF1].W / 2,
 		L:                d.Devices[MF1].L,
 		Currents:         map[string]float64{NetFX: d.Devices[MF1].ID, NetOut: d.Devices[MF2].ID},
-		EndDummies:       true, Splits: []int{1, 2},
+		Splits:           []int{1, 2},
 	}
 	mir := &cairo.MatchedStack{
 		Label: "fmir", Type: techno.NMOS,
@@ -230,14 +230,13 @@ func (d *FiveT) Layout() *cairo.Design {
 		WidthPerBaseUnit: d.Devices[MF3].W / 2,
 		L:                d.Devices[MF3].L,
 		Currents:         map[string]float64{NetFX: d.Devices[MF3].ID, NetOut: d.Devices[MF4].ID},
-		EndDummies:       true, Splits: []int{1, 2},
+		Splits:           []int{1, 2},
 	}
 	tail := &cairo.Transistor{
 		Inst: MF5, Type: techno.PMOS,
 		W: d.Devices[MF5].W, L: d.Devices[MF5].L,
-		Style:    device.DrainInternal,
 		DrainNet: NetTail, GateNet: NetVBP, SourceNet: NetVDD, BulkNet: NetVDD,
-		IDrain: d.Itail, MaxFolds: 8, EvenOnly: true,
+		IDrain: d.Itail, MaxFolds: 8,
 	}
 	return &cairo.Design{
 		Name:    "five-transistor-ota",

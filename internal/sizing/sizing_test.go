@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"loas/internal/circuit"
+	"loas/internal/device"
 	"loas/internal/layout/cairo"
 	"loas/internal/layout/extract"
+	"loas/internal/layout/route"
 	"loas/internal/sim"
 	"loas/internal/techno"
 )
@@ -38,6 +40,50 @@ func TestCaseMapping(t *testing.T) {
 	}
 	if _, err := Case(0); err == nil {
 		t.Fatal("case 0 accepted")
+	}
+}
+
+// TestParasiticStateJunctionModels: each Table-1 case's junction model
+// and routing flag, where the sizing plan applies them. Case 1 assumes
+// no junction, case 2 one fold whatever the report says, cases 3 and 4
+// the report's geometry bit for bit (one fold before the first layout
+// call or for a device the report lacks), and only case 4 lumps the
+// report's wiring capacitance onto a net.
+func TestParasiticStateJunctionModels(t *testing.T) {
+	tech := techno.Default060()
+	const w = 20e-6
+	rep := extract.New()
+	rep.DeviceGeom["M1"] = device.DiffGeom{AD: 1.25e-11, PD: 1.5e-5, AS: 2.5e-11, PS: 3e-5}
+	rep.NetCap["out"] = 10e-15
+	rep.WellCap["out"] = 3e-15
+	rep.Coupling[route.OrderedPair("out", "in")] = 1e-15
+	oneFold := device.OneFoldGeom(tech, w)
+	for n := 1; n <= 4; n++ {
+		ps, _ := Case(n)
+		// Without the report's geometry every case but the first
+		// assumes one fold.
+		fallback := oneFold
+		if n == 1 {
+			fallback = device.DiffGeom{}
+		}
+		if g := ps.deviceGeom(tech, "M1", w); g != fallback {
+			t.Errorf("case %d before the first layout call: geometry %+v, want %+v", n, g, fallback)
+		}
+		ps.Report = rep
+		want := map[int]device.DiffGeom{1: {}, 2: oneFold, 3: rep.DeviceGeom["M1"], 4: rep.DeviceGeom["M1"]}[n]
+		if g := ps.deviceGeom(tech, "M1", w); g != want {
+			t.Errorf("case %d: geometry %+v, want %+v", n, g, want)
+		}
+		if g := ps.deviceGeom(tech, "M2", w); g != fallback {
+			t.Errorf("case %d, a device the report lacks: geometry %+v, want %+v", n, g, fallback)
+		}
+		wantCap := 0.0
+		if n == 4 {
+			wantCap = rep.TotalNetCap("out") + rep.CouplingTo("out")
+		}
+		if c := ps.wiringCap("out"); math.Float64bits(c) != math.Float64bits(wantCap) {
+			t.Errorf("case %d: wiring cap %g, want %g", n, c, wantCap)
+		}
 	}
 }
 
@@ -144,7 +190,7 @@ func TestSizingNetlistSimulates(t *testing.T) {
 		&circuit.Capacitor{Name: "load", A: NetOut, B: "0", C: d.Spec.CL},
 	)
 	eng := sim.NewEngine(ckt, d.Tech.Temp)
-	r, err := eng.OP(sim.OPOptions{NodeSet: d.NodeSet()})
+	r, err := eng.OP(d.NodeSet())
 	if err != nil {
 		t.Fatal(err)
 	}

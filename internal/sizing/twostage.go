@@ -296,10 +296,8 @@ func (d *TwoStage) Layout() *cairo.Design {
 		ds := d.Devices[inst]
 		return &cairo.Transistor{
 			Inst: inst, Type: ds.Type, W: ds.W, L: ds.L,
-			Style:    device.DrainInternal,
 			DrainNet: dn, GateNet: g, SourceNet: s, BulkNet: b,
-			IDrain:   ds.ID,
-			MaxFolds: 10, EvenOnly: true,
+			IDrain: ds.ID, MaxFolds: 10,
 		}
 	}
 	pair := &cairo.MatchedStack{
@@ -314,7 +312,7 @@ func (d *TwoStage) Layout() *cairo.Design {
 		Currents: map[string]float64{
 			NetX1: d.Devices[MT1].ID, NetX2: d.Devices[MT2].ID,
 		},
-		EndDummies: true, Splits: []int{1, 2, 3},
+		Splits: []int{1, 2, 3},
 	}
 	mir := &cairo.MatchedStack{
 		Label: "tmir", Type: techno.NMOS,
@@ -328,7 +326,7 @@ func (d *TwoStage) Layout() *cairo.Design {
 		Currents: map[string]float64{
 			NetX1: d.Devices[MT3].ID, NetX2: d.Devices[MT4].ID,
 		},
-		EndDummies: true, Splits: []int{1, 2, 3},
+		Splits: []int{1, 2, 3},
 	}
 
 	return &cairo.Design{

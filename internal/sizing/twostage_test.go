@@ -76,7 +76,7 @@ func TestTwoStageNetlistSimulates(t *testing.T) {
 		&circuit.Capacitor{Name: "load", A: NetOut, B: "0", C: d.Spec.CL},
 	)
 	eng := sim.NewEngine(ckt, d.Tech.Temp)
-	r, err := eng.OP(sim.OPOptions{NodeSet: d.NodeSet()})
+	r, err := eng.OP(d.NodeSet())
 	if err != nil {
 		t.Fatal(err)
 	}
